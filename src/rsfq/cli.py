@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: distribution, trend, verify, sigma, nf-count.  Global flags
-select the field (--p, --e, --modulus), output format, parallelism, caps
+select the field (--p, --e, --modulus), output format, verify parallelism, caps
 and seeds; RSFQ_JOBS overrides the default parallelism and a key=value
 --config file supplies defaults, with explicit flags taking precedence.
 
@@ -21,7 +21,7 @@ import sys
 from .arith import count_reversal_solutions, scan_reversal_counts
 from .charsum import CharSpec
 from .dist import deviation_trend, distribution
-from .errors import ExactIdentityError, RsfqError
+from .errors import ConfigError, ExactIdentityError, RsfqError
 from .poly import DEFAULT_CAP
 from .vaughan import sigma1, sigma2, validate_cutoffs
 from .verify import CHECK_CHOICES, RunConfig, verify_all
@@ -37,7 +37,8 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated residues, constant term first")
     parser.add_argument("--format", choices=("json", "csv"), default=sup)
     parser.add_argument("--jobs", type=int, default=sup,
-                        help="worker processes (env RSFQ_JOBS)")
+                        help="worker processes for verify (env RSFQ_JOBS); "
+                             "at most the usable CPUs")
     parser.add_argument("--cap", type=int, default=sup,
                         help="enumeration cap (default 10^8)")
     parser.add_argument("--seed", type=int, default=sup,
@@ -104,6 +105,30 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _resolve_jobs(args, file_cfg: dict) -> int:
+    """Worker count from --jobs, else RSFQ_JOBS, else the config file, else 1.
+
+    Values <= 0 are rejected; larger values are clamped to the CPUs this
+    process may run on, so no flag can start more workers than that.
+    """
+    for source, raw in (("--jobs", getattr(args, "jobs", None)),
+                        ("RSFQ_JOBS", os.environ.get("RSFQ_JOBS")),
+                        ("config jobs", file_cfg.get("jobs"))):
+        if raw is not None:
+            jobs = int(raw)
+            if jobs <= 0:
+                raise ConfigError(f"{source} must be >= 1, got {jobs}")
+            return min(jobs, _usable_cpus())
+    return 1
+
+
 def resolve_config(args) -> RunConfig:
     """Merge defaults, config file, environment and flags (flags win)."""
     config_path = getattr(args, "config", None)
@@ -117,13 +142,6 @@ def resolve_config(args) -> RunConfig:
             return cast(file_cfg[name])
         return default
 
-    jobs_default = 1
-    env_jobs = os.environ.get("RSFQ_JOBS")
-    if env_jobs is not None:
-        jobs_default = int(env_jobs)
-    elif "jobs" in file_cfg:
-        jobs_default = int(file_cfg["jobs"])
-
     modulus = pick("modulus", str, None)
     modulus_tuple = None
     if modulus:
@@ -133,7 +151,7 @@ def resolve_config(args) -> RunConfig:
         e=pick("e", int, 1),
         modulus=modulus_tuple,
         fmt=pick("format", str, "json"),
-        jobs=getattr(args, "jobs", None) or jobs_default,
+        jobs=_resolve_jobs(args, file_cfg),
         cap=pick("cap", int, DEFAULT_CAP),
         seed=pick("seed", int, 1),
         weights=pick("weights", int, 3),
@@ -159,7 +177,7 @@ def _emit_kv_csv(obj: dict) -> None:
 
 
 def _cmd_distribution(cfg: RunConfig, args) -> int:
-    table = distribution(cfg.ring(), args.n, cfg.cap, cfg.jobs)
+    table = distribution(cfg.ring(), args.n, cfg.cap)
     if cfg.fmt == "csv":
         sys.stdout.write(table.to_csv())
     else:
@@ -174,7 +192,7 @@ def _cmd_trend(cfg: RunConfig, args) -> int:
         top = 2
         while q ** (top + 1) <= 2400:
             top += 1
-    rows = deviation_trend(cfg.ring(), top, cfg.cap, cfg.jobs)
+    rows = deviation_trend(cfg.ring(), top, cfg.cap)
     if cfg.fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

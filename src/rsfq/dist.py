@@ -1,14 +1,13 @@
 """Distribution of the Rudin-Shapiro value over monic irreducibles.
 
-distribution(ring, n) enumerates every monic irreducible of degree n,
-tallies the exact count per field value, and carries the exact expected
-value total/q and the prime-polynomial bracket
-(q^n - 2 q^(n/2)) / n <= total <= q^n / n as construction-time invariants
-(checked in exact integer arithmetic; violations raise).
-
-Counting is partitionable: the monic index space splits into contiguous
-ranges which share coefficient prefixes, so per-range tallies merge by
-integer addition in any order.
+distribution(ring, n) reads every monic irreducible of degree n off the
+composite-marking sieve (sieve.composite_mask), evaluates the statistic
+R(f) = sum f_i f_(i-1) on their coefficient digits column by column with
+numpy, and tallies the exact count per field value.  The table carries the
+exact expected value total/q and two construction-time invariants, both
+checked in exact integer arithmetic (violations raise ExactIdentityError):
+the prime-polynomial bracket (q^n - 2 q^(n/2)) / n <= total <= q^n / n, and
+total equal to the divisor-sum formula, which shares no code with the sieve.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DegreeBoundError, ExactIdentityError
-from .field import FieldCtx
-from .poly import PolyRing, PolySet
-from .rudin import rudin_shapiro
+from .poly import PolyRing, PolySet, irreducible_count_formula
+from .sieve import composite_mask, index_tables
 
 
 def pnt_bracket_exact(q: int, n: int, count: int) -> bool:
@@ -82,19 +81,33 @@ class DistTable:
         return out.getvalue()
 
 
-def _count_range(ctx_key: tuple, n: int, lo: int, hi: int) -> list:
-    p, e, modulus = ctx_key
-    ring = PolyRing(FieldCtx(p, e, modulus or None))
+def _rs_histogram(ring: PolyRing, n: int) -> list:
+    """Count of monic irreducibles of degree n per value of R, by element index.
+
+    The counting index of f holds f_0, ..., f_(n-1) as base-q digits (element
+    indices), peeled off one coefficient at a time.
+    """
     ctx = ring.ctx
-    hist = [0] * ctx.q
-    for f in ring.monic_range(n, lo, hi):
-        if ring.is_irreducible(f):
-            hist[ctx.element_index(rudin_shapiro(ring, f))] += 1
-    return hist
+    q = ctx.q
+    rest = np.flatnonzero(~composite_mask(ring, n))
+    values = np.zeros_like(rest)
+    if ctx.e > 1:
+        add_tab, mul_tab = index_tables(ring)
+    low = rest % q
+    for _ in range(1, n):
+        rest //= q
+        high = rest % q
+        if ctx.e == 1:
+            values += high * low
+        else:
+            values = add_tab[values, mul_tab[high, low]]
+        low = high
+    if ctx.e == 1:
+        values %= q
+    return np.bincount(values, minlength=q).tolist()
 
 
-def distribution(ring: PolyRing, n: int, cap: int | None = None,
-                 jobs: int = 1) -> DistTable:
+def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
     """Exact distribution table for degree n (requires n >= 2)."""
     if n < 2:
         raise DegreeBoundError("distribution needs degree >= 2")
@@ -102,19 +115,7 @@ def distribution(ring: PolyRing, n: int, cap: int | None = None,
     q = ctx.q
     size = ring.cardinality(PolySet.MONIC, n)
     ring.check_cap(size, cap)
-    if jobs > 1:
-        chunks = _split_range(size, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(
-                _count_range,
-                [ctx.key()] * len(chunks),
-                [n] * len(chunks),
-                [lo for lo, _ in chunks],
-                [hi for _, hi in chunks],
-            ))
-        hist = [sum(col) for col in zip(*partials)]
-    else:
-        hist = _count_range(ctx.key(), n, 0, size)
+    hist = _rs_histogram(ring, n)
     total = sum(hist)
     expected = Fraction(total, q)
     counts = {ctx.element_str(ctx.element_at(i)): hist[i] for i in range(q)}
@@ -124,23 +125,17 @@ def distribution(ring: PolyRing, n: int, cap: int | None = None,
             f"irreducible count {total} violates the prime-polynomial "
             f"bracket for q={q}, n={n}"
         )
+    formula = irreducible_count_formula(q, n)
+    if total != formula:
+        raise ExactIdentityError(
+            f"irreducible count {total} differs from the divisor-sum "
+            f"formula {formula} for q={q}, n={n}"
+        )
     lower, upper = pnt_bracket_floats(q, n)
     return DistTable(
         q=q, n=n, counts=counts, total=total, expected=expected,
         max_abs_dev=max_dev, pnt_lower=lower, pnt_upper=upper,
     )
-
-
-def _split_range(size: int, parts: int) -> list:
-    parts = max(1, min(parts, size))
-    step, extra = divmod(size, parts)
-    chunks = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        chunks.append((lo, hi))
-        lo = hi
-    return chunks
 
 
 def table_from_json(text: str) -> dict:
@@ -163,12 +158,11 @@ def table_from_csv(text: str) -> dict:
     return {"counts": counts, "total": sum(counts.values())}
 
 
-def deviation_trend(ring: PolyRing, n_max: int, cap: int | None = None,
-                    jobs: int = 1) -> list:
+def deviation_trend(ring: PolyRing, n_max: int, cap: int | None = None) -> list:
     """Relative deviation per degree, for inspection (nothing asymptotic)."""
     rows = []
     for n in range(2, n_max + 1):
-        table = distribution(ring, n, cap, jobs)
+        table = distribution(ring, n, cap)
         rel = float(table.max_abs_dev / table.expected) if table.total else 0.0
         rows.append({
             "n": n,

@@ -1,5 +1,6 @@
 import pytest
 
+import rsfq.dist
 from rsfq import FieldCtx, PolyRing
 
 
@@ -16,3 +17,16 @@ def f5():
 @pytest.fixture(scope="session")
 def f9():
     return PolyRing(FieldCtx(3, 2))
+
+
+@pytest.fixture
+def dropped_irreducible(monkeypatch):
+    """Make distribution's sieve mask lose its first irreducible."""
+    real_mask = rsfq.dist.composite_mask
+
+    def drop_one(ring, n):
+        mask = real_mask(ring, n)
+        mask[mask.argmin()] = True
+        return mask
+
+    monkeypatch.setattr(rsfq.dist, "composite_mask", drop_one)

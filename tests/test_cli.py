@@ -3,6 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from rsfq import ConfigError
+from rsfq.cli import build_parser, main, resolve_config
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -73,6 +78,12 @@ def test_cap_exceeded_is_usage_error():
     assert "cap" in result.stderr
 
 
+def test_distribution_above_sieve_cap_is_usage_error():
+    result = run_cli("distribution", "-n", "16")     # 3^16 > 2 * 10^7
+    assert result.returncode == 2
+    assert "sieve cap" in result.stderr
+
+
 def test_bad_selector_rejected():
     result = run_cli("verify", "nonsense")
     assert result.returncode == 2
@@ -139,3 +150,38 @@ def test_global_flags_both_positions():
     assert before.returncode == after.returncode == 0
     assert before.stdout == after.stdout
     assert json.loads(before.stdout)["q"] == 5
+
+
+def _resolve(*argv):
+    return resolve_config(build_parser().parse_args([*argv, "verify", "star"]))
+
+
+def test_jobs_nonpositive_rejected(monkeypatch, tmp_path):
+    monkeypatch.delenv("RSFQ_JOBS", raising=False)
+    with pytest.raises(ConfigError, match="--jobs"):
+        _resolve("--jobs", "0")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs=0\n")
+    with pytest.raises(ConfigError, match="config jobs"):
+        _resolve("--config", str(cfg))
+    monkeypatch.setenv("RSFQ_JOBS", "-1")
+    with pytest.raises(ConfigError, match="RSFQ_JOBS"):
+        _resolve()
+    assert main(["verify", "star"]) == 2
+
+
+def test_jobs_clamped_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("RSFQ_JOBS", raising=False)
+    cpus = len(os.sched_getaffinity(0))
+    assert _resolve().jobs == 1
+    assert _resolve("--jobs", "1").jobs == 1
+    assert _resolve("--jobs", str(10**9)).jobs == cpus
+    monkeypatch.setenv("RSFQ_JOBS", str(10**9))
+    assert _resolve().jobs == cpus
+    assert _resolve("--jobs", "1").jobs == 1      # flag wins over the env
+
+
+def test_distribution_identity_fault_exits_1(dropped_irreducible, capsys):
+    """A sieve fault that the formula check catches exits with status 1."""
+    assert main(["distribution", "-n", "5"]) == 1
+    assert "divisor-sum formula" in capsys.readouterr().err

@@ -6,10 +6,13 @@ import pytest
 
 from rsfq import (
     DegreeBoundError,
+    ExactIdentityError,
     FieldCtx,
     PolyRing,
+    PolySet,
     deviation_trend,
     distribution,
+    rudin_shapiro,
 )
 from rsfq.dist import table_from_csv, table_from_json
 
@@ -41,12 +44,14 @@ def test_n3_frozen(f3):
     assert table.max_abs_dev == Fraction(4, 3)
 
 
-def test_matches_golden_tables(f3):
-    for n in range(2, 8):
-        table = distribution(f3, n)
-        golden = load_golden(3, n)
-        assert table.counts == golden["counts"]
-        assert table.total == golden["total"]
+def test_matches_golden_tables(f3, f5):
+    f7 = PolyRing(FieldCtx(7))
+    for ring, n_max in ((f3, 7), (f5, 5), (f7, 4)):
+        for n in range(2, n_max + 1):
+            table = distribution(ring, n)
+            golden = load_golden(ring.ctx.q, n)
+            assert table.counts == golden["counts"]
+            assert table.total == golden["total"]
 
 
 def test_partition_invariant(f3, f5):
@@ -64,11 +69,40 @@ def test_degree_too_small(f3):
         distribution(f3, 1)
 
 
-def test_parallel_counts_identical(f3):
-    seq = distribution(f3, 5, jobs=1)
-    par = distribution(f3, 5, jobs=4)
-    assert seq.counts == par.counts
-    assert seq.total == par.total
+def test_matches_trial_division(f3, f5, f9):
+    """The sieve-backed tally equals R tallied over trial-division irreducibles."""
+    f7 = PolyRing(FieldCtx(7))
+    for ring, n_max in ((f3, 7), (f5, 5), (f7, 4), (f9, 3)):
+        ctx = ring.ctx
+        for n in range(2, n_max + 1):
+            counts = {ctx.element_str(x): 0 for x in ctx.elements()}
+            for f in ring.enumerate(PolySet.MONIC_IRREDUCIBLE, n):
+                counts[ctx.element_str(rudin_shapiro(ring, f))] += 1
+            table = distribution(ring, n)
+            assert table.counts == counts, (ctx.q, n)
+            assert table.total == sum(counts.values())
+
+
+def test_counts_symmetric_under_negation(f3, f5, f9):
+    """count(gamma) == count(-gamma): f(t) -> +-f(-t) preserves monic
+    irreducibility and negates every adjacent product f_i f_(i-1)."""
+    f7 = PolyRing(FieldCtx(7))
+    for ring in (f3, f5, f7, f9):
+        ctx = ring.ctx
+        n = 2
+        while ctx.q**n <= 10**5:
+            counts = distribution(ring, n).counts
+            for x in ctx.elements():
+                neg = ctx.element_str(ctx.neg(x))
+                assert counts[ctx.element_str(x)] == counts[neg], (ctx.q, n)
+            n += 1
+
+
+def test_corrupted_mask_raises(f3, dropped_irreducible):
+    """One irreducible dropped from the sieve mask stays inside the
+    prime-polynomial bracket but breaks the divisor-sum count."""
+    with pytest.raises(ExactIdentityError, match="divisor-sum formula"):
+        distribution(f3, 5)
 
 
 def test_extension_field_table():

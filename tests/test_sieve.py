@@ -10,6 +10,7 @@ from rsfq import (
     PolyRing,
     PolySet,
     count_irreducibles_sieve,
+    distribution,
     irreducible_count_formula,
     pnt_bracket_exact,
 )
@@ -37,6 +38,20 @@ def test_sieve_formula_and_bracket_full_range():
             # upper edge is strict integer arithmetic too
             assert n * count <= q**n
             n += 1
+
+
+def test_sieve_large_q_no_overflow():
+    """Digit, product and index-table dtypes are sized from q; q >= 128 once
+    wrapped int8/int16 values (q=131) or raised OverflowError (q=169, 243)."""
+    for p, e in ((131, 1), (13, 2), (3, 5)):
+        ring = PolyRing(FieldCtx(p, e))
+        q = ring.ctx.q
+        assert count_irreducibles_sieve(ring, 2) == irreducible_count_formula(q, 2), q
+
+
+def test_distribution_large_q_no_overflow():
+    table = distribution(PolyRing(FieldCtx(131)), 2)
+    assert table.total == irreducible_count_formula(131, 2)
 
 
 def test_bracket_rejects_bad_counts():
