@@ -35,6 +35,7 @@ from .errors import (
     DegreeBoundError,
     EnumerationCapError,
     ExactIdentityError,
+    ExactTraceError,
     InvalidCutoffsError,
     NotMonicError,
     PolyDivisionError,

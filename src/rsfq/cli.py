@@ -112,17 +112,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _parse_int(source: str, raw) -> int:
+    """raw as an int: an int (not a bool) or a decimal integer string."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"{source} must be an integer, got {raw!r}")
+
+
 def _resolve_jobs(args, file_cfg: dict) -> int:
     """Worker count from --jobs, else RSFQ_JOBS, else the config file, else 1.
 
-    Values <= 0 are rejected; larger values are clamped to the CPUs this
-    process may run on, so no flag can start more workers than that.
+    Non-integers (floats and bools included) and values <= 0 are rejected
+    with an error naming their source; larger values are clamped to the
+    CPUs this process may run on, so no flag can start more workers than
+    that.
     """
     for source, raw in (("--jobs", getattr(args, "jobs", None)),
                         ("RSFQ_JOBS", os.environ.get("RSFQ_JOBS")),
                         ("config jobs", file_cfg.get("jobs"))):
         if raw is not None:
-            jobs = int(raw)
+            jobs = _parse_int(source, raw)
             if jobs <= 0:
                 raise ConfigError(f"{source} must be >= 1, got {jobs}")
             return min(jobs, _usable_cpus())

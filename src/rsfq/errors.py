@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all rsfq modules.
 
 ConfigError and EnumerationCapError signal usage problems (CLI exit code 2);
-ExactIdentityError signals a violated mathematical check (CLI exit code 1).
+ExactIdentityError signals a violated mathematical check (CLI exit code 1);
+ExactTraceError is the one raised inside field arithmetic.
 """
 
 
@@ -47,3 +48,7 @@ class InvalidCutoffsError(RsfqError):
 
 class ExactIdentityError(RsfqError):
     """An identity that must hold exactly was violated."""
+
+
+class ExactTraceError(ExactIdentityError, AssertionError):
+    """A trace computation left the prime subfield (impossible)."""

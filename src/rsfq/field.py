@@ -15,7 +15,7 @@ processes; every operation is a pure function of its arguments.
 
 from __future__ import annotations
 
-from .errors import ConfigError, ZeroInversionError
+from .errors import ConfigError, ExactTraceError, ZeroInversionError
 
 MAX_Q = 1 << 20
 
@@ -321,10 +321,6 @@ class FieldCtx:
         if not 0 <= c < self.p:
             raise ConfigError(f"residue {c} out of range [0, {self.p}) in {full!r}")
         return c
-
-
-class ExactTraceError(AssertionError):
-    """Internal: a trace computation left the prime subfield (impossible)."""
 
 
 def _zip_pad(a: list, b: list):

@@ -1,7 +1,21 @@
+import os
+
 import pytest
 
 import rsfq.dist
 from rsfq import FieldCtx, PolyRing
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_path_for_subprocesses():
+    """Let `python -m rsfq` subprocesses import the package this session
+    imports, also when it is found through pytest's `pythonpath` setting
+    rather than an installed copy or PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(rsfq.__file__)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (root, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")

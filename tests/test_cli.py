@@ -170,6 +170,26 @@ def test_jobs_nonpositive_rejected(monkeypatch, tmp_path):
     assert main(["verify", "star"]) == 2
 
 
+def test_jobs_non_integer_names_its_source(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("RSFQ_JOBS", raising=False)
+    cfg = tmp_path / "run.cfg"
+    for bad in ("abc", "2.5", "True"):
+        cfg.write_text(f"jobs={bad}\n")
+        with pytest.raises(ConfigError, match="config jobs must be an integer"):
+            _resolve("--config", str(cfg))
+    monkeypatch.setenv("RSFQ_JOBS", "abc")
+    with pytest.raises(ConfigError, match="RSFQ_JOBS must be an integer"):
+        _resolve()
+    assert main(["verify", "star"]) == 2
+    assert "RSFQ_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
+    monkeypatch.delenv("RSFQ_JOBS")
+    args = build_parser().parse_args(["verify", "star"])
+    for bad in (2.0, True):
+        args.jobs = bad
+        with pytest.raises(ConfigError, match="--jobs must be an integer"):
+            resolve_config(args)
+
+
 def test_jobs_clamped_to_usable_cpus(monkeypatch):
     monkeypatch.delenv("RSFQ_JOBS", raising=False)
     cpus = len(os.sched_getaffinity(0))

@@ -1,6 +1,13 @@
 import pytest
 
-from rsfq import ConfigError, FieldCtx, ZeroInversionError
+import rsfq.field
+from rsfq import (
+    ConfigError,
+    ExactTraceError,
+    FieldCtx,
+    RsfqError,
+    ZeroInversionError,
+)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
 
@@ -124,6 +131,18 @@ def test_trace_linear_and_surjective():
                 want = (ctx.trace(x) + ctx.trace(y)) % ctx.p
                 assert ctx.trace(ctx.add(x, y)) == want
         assert hit == set(range(ctx.p))
+
+
+def test_trace_outside_prime_field_raises(monkeypatch):
+    """A broken Frobenius leaves F_p; the error is an RsfqError and an
+    AssertionError, importable from rsfq.field as before."""
+    assert rsfq.field.ExactTraceError is ExactTraceError
+    ctx = FieldCtx(3, 2)
+    monkeypatch.setattr(ctx, "power", lambda x, k: x)
+    with pytest.raises(ExactTraceError) as info:
+        ctx.trace((0, 1))
+    assert isinstance(info.value, RsfqError)
+    assert isinstance(info.value, AssertionError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ an explicit product, so agreement with the divisibility-formula count and
 the prime-polynomial bracket is checked over the full desk-scale range.
 """
 
+import random
+
+import numpy as np
+import pytest
+
 from rsfq import (
     FieldCtx,
     PolyRing,
@@ -14,6 +19,7 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
+from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, index_tables
 
 LIMIT = 10**7
 
@@ -58,3 +64,97 @@ def test_bracket_rejects_bad_counts():
     assert not pnt_bracket_exact(3, 5, 100)    # too big: 5*100 > 243
     assert not pnt_bracket_exact(3, 5, 30)     # too small
     assert pnt_bracket_exact(3, 5, 48)
+
+
+def test_mask_matches_trial_division():
+    """The mask's irreducibles are those of PolySet.MONIC_IRREDUCIBLE for
+    e = 1..5.  Where the full enumeration takes too long (q = 81 and 243,
+    and q = 9 at n = 4, the smallest extension-field case with degree-2
+    factor candidates)
+    a seeded sample of monics is trial-divided instead."""
+    for p, e, n_max in ((3, 1, 6), (5, 1, 4), (3, 2, 3), (5, 2, 2), (3, 3, 2)):
+        ring = PolyRing(FieldCtx(p, e))
+        q = ring.ctx.q
+        for n in range(1, n_max + 1):
+            want = {ring.index_of(f) - q**n
+                    for f in ring.enumerate(PolySet.MONIC_IRREDUCIBLE, n)}
+            got = np.flatnonzero(~composite_mask(ring, n))
+            assert set(got.tolist()) == want, (q, n)
+    rng = random.Random(20261018)
+    for p, e, n in ((3, 4, 2), (3, 5, 2), (3, 2, 4)):
+        ring = PolyRing(FieldCtx(p, e))
+        q = ring.ctx.q
+        mask = composite_mask(ring, n)
+        for idx in rng.sample(range(q**n), 120):
+            f = next(ring.monic_range(n, idx, idx + 1))
+            assert mask[idx] == (not ring.is_irreducible(f)), (q, n, idx)
+
+
+def test_mask_matches_sympy():
+    """Prime fields against sympy's irreducibility test, every monic up to
+    5^5 of them and a seeded sample of 1500 above that."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def irreducible(idx, p, n):
+        coeffs = []
+        for _ in range(n):
+            idx, c = divmod(idx, p)
+            coeffs.append(c)
+        return galoistools.gf_irreducible_p([1, *reversed(coeffs)], p, ZZ)
+
+    rng = random.Random(3)
+    for p in (3, 5, 7):
+        ring = PolyRing(FieldCtx(p))
+        for n in range(1, 7):
+            mask = composite_mask(ring, n)
+            indices = range(p**n)
+            if p**n > 5**5:
+                indices = rng.sample(indices, 1500)
+            for idx in indices:
+                assert mask[idx] == (not irreducible(idx, p, n)), (p, n, idx)
+
+
+def _digit_add_reference(x, y, p, width):
+    out, place = 0, 1
+    for _ in range(width):
+        out += (x // place % p + y // place % p) % p * place
+        place *= p
+    return out
+
+
+def test_digit_add_bounded_and_exact():
+    """Chunked carry-free addition keeps its table within TABLE_BYTES (a
+    half-width chunk at 3^15 would need 3^16 int32 entries, 172 MB) and falls
+    back to plain digit arithmetic when p^2 entries do not fit."""
+    rng = np.random.default_rng(11)
+    for p, width, s in ((3, 15, 5), (3, 12, 6), (3, 8, 4), (4093, 2, 0),
+                        (5, 3, 3), (1031, 2, 0)):
+        digit_add = DigitAdd(p, width)
+        assert digit_add.s == s
+        if s:
+            assert digit_add.table.shape == (p**s, p**s)
+            assert digit_add.table.nbytes <= TABLE_BYTES
+        else:
+            assert digit_add.table is None
+        x = rng.integers(0, p**width, 40)
+        y = rng.integers(0, p**width, 50)
+        got = digit_add(x[:, None], y[None, :], width)
+        assert got.shape == (40, 50)
+        want = [[_digit_add_reference(int(a), int(b), p, width) for b in y]
+                for a in x]
+        assert got.tolist() == want, (p, width)
+
+
+def test_index_tables_match_field_ops():
+    """The vectorised add/mul tables against ctx.add/ctx.mul, pair by pair."""
+    for p, e in ((3, 2), (5, 2), (3, 3), (3, 5)):
+        ring = PolyRing(FieldCtx(p, e))
+        ctx = ring.ctx
+        add, mul = index_tables(ring)
+        elements = ctx.elements()
+        for i, x in enumerate(elements):
+            assert add[i].tolist() == [
+                ctx.element_index(ctx.add(x, y)) for y in elements]
+            assert mul[i].tolist() == [
+                ctx.element_index(ctx.mul(x, y)) for y in elements]
