@@ -72,11 +72,11 @@ class FactorTable:
 
     def tau(self, f) -> int:
         """Number of monic divisors."""
-        return math.prod(e + 1 for _, e in self.factor(f))
+        return math.prod(exp + 1 for _, exp in self.factor(f))
 
     def mobius(self, f) -> int:
         factors = self.factor(f)
-        if any(e > 1 for _, e in factors):
+        if any(exp > 1 for _, exp in factors):
             return 0
         return -1 if len(factors) % 2 else 1
 

@@ -24,9 +24,9 @@ from .errors import (
 )
 from .field import FieldCtx
 from .poly import PolyRing, PolySet
-from .quadform import SymMatrix, matrix_rank, qa_matrix
+from .quadform import SymMatrix, matrix_rank, qa_matrix, quad_eval
 from .rudin import autocorrelation, rudin_shapiro
-from .vecenum import coeff_digits
+from .vecenum import coeff_digits, index_tables
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CharSpec:
     beta: object
 
     def is_trivial(self) -> bool:
-        return self.beta == self.ctx.zero()
+        return self.beta == 0
 
 
 def roots_of_unity(p: int) -> tuple:
@@ -83,24 +83,13 @@ def quad_form_char_sum(
         raise DegreeBoundError("linear part has wrong dimension")
     if ctx.q**m > cap:
         raise EnumerationCapError(f"q^{m} = {ctx.q**m} exceeds cap {cap}")
-    zero = ctx.zero()
     hist = [0] * ctx.q
-    rows = mat.rows
-    for x in product(ctx.elements(), repeat=m):
-        acc = zero
-        for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            row = rows[i]
-            row_val = zero
-            for j, xj in enumerate(x):
-                if xj != zero:
-                    row_val = ctx.add(row_val, ctx.mul(row[j], xj))
-            acc = ctx.add(acc, ctx.mul(xi, row_val))
-        for i, li in enumerate(linear):
-            if li != zero and x[i] != zero:
-                acc = ctx.add(acc, ctx.mul(li, x[i]))
-        hist[ctx.element_index(acc)] += 1
+    for x in product(range(ctx.q), repeat=m):
+        acc = quad_eval(mat, x)
+        for li, xi in zip(linear, x):
+            if li and xi:
+                acc = ctx.add(acc, ctx.mul(li, xi))
+        hist[acc] += 1
     return hist_to_sum(ctx, hist, chi)
 
 
@@ -199,25 +188,16 @@ def _worst_magnitude_generic(
 ) -> float:
     """Extension-field variant of the all-linear-parts scan.
 
-    Coefficients become element indices and arithmetic goes through q x q
+    Coefficients are element indices and arithmetic goes through the q x q
     add/mul index tables, so the same histogram construction applies.
     """
     q = ctx.q
     if q ** (2 * m) > cap:
         raise EnumerationCapError("generic gauss scan over the cap")
-    elements = ctx.elements()
-    add_tab = np.empty((q, q), dtype=np.int32)
-    mul_tab = np.empty((q, q), dtype=np.int32)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            add_tab[i, j] = ctx.element_index(ctx.add(x, y))
-            mul_tab[i, j] = ctx.element_index(ctx.mul(x, y))
+    add_tab, mul_tab = index_tables(ctx.p, ctx.basis)
     count = q**m
     xs = coeff_digits(count, q, m).astype(np.int32)
-    quad_vals = np.empty(count, dtype=np.int32)
-    for row, vec in enumerate(product(elements, repeat=m)):
-        x = vec[::-1]
-        quad_vals[row] = ctx.element_index(_quad_eval_elements(ctx, mat, x))
+    quad_vals = np.array([quad_eval(mat, x) for x in xs.tolist()], dtype=np.int32)
     counts = np.zeros((q, count), dtype=np.int64)
     block = max(1, 4_000_000 // max(count, 1))
     for lo in range(0, count, block):
@@ -230,26 +210,11 @@ def _worst_magnitude_generic(
         for idx in range(q):
             counts[idx, lo:hi] = (phases == idx).sum(axis=0)
     worst = 0.0
-    for beta in elements:
-        if beta == ctx.zero():
-            continue
+    for beta in range(1, q):
         vals = np.array(char_values(CharSpec(ctx, beta)), dtype=np.complex128)
         mags = np.abs(counts.T @ vals)
         worst = max(worst, float(mags.max()))
     return worst
-
-
-def _quad_eval_elements(ctx: FieldCtx, mat: SymMatrix, x) -> object:
-    total = ctx.zero()
-    for i, xi in enumerate(x):
-        if xi == ctx.zero():
-            continue
-        row_val = ctx.zero()
-        for j, xj in enumerate(x):
-            if xj != ctx.zero():
-                row_val = ctx.add(row_val, ctx.mul(mat.rows[i][j], xj))
-        total = ctx.add(total, ctx.mul(xi, row_val))
-    return total
 
 
 def rs_char_sum_over_set(
@@ -282,7 +247,7 @@ def rs_char_sum_over_set(
             val = rudin_shapiro(ring, f)
         else:
             val = autocorrelation(ring, f, 1, bound)
-        hist[ctx.element_index(val)] += 1
+        hist[val] += 1
     return hist_to_sum(ctx, hist, chi)
 
 
@@ -304,7 +269,7 @@ def rs_pair_char_sum(
             rudin_shapiro(ring, ring.mul(h, g1)),
             rudin_shapiro(ring, ring.mul(h, g2)),
         )
-        hist[ctx.element_index(val)] += 1
+        hist[val] += 1
     return hist_to_sum(ctx, hist, chi)
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DegreeBoundError, ExactIdentityError
 from .poly import PolyRing, PolySet, irreducible_count_formula
-from .sieve import composite_mask, index_tables
+from .sieve import composite_mask
+from .vecenum import index_tables
 
 
 def pnt_bracket_exact(q: int, n: int, count: int) -> bool:
@@ -85,26 +86,29 @@ def _rs_histogram(ring: PolyRing, n: int) -> list:
     """Count of monic irreducibles of degree n per value of R, by element index.
 
     The counting index of f holds f_0, ..., f_(n-1) as base-q digits (element
-    indices), peeled off one coefficient at a time.
+    indices), peeled off one coefficient at a time.  Over F_p the products
+    are summed as integers and reduced once, which needs no q x q table
+    (q = 4093 is in range); over F_(p^e) they go through the index tables.
     """
     ctx = ring.ctx
     q = ctx.q
+    if ctx.e == 1:
+        def accumulate(values, high, low):
+            return values + high * low
+    else:
+        add_tab, mul_tab = index_tables(ctx.p, ctx.basis)
+
+        def accumulate(values, high, low):
+            return add_tab[values, mul_tab[high, low]]
     rest = np.flatnonzero(~composite_mask(ring, n))
     values = np.zeros_like(rest)
-    if ctx.e > 1:
-        add_tab, mul_tab = index_tables(ring)
     low = rest % q
     for _ in range(1, n):
         rest //= q
         high = rest % q
-        if ctx.e == 1:
-            values += high * low
-        else:
-            values = add_tab[values, mul_tab[high, low]]
+        values = accumulate(values, high, low)
         low = high
-    if ctx.e == 1:
-        values %= q
-    return np.bincount(values, minlength=q).tolist()
+    return np.bincount(values % q, minlength=q).tolist()
 
 
 def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
@@ -118,7 +122,7 @@ def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
     hist = _rs_histogram(ring, n)
     total = sum(hist)
     expected = Fraction(total, q)
-    counts = {ctx.element_str(ctx.element_at(i)): hist[i] for i in range(q)}
+    counts = {ctx.element_str(x): hist[x] for x in range(q)}
     max_dev = max(abs(Fraction(c) - expected) for c in hist)
     if not pnt_bracket_exact(q, n, total):
         raise ExactIdentityError(

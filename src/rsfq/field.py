@@ -1,13 +1,21 @@
 """Exact arithmetic in F_q = F_{p^e} for an odd prime p.
 
-Prime-field elements (e = 1) are plain ints in [0, p).  Extension elements
-are length-e tuples of ints, little-endian in the power basis of the
-modulus: (c0, ..., c_{e-1}) stands for c0 + c1*w + ... + c_{e-1}*w^(e-1)
-where w is a root of the modulus polynomial.
+Every element is its counting index, an int in [0, q).  The base-p digits
+of the index, least significant first, are the element's coordinates in
+the power basis of the modulus: index sum_j c_j p^j stands for
+c_0 + c_1 w + ... + c_(e-1) w^(e-1), w a root of the modulus.  A prime
+field is F_p[t]/(t), so its index is the residue itself.  Counting order
+is canonical everywhere (reports, golden files, enumeration).  The digits
+are spelled out only where elements are read or written as text, as
+"c_0+c_1+..." (e.g. "1+2" in F_9).
 
-Elements are enumerated in counting order: element number k has the base-p
-digits of k as its residue vector, constant coordinate least significant.
-This order is canonical everywhere (reports, golden files, enumeration).
+Arithmetic is table lookup.  For q <= TABLE_Q the constructor builds the
+q x q add/mul tables and the size-q neg/inv tables once, as nested lists,
+with vecenum.index_tables; up to TABLE_Q every entry is a cached small int,
+so a table costs 8 bytes per entry.  Above TABLE_Q the same attributes are
+views that compute each entry from base-p digits (digit_add, digit_mul,
+digit_neg, and power(x, q - 2) for inv), so callers index add_table[x][y]
+alike for every field.
 
 A FieldCtx is immutable after construction and safe to share across worker
 processes; every operation is a pure function of its arguments.
@@ -15,9 +23,13 @@ processes; every operation is a pure function of its arguments.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import ConfigError, ExactTraceError, ZeroInversionError
+from .vecenum import basis_products, index_tables
 
 MAX_Q = 1 << 20
+TABLE_Q = 256
 
 
 def is_prime(n: int) -> bool:
@@ -34,23 +46,12 @@ def is_prime(n: int) -> bool:
 
 
 # Helpers on F_p coefficient lists (little-endian ints), used only for
-# modulus validation and the default-modulus search.
+# modulus validation, the default-modulus search and the powers of w.
 
 def _pf_trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pf_mul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
 
 
 def _pf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -104,6 +105,43 @@ def _default_modulus(p: int, e: int) -> tuple:
     raise ConfigError(f"no irreducible modulus of degree {e} over F_{p}")
 
 
+class _Entries:
+    """Read-only view[x] of fn(x), shaped like a size-q table."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return self.fn(x)
+
+
+class _Row:
+    """Read-only view[y] of fn(x, y) for one x, a row of a q x q table."""
+
+    __slots__ = ("fn", "x")
+
+    def __init__(self, fn, x):
+        self.fn = fn
+        self.x = x
+
+    def __getitem__(self, y):
+        return self.fn(self.x, y)
+
+
+class _Rows:
+    """Read-only view[x][y] of fn(x, y), shaped like a q x q table."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return _Row(self.fn, x)
+
+
 class FieldCtx:
     """Field description plus all element-level operations for F_{p^e}."""
 
@@ -122,30 +160,36 @@ class FieldCtx:
             if modulus:
                 raise ConfigError("modulus only applies to extension fields (e > 1)")
             self.modulus = ()
+        elif modulus is None:
+            self.modulus = _default_modulus(p, e)
         else:
-            if modulus is None:
-                self.modulus = _default_modulus(p, e)
-            else:
-                mod = tuple(int(c) % p for c in modulus)
-                if len(mod) != e + 1 or mod[-1] != 1:
-                    raise ConfigError(
-                        f"modulus must be monic of degree {e} "
-                        f"(constant-first residue list of length {e + 1})"
-                    )
-                if not _pf_is_irreducible(list(mod), p):
-                    raise ConfigError("modulus is reducible over F_p")
-                self.modulus = mod
-        # Reduction rows: t^(e+i) mod modulus as length-e residue tuples.
-        if e > 1:
-            rows = []
-            for i in range(e - 1):
-                t_pow = [0] * (e + i) + [1]
-                _, rem = _pf_divmod(t_pow, list(self.modulus), p)
-                rows.append(tuple(rem + [0] * (e - len(rem))))
-            self._reduction = tuple(rows)
+            mod = tuple(int(c) % p for c in modulus)
+            if len(mod) != e + 1 or mod[-1] != 1:
+                raise ConfigError(
+                    f"modulus must be monic of degree {e} "
+                    f"(constant-first residue list of length {e + 1})"
+                )
+            if not _pf_is_irreducible(list(mod), p):
+                raise ConfigError("modulus is reducible over F_p")
+            self.modulus = mod
+        # Digits of w^k, k = 0..2e-2, w the root of the modulus (t for F_p).
+        reduce_by = list(self.modulus or (0, 1))
+        self._w_powers = []
+        for k in range(2 * e - 1):
+            rem = _pf_divmod([0] * k + [1], reduce_by, p)[1]
+            self._w_powers.append(rem + [0] * (e - len(rem)))
+        self.basis = basis_products(self._w_powers)
+        if q <= TABLE_Q:
+            add, mul = index_tables(p, self.basis)
+            self.add_table = add.tolist()
+            self.mul_table = mul.tolist()
+            self.neg_table = (add == 0).argmax(axis=1).tolist()
+            self.inv_table = (mul == 1).argmax(axis=1).tolist()
         else:
-            self._reduction = ()
-        self._elements = None
+            self.add_table = _Rows(self.digit_add)
+            self.mul_table = _Rows(self.digit_mul)
+            self.neg_table = _Entries(self.digit_neg)
+            self.inv_table = _Entries(partial(self.power, k=q - 2))
 
     # -- identity and serialization -------------------------------------
 
@@ -166,88 +210,39 @@ class FieldCtx:
     # -- element constructors --------------------------------------------
 
     def zero(self):
-        return 0 if self.e == 1 else (0,) * self.e
+        return 0
 
     def one(self):
-        return 1 if self.e == 1 else (1,) + (0,) * (self.e - 1)
+        return 1
 
     def scalar(self, c: int):
         """Embed the integer residue c into the field."""
-        c %= self.p
-        return c if self.e == 1 else (c,) + (0,) * (self.e - 1)
+        return c % self.p
 
     def is_element(self, x) -> bool:
-        if self.e == 1:
-            return isinstance(x, int) and 0 <= x < self.p
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.e
-            and all(isinstance(c, int) and 0 <= c < self.p for c in x)
-        )
+        return isinstance(x, int) and 0 <= x < self.q
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, x, y):
-        if self.e == 1:
-            return (x + y) % self.p
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
+        return self.add_table[x][y]
 
     def sub(self, x, y):
-        if self.e == 1:
-            return (x - y) % self.p
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(x, y))
+        return self.add_table[x][self.neg_table[y]]
 
     def neg(self, x):
-        if self.e == 1:
-            return (-x) % self.p
-        p = self.p
-        return tuple((-a) % p for a in x)
+        return self.neg_table[x]
 
     def mul(self, x, y):
-        if self.e == 1:
-            return (x * y) % self.p
-        p, e = self.p, self.e
-        conv = [0] * (2 * e - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    conv[i + j] += xi * yj
-        # Coefficients at t^(e+i) fold back below degree e.
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i] % p
-            if c:
-                row = self._reduction[i - e]
-                for j, rj in enumerate(row):
-                    if rj:
-                        conv[j] += c * rj
-        return tuple(conv[j] % p for j in range(e))
+        return self.mul_table[x][y]
 
     def inv(self, x):
-        if self.e == 1:
-            if x == 0:
-                raise ZeroInversionError("inverse of zero")
-            return pow(x, self.p - 2, self.p)
-        if not any(x):
+        if x == 0:
             raise ZeroInversionError("inverse of zero")
-        p = self.p
-        # Extended Euclid on (x, modulus) over F_p[t].
-        r0, r1 = list(self.modulus), _pf_trim(list(x))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pf_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s_next = [(a - b) % p for a, b in _zip_pad(s0, _pf_mul(q, s1, p))]
-            s0, s1 = s1, _pf_trim(s_next)
-        # r0 is a nonzero constant gcd.
-        scale = pow(r0[0], p - 2, p)
-        out = [(c * scale) % p for c in s0]
-        out += [0] * (self.e - len(out))
-        return tuple(out[: self.e])
+        return self.inv_table[x]
 
     def power(self, x, k: int):
-        result = self.one()
+        result = 1
         base = x
         while k:
             if k & 1:
@@ -258,60 +253,89 @@ class FieldCtx:
 
     def trace(self, x) -> int:
         """Absolute trace to F_p: sum of the e Frobenius conjugates."""
-        if self.e == 1:
-            return x
         acc = x
         tot = x
         for _ in range(self.e - 1):
             acc = self.power(acc, self.p)
             tot = self.add(tot, acc)
-        if any(tot[1:]):
-            raise ExactTraceError(tot)
-        return tot[0]
+        if tot >= self.p:
+            raise ExactTraceError(self.element_str(tot))
+        return tot
+
+    # -- the per-element digit path ----------------------------------------
+
+    def digits(self, x) -> list:
+        """Base-p digits of the element x, constant coordinate first."""
+        out = []
+        for _ in range(self.e):
+            x, c = divmod(x, self.p)
+            out.append(c)
+        return out
+
+    def _index(self, coords) -> int:
+        """Element whose coordinates are `coords` reduced mod p."""
+        p = self.p
+        idx = 0
+        for c in reversed(coords):
+            idx = idx * p + c % p
+        return idx
+
+    # Indices below p are the prime subfield F_p, where carry-free digit
+    # arithmetic is integer arithmetic mod p: every element of a prime
+    # field and the scalars of an extension take that short way.
+
+    def digit_add(self, x, y):
+        p = self.p
+        if x < p and y < p:
+            return (x + y) % p
+        return self._index([a + b for a, b in zip(self.digits(x), self.digits(y))])
+
+    def digit_neg(self, x):
+        return self._index([-c for c in self.digits(x)])
+
+    def digit_mul(self, x, y):
+        p, e = self.p, self.e
+        if x < p and y < p:
+            return x * y % p
+        conv = [0] * (2 * e - 1)
+        for i in range(e):
+            x, xi = divmod(x, p)
+            if xi:
+                rest = y
+                for k in range(i, i + e):
+                    rest, yj = divmod(rest, p)
+                    conv[k] += xi * yj
+        # Coefficients at t^k, k >= e, fold back through w^k mod modulus.
+        for k in range(e, 2 * e - 1):
+            c = conv[k] % p
+            if c:
+                for j, wj in enumerate(self._w_powers[k]):
+                    conv[j] += c * wj
+        return self._index(conv[:e])
 
     # -- enumeration and formatting ----------------------------------------
 
     def elements(self) -> tuple:
-        """All q elements in counting order (cached)."""
-        if self._elements is None:
-            if self.e == 1:
-                self._elements = tuple(range(self.p))
-            else:
-                self._elements = tuple(self.element_at(i) for i in range(self.q))
-        return self._elements
+        """All q elements in counting order."""
+        return tuple(range(self.q))
 
     def element_at(self, i: int):
-        if self.e == 1:
-            return i
-        digits = []
-        k = i
-        for _ in range(self.e):
-            digits.append(k % self.p)
-            k //= self.p
-        return tuple(digits)
+        return i
 
     def element_index(self, x) -> int:
-        if self.e == 1:
-            return x
-        idx = 0
-        for c in reversed(x):
-            idx = idx * self.p + c
-        return idx
+        return x
 
     def element_str(self, x) -> str:
-        if self.e == 1:
-            return str(x)
-        return "+".join(str(c) for c in x)
+        return "+".join(str(c) for c in self.digits(x))
 
     def parse_element(self, s: str):
         parts = s.strip().split("+")
         if self.e == 1:
             if len(parts) != 1:
                 raise ConfigError(f"bad element {s!r} for a prime field")
-            return self._residue(parts[0], s)
-        if len(parts) != self.e:
+        elif len(parts) != self.e:
             raise ConfigError(f"element {s!r} needs {self.e} '+'-joined residues")
-        return tuple(self._residue(part, s) for part in parts)
+        return self._index([self._residue(part, s) for part in parts])
 
     def _residue(self, part: str, full: str) -> int:
         try:
@@ -321,10 +345,3 @@ class FieldCtx:
         if not 0 <= c < self.p:
             raise ConfigError(f"residue {c} out of range [0, {self.p}) in {full!r}")
         return c
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return zip(a, b)

@@ -1,9 +1,10 @@
 """Polynomials over F_q as canonical coefficient tuples.
 
-Coefficient tuples are little-endian (index i holds the coefficient of t^i)
-with no trailing zeros; the zero polynomial is the empty tuple.  The degree
-of the zero polynomial is the sentinel None, and norm/degree arithmetic on
-it raises instead of inventing -1.
+Coefficient tuples hold element indices (ints in [0, q), see rsfq.field),
+are little-endian (index i holds the coefficient of t^i) and have no
+trailing zeros; the zero polynomial is the empty tuple.  The degree of the
+zero polynomial is the sentinel None, and norm/degree arithmetic on it
+raises instead of inventing -1.
 
 Polynomial sets are enumerated in counting order: coefficient vectors read
 as base-q integers with the constant term as the least significant digit,
@@ -48,7 +49,7 @@ class PolyRing:
             raise ConfigError("enumeration cap must be positive")
         self.ctx = ctx
         self.cap = cap
-        self.one = (ctx.one(),)
+        self.one = (1,)
 
     def __repr__(self):
         return f"PolyRing({self.ctx!r})"
@@ -62,12 +63,12 @@ class PolyRing:
         for c in out:
             if not ctx.is_element(c):
                 raise ConfigError(f"{c!r} is not an element of F_{ctx.q}")
-        while out and out[-1] == ctx.zero():
+        while out and out[-1] == 0:
             out.pop()
         return tuple(out)
 
     def from_ints(self, ints) -> tuple:
-        """Build a polynomial from integer residues (scalars for e > 1)."""
+        """Build a polynomial from integer residues (embedded as scalars)."""
         return self.poly([self.ctx.scalar(c) for c in ints])
 
     def degree(self, f):
@@ -77,10 +78,10 @@ class PolyRing:
     def coeff(self, f, i: int):
         if 0 <= i < len(f):
             return f[i]
-        return self.ctx.zero()
+        return 0
 
     def is_monic(self, f) -> bool:
-        return bool(f) and f[-1] == self.ctx.one()
+        return bool(f) and f[-1] == 1
 
     def leading(self, f):
         if not f:
@@ -90,13 +91,13 @@ class PolyRing:
     # -- ring operations ---------------------------------------------------
 
     def add(self, f, g):
-        ctx = self.ctx
+        add = self.ctx.add_table
         if len(f) < len(g):
             f, g = g, f
         out = list(f)
         for i, c in enumerate(g):
-            out[i] = ctx.add(out[i], c)
-        while out and out[-1] == ctx.zero():
+            out[i] = add[out[i]][c]
+        while out and out[-1] == 0:
             out.pop()
         return tuple(out)
 
@@ -104,32 +105,25 @@ class PolyRing:
         return self.add(f, self.neg(g))
 
     def neg(self, f):
-        ctx = self.ctx
-        return tuple(ctx.neg(c) for c in f)
+        neg = self.ctx.neg_table
+        return tuple(neg[c] for c in f)
 
     def scale(self, c, f):
-        ctx = self.ctx
-        if c == ctx.zero():
+        if c == 0:
             return ()
-        return tuple(ctx.mul(c, x) for x in f)
+        row = self.ctx.mul_table[c]
+        return tuple(row[x] for x in f)
 
     def mul(self, f, g):
         if not f or not g:
             return ()
-        ctx = self.ctx
-        if ctx.e == 1:
-            p = ctx.p
-            out = [0] * (len(f) + len(g) - 1)
-            for i, fi in enumerate(f):
-                if fi:
-                    for j, gj in enumerate(g):
-                        out[i + j] += fi * gj
-            return tuple(c % p for c in out)
-        out = [ctx.zero()] * (len(f) + len(g) - 1)
+        add, mul = self.ctx.add_table, self.ctx.mul_table
+        out = [0] * (len(f) + len(g) - 1)
         for i, fi in enumerate(f):
-            if fi != ctx.zero():
-                for j, gj in enumerate(g):
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(fi, gj))
+            if fi:
+                row = mul[fi]
+                for k, gj in enumerate(g, i):
+                    out[k] = add[out[k]][row[gj]]
         # Leading product of two nonzero leading coefficients is nonzero.
         return tuple(out)
 
@@ -140,40 +134,22 @@ class PolyRing:
         if not f or len(f) < len(g):
             return (), f
         ctx = self.ctx
+        add, mul, neg = ctx.add_table, ctx.mul_table, ctx.neg_table
         dg = len(g) - 1
-        if ctx.e == 1:
-            p = ctx.p
-            rem = list(f)
-            inv_lead = pow(g[-1], p - 2, p)
-            quot = [0] * (len(f) - dg)
-            for sh in range(len(f) - dg - 1, -1, -1):
-                c = rem[sh + dg]
-                if c:
-                    c = (c * inv_lead) % p
-                    quot[sh] = c
-                    for i, gi in enumerate(g):
-                        if gi:
-                            rem[sh + i] = (rem[sh + i] - c * gi) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-            while quot and quot[-1] == 0:
-                quot.pop()
-            return tuple(quot), tuple(rem)
         rem = list(f)
         inv_lead = ctx.inv(g[-1])
-        quot = [ctx.zero()] * (len(f) - dg)
-        zero = ctx.zero()
+        quot = [0] * (len(f) - dg)
         for sh in range(len(f) - dg - 1, -1, -1):
             c = rem[sh + dg]
-            if c != zero:
-                c = ctx.mul(c, inv_lead)
+            if c:
+                c = mul[c][inv_lead]
                 quot[sh] = c
-                for i, gi in enumerate(g):
-                    if gi != zero:
-                        rem[sh + i] = ctx.sub(rem[sh + i], ctx.mul(c, gi))
-        while rem and rem[-1] == zero:
+                row = mul[neg[c]]
+                for k, gi in enumerate(g, sh):
+                    rem[k] = add[rem[k]][row[gi]]
+        while rem and rem[-1] == 0:
             rem.pop()
-        while quot and quot[-1] == zero:
+        while quot and quot[-1] == 0:
             quot.pop()
         return tuple(quot), tuple(rem)
 
@@ -192,10 +168,9 @@ class PolyRing:
     def monic(self, f):
         if not f:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        ctx = self.ctx
-        if f[-1] == ctx.one():
+        if f[-1] == 1:
             return f
-        return self.scale(ctx.inv(f[-1]), f)
+        return self.scale(self.ctx.inv(f[-1]), f)
 
     # -- reversal and norm ---------------------------------------------------
 
@@ -211,8 +186,7 @@ class PolyRing:
         if not f:
             return ()
         out = [self.coeff(f, n - i) for i in range(n + 1)]
-        ctx = self.ctx
-        while out and out[-1] == ctx.zero():
+        while out and out[-1] == 0:
             out.pop()
         return tuple(out)
 
@@ -271,14 +245,13 @@ class PolyRing:
                 if self.is_irreducible(f):
                     yield f
         elif kind is PolySet.DEGREE_EXACT:
-            elements = self.ctx.elements()
             q = self.ctx.q
-            for lead in elements[1:]:
+            for lead in range(1, q):
                 for idx in range(q**n):
                     coeffs = []
                     k = idx
                     for _ in range(n):
-                        coeffs.append(elements[k % q])
+                        coeffs.append(k % q)
                         k //= q
                     coeffs.append(lead)
                     yield tuple(coeffs)
@@ -293,20 +266,18 @@ class PolyRing:
         return self._monic(n, lo, hi)
 
     def _monic(self, n: int, lo: int, hi: int):
-        one = self.ctx.one()
         if n == 0:
             if lo <= 0 < hi:
-                yield (one,)
+                yield (1,)
             return
-        elements = self.ctx.elements()
         q = self.ctx.q
         for idx in range(lo, hi):
             coeffs = []
             k = idx
             for _ in range(n):
-                coeffs.append(elements[k % q])
+                coeffs.append(k % q)
                 k //= q
-            coeffs.append(one)
+            coeffs.append(1)
             yield tuple(coeffs)
 
     def _vectors(self, width: int):
@@ -314,28 +285,26 @@ class PolyRing:
         if width <= 0:
             yield ()
             return
-        elements = self.ctx.elements()
-        zero = self.ctx.zero()
-        for rev in product(elements, repeat=width):
+        for rev in product(range(self.ctx.q), repeat=width):
             vec = rev[::-1]
             k = width
-            while k and vec[k - 1] == zero:
+            while k and vec[k - 1] == 0:
                 k -= 1
             yield vec[:k]
 
     def index_of(self, f) -> int:
         """Counting index of f within its coefficient-width block."""
-        ctx = self.ctx
+        q = self.ctx.q
         idx = 0
         for c in reversed(f):
-            idx = idx * ctx.q + ctx.element_index(c)
+            idx = idx * q + c
         return idx
 
     # -- parsing and formatting ---------------------------------------------
 
     def to_str(self, f) -> str:
         if not f:
-            return self.ctx.element_str(self.ctx.zero())
+            return self.ctx.element_str(0)
         return ",".join(self.ctx.element_str(c) for c in f)
 
     def parse(self, s: str) -> tuple:
@@ -352,7 +321,7 @@ class PolyRing:
         terms = []
         for i in range(len(f) - 1, -1, -1):
             c = f[i]
-            if c == ctx.zero():
+            if c == 0:
                 continue
             cs = ctx.element_str(c)
             if ctx.e > 1 and i > 0:

@@ -19,10 +19,10 @@ def autocorrelation(ring: PolyRing, f, lag: int, n: int):
     deg = ring.degree(f)
     if deg is not None and deg > n:
         raise DegreeBoundError(f"deg f = {deg} exceeds the bound n = {n}")
-    ctx = ring.ctx
-    total = ctx.zero()
-    for i in range(lag, n + 1):
-        total = ctx.add(total, ctx.mul(ring.coeff(f, i), ring.coeff(f, i - lag)))
+    add, mul = ring.ctx.add_table, ring.ctx.mul_table
+    total = 0
+    for i in range(lag, len(f)):
+        total = add[total][mul[f[i]][f[i - lag]]]
     return total
 
 
@@ -37,10 +37,10 @@ def rudin_shapiro(ring: PolyRing, f):
     n = len(f) - 1
     if n < 2:
         raise DegreeBoundError("Rudin-Shapiro value needs degree >= 2")
-    ctx = ring.ctx
-    total = ctx.zero()
+    add, mul = ring.ctx.add_table, ring.ctx.mul_table
+    total = 0
     for i in range(1, n):
-        total = ctx.add(total, ctx.mul(f[i], f[i - 1]))
+        total = add[total][mul[f[i]][f[i - 1]]]
     return total
 
 

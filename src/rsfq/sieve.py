@@ -34,39 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EnumerationCapError
-from .field import FieldCtx
 from .poly import PolyRing
-from .vecenum import int_dtype
+from .vecenum import digit_add_table, digits, mul_matrices
 
 SIEVE_CAP = 2 * 10**7
 TABLE_BYTES = 4 * 2**20
 BLOCK = 2**18
-
-
-def _digits(values: np.ndarray, p: int, width: int) -> np.ndarray:
-    """(..., width) int64 base-p digits of `values`, least significant first."""
-    rest = np.asarray(values, dtype=np.int64).copy()
-    out = np.empty(rest.shape + (width,), dtype=np.int64)
-    for j in range(width):
-        out[..., j] = rest % p
-        rest //= p
-    return out
-
-
-def _digit_add_table(p: int, s: int) -> np.ndarray:
-    """(p^s, p^s) int32 table whose [u, v] is the digit-wise sum mod p of u, v.
-
-    Built one digit at a time: appending a top digit with place value p^k
-    turns the k-digit table T into D * p^k (+) T, D the one-digit table.
-    """
-    digit = np.arange(p, dtype=np.int32)
-    one = (digit[:, None] + digit[None, :]) % p
-    table = one
-    for k in range(1, s):
-        size = p ** (k + 1)
-        table = ((one * p**k)[:, None, :, None]
-                 + table[None, :, None, :]).reshape(size, size)
-    return table
 
 
 class DigitAdd:
@@ -88,7 +61,7 @@ class DigitAdd:
             s = -(-width // chunks)
         self.p = p
         self.s = s
-        self.table = _digit_add_table(p, s) if s else None
+        self.table = digit_add_table(p, s) if s else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
         """Digit-wise sum mod p of broadcastable non-negative int arrays."""
@@ -111,43 +84,6 @@ class DigitAdd:
         return out
 
 
-def _basis_products(ctx: FieldCtx) -> np.ndarray:
-    """(e, e, e) array whose [l, j] holds the base-p digits of w^(l+j).
-
-    w is the root of the modulus, so element index p; for e = 1 the array
-    is [[[1]]].
-    """
-    p, e = ctx.p, ctx.e
-    powers = [ctx.one()]
-    for _ in range(2 * e - 2):
-        powers.append(ctx.mul(powers[-1], ctx.element_at(p)))
-    w = _digits([ctx.element_index(x) for x in powers], p, e)
-    return np.stack([w[l:l + e] for l in range(e)])
-
-
-def _mul_matrices(basis: np.ndarray, digits: np.ndarray, p: int) -> np.ndarray:
-    """(..., e, e) F_p matrices of multiplication by the elements `digits`.
-
-    Row j of the matrix of x holds the digits of x * w^j, so a row vector of
-    digits times it gives the digits of the product.
-    """
-    return np.tensordot(digits, basis, axes=([-1], [0])) % p
-
-
-def index_tables(ring: PolyRing) -> tuple[np.ndarray, np.ndarray]:
-    """q x q tables of element indices: add[i, j] and mul[i, j]."""
-    ctx = ring.ctx
-    p, e, q = ctx.p, ctx.e, ctx.q
-    dtype = int_dtype(q - 1)
-    add = _digit_add_table(p, e).astype(dtype)
-    x = _digits(np.arange(q), p, e)
-    mats = _mul_matrices(_basis_products(ctx), x, p)
-    mul = np.zeros((q, q), dtype=np.int64)
-    for k in range(e):
-        mul += (x @ mats[:, :, k].T) % p * p**k
-    return add, mul.astype(dtype)
-
-
 def _mark(composite: np.ndarray, factors: np.ndarray, d: int, n: int,
           p: int, basis: np.ndarray, digit_add: DigitAdd) -> None:
     """Mark every g*h, g the degree-d monics indexed by `factors`."""
@@ -155,15 +91,15 @@ def _mark(composite: np.ndarray, factors: np.ndarray, d: int, n: int,
     m = n - d
     width = n * e
     a = m * e // 2
-    low = _digits(np.arange(p**a), p, a)
-    high = _digits(np.arange(p ** (m * e - a)), p, m * e - a)
+    low = digits(np.arange(p**a), p, a)
+    high = digits(np.arange(p ** (m * e - a)), p, m * e - a)
     place = p ** np.arange(width, dtype=np.int64)
     eye = np.eye(e, dtype=np.int64)
     per = max(1, BLOCK // ((len(low) + len(high)) * width))
     for start in range(0, len(factors), per):
-        g = _digits(factors[start:start + per], p, d * e)
+        g = digits(factors[start:start + per], p, d * e)
         c = len(g)
-        mats = _mul_matrices(basis, g.reshape(c, d, e), p)
+        mats = mul_matrices(basis, g.reshape(c, d, e), p)
         band = np.concatenate(
             [mats.transpose(0, 2, 1, 3).reshape(c, e, d * e),
              np.broadcast_to(eye, (c, e, e))], axis=2)
@@ -201,7 +137,7 @@ def composite_mask(ring: PolyRing, n: int, cap: int = SIEVE_CAP) -> np.ndarray:
     if ctx.q**n > cap:
         raise EnumerationCapError(f"q^n = {ctx.q**n} exceeds the sieve cap {cap}")
     digit_add = DigitAdd(ctx.p, n * ctx.e)
-    return _composite(n, ctx.p, _basis_products(ctx), digit_add)
+    return _composite(n, ctx.p, ctx.basis, digit_add)
 
 
 def count_irreducibles_sieve(ring: PolyRing, n: int, cap: int = SIEVE_CAP) -> int:

@@ -1,4 +1,13 @@
-"""Vectorized coefficient-block enumeration shared by the numpy-backed scans."""
+"""Vectorized digit blocks and the q x q index tables of F_q.
+
+An element index of F_q = F_p^e is its base-p coordinate vector in the
+power basis of the modulus, constant coordinate least significant.  Adding
+two elements adds their digits mod p without carry; multiplying by x is an
+F_p-linear map whose matrix comes from the powers w^0, ..., w^(2e-2) of
+the root w of the modulus (Lidl & Niederreiter, Finite Fields, ch. 10 on
+tables).  index_tables builds the add/mul tables of the whole field from
+those two facts in numpy; FieldCtx, the sieve, dist and charsum all use it.
+"""
 
 from __future__ import annotations
 
@@ -32,3 +41,62 @@ def rows_to_indices(rows: np.ndarray, base: int) -> np.ndarray:
         acc += rows[:, j].astype(np.int64) * mult
         mult *= base
     return acc
+
+
+def digits(values, p: int, width: int) -> np.ndarray:
+    """(..., width) int64 base-p digits of `values`, least significant first."""
+    rest = np.asarray(values, dtype=np.int64).copy()
+    out = np.empty(rest.shape + (width,), dtype=np.int64)
+    for j in range(width):
+        out[..., j] = rest % p
+        rest //= p
+    return out
+
+
+def digit_add_table(p: int, s: int) -> np.ndarray:
+    """(p^s, p^s) int32 table whose [u, v] is the digit-wise sum mod p of u, v.
+
+    Built one digit at a time: appending a top digit with place value p^k
+    turns the k-digit table T into D * p^k (+) T, D the one-digit table.
+    """
+    digit = np.arange(p, dtype=np.int32)
+    one = (digit[:, None] + digit[None, :]) % p
+    table = one
+    for k in range(1, s):
+        size = p ** (k + 1)
+        table = ((one * p**k)[:, None, :, None]
+                 + table[None, :, None, :]).reshape(size, size)
+    return table
+
+
+def basis_products(w_powers) -> np.ndarray:
+    """(e, e, e) array whose [l, j] holds the base-p digits of w^(l+j).
+
+    `w_powers` lists the e digits of w^0, ..., w^(2e-2).
+    """
+    w = np.array(w_powers, dtype=np.int64)
+    e = w.shape[1]
+    return np.stack([w[l:l + e] for l in range(e)])
+
+
+def mul_matrices(basis: np.ndarray, x_digits: np.ndarray, p: int) -> np.ndarray:
+    """(..., e, e) F_p matrices of multiplication by the elements `x_digits`.
+
+    Row j of the matrix of x holds the digits of x * w^j, so a row vector of
+    digits times it gives the digits of the product.
+    """
+    return np.tensordot(x_digits, basis, axes=([-1], [0])) % p
+
+
+def index_tables(p: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q x q tables of element indices: add[i, j] and mul[i, j]."""
+    e = basis.shape[0]
+    q = p**e
+    dtype = int_dtype(q - 1)
+    add = digit_add_table(p, e).astype(dtype)
+    x = digits(np.arange(q), p, e)
+    mats = mul_matrices(basis, x, p)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for k in range(e):
+        mul += (x @ mats[:, :, k].T) % p * p**k
+    return add, mul.astype(dtype)

@@ -1,9 +1,16 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 import rsfq.dist
 from rsfq import FieldCtx, PolyRing
+
+# Property tests draw the same examples on every run and never fail on a
+# slow example, so the suite stays deterministic on a loaded host.
+settings.register_profile(
+    "rsfq", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("rsfq")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import rsfq.field
@@ -8,6 +10,7 @@ from rsfq import (
     RsfqError,
     ZeroInversionError,
 )
+from rsfq.field import TABLE_Q
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
 
@@ -49,9 +52,9 @@ def test_default_modulus_is_smallest():
 def test_modulus_override():
     ctx = FieldCtx(3, 2, modulus=(2, 1, 1))  # t^2 + t + 2, irreducible
     assert ctx.modulus == (2, 1, 1)
-    t = (0, 1)
+    t = 3
     # t^2 = -t - 2 = 2t + 1
-    assert ctx.mul(t, t) == (1, 2)
+    assert ctx.mul(t, t) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +71,9 @@ def test_prime_field_basics():
 
 def test_extension_basics():
     ctx = FieldCtx(3, 2)  # modulus t^2 + 1
-    t = (0, 1)
-    assert ctx.mul(t, t) == (2, 0)          # t^2 = -1
-    assert ctx.inv(t) == (0, 2)             # found by exhaustive search
+    t = 3
+    assert ctx.mul(t, t) == 2               # t^2 = -1
+    assert ctx.inv(t) == 6                  # found by exhaustive search
     assert ctx.mul(t, ctx.inv(t)) == ctx.one()
 
 
@@ -117,7 +120,7 @@ def test_trace_values_frozen():
     assert FieldCtx(3).trace(2) == 2              # identity on prime fields
     ctx = FieldCtx(3, 2)
     assert ctx.trace(ctx.one()) == 2              # e mod p
-    assert ctx.trace((0, 1)) == 0                 # t + t^3 reduces to 0
+    assert ctx.trace(3) == 0                      # t + t^3 reduces to 0
 
 
 def test_trace_linear_and_surjective():
@@ -140,7 +143,7 @@ def test_trace_outside_prime_field_raises(monkeypatch):
     ctx = FieldCtx(3, 2)
     monkeypatch.setattr(ctx, "power", lambda x, k: x)
     with pytest.raises(ExactTraceError) as info:
-        ctx.trace((0, 1))
+        ctx.trace(3)
     assert isinstance(info.value, RsfqError)
     assert isinstance(info.value, AssertionError)
 
@@ -155,8 +158,8 @@ def test_enumeration_order_and_distinctness():
     ctx = FieldCtx(3, 2)
     elements = ctx.elements()
     assert len(set(elements)) == 9
-    assert elements[0] == (0, 0)
-    assert elements[-1] == (2, 2)
+    assert elements[0] == 0
+    assert elements[-1] == 8
     for i, x in enumerate(elements):
         assert ctx.element_index(x) == i
         assert ctx.element_at(i) == x
@@ -170,3 +173,34 @@ def test_element_strings_round_trip():
         FieldCtx(3).parse_element("7")
     with pytest.raises(ConfigError):
         FieldCtx(3, 2).parse_element("1")
+
+
+def test_view_path_above_table_q():
+    """Fields above TABLE_Q compute each entry from base-p digits; seeded
+    samples check the axioms, inverses, negation and the trace range, and
+    prime fields also check against plain integer arithmetic mod p."""
+    rng = random.Random(4093)
+    for p, e in ((257, 1), (3, 6), (4093, 1), (1048573, 1)):
+        ctx = FieldCtx(p, e)
+        assert ctx.q > TABLE_Q
+        assert not isinstance(ctx.add_table, list)
+        for _ in range(200):
+            x, y, z = (rng.randrange(ctx.q) for _ in range(3))
+            assert ctx.add(x, y) == ctx.add(y, x)
+            assert ctx.mul(x, y) == ctx.mul(y, x)
+            assert ctx.add(ctx.add(x, y), z) == ctx.add(x, ctx.add(y, z))
+            assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+            assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y),
+                                                        ctx.mul(x, z))
+            assert ctx.add(x, ctx.neg(x)) == 0
+            assert ctx.add(ctx.sub(x, y), y) == x
+            if x:
+                assert ctx.mul(x, ctx.inv(x)) == 1
+            assert 0 <= ctx.trace(x) < p
+            if e == 1:
+                assert ctx.add(x, y) == (x + y) % p
+                assert ctx.mul(x, y) == x * y % p
+                if x:
+                    assert ctx.inv(x) == pow(x, p - 2, p)
+        with pytest.raises(ZeroInversionError):
+            ctx.inv(0)

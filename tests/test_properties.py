@@ -1,0 +1,87 @@
+"""Property tests for field arithmetic and polynomial division.
+
+Fields: F_9 and F_125 are table-backed, F_257 and F_(3^6) compute every
+entry from base-p digits (q > TABLE_Q).  Examples are drawn by hypothesis
+under the derandomized profile registered in conftest.py.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rsfq import FieldCtx, PolyRing
+from rsfq.field import TABLE_Q
+
+TABLE_FIELD = FieldCtx(5, 3)
+VIEW_FIELD = FieldCtx(3, 6)
+RINGS = [PolyRing(FieldCtx(3, 2)), PolyRing(TABLE_FIELD),
+         PolyRing(FieldCtx(257))]
+
+
+def field_triples(ctx):
+    element = st.integers(0, ctx.q - 1)
+    return st.tuples(element, element, element)
+
+
+def check_axioms(ctx, x, y, z):
+    add, mul = ctx.add, ctx.mul
+    assert add(x, y) == add(y, x)
+    assert mul(x, y) == mul(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, 0) == x and mul(x, 1) == x
+    assert add(x, ctx.neg(x)) == 0
+    assert add(ctx.sub(x, y), y) == x
+    if x:
+        assert mul(x, ctx.inv(x)) == 1
+
+
+@given(field_triples(TABLE_FIELD))
+def test_field_axioms_table_backed(xyz):
+    assert TABLE_FIELD.q <= TABLE_Q
+    check_axioms(TABLE_FIELD, *xyz)
+
+
+@given(field_triples(VIEW_FIELD))
+def test_field_axioms_above_table_q(xyz):
+    assert VIEW_FIELD.q > TABLE_Q
+    check_axioms(VIEW_FIELD, *xyz)
+
+
+def draw_poly(data, ring, max_len=8, const=0):
+    """A polynomial with < max_len coefficients; its constant term is drawn
+    from [const, q), so const=1 makes it nonzero."""
+    element = st.integers(0, ring.ctx.q - 1)
+    c0 = data.draw(st.integers(const, ring.ctx.q - 1))
+    return ring.poly([c0] + data.draw(st.lists(element, max_size=max_len - 1)))
+
+
+@given(st.sampled_from(RINGS), st.data())
+def test_divmod_identity(ring, data):
+    f = draw_poly(data, ring)
+    g = ring.poly([*draw_poly(data, ring, max_len=5),
+                   data.draw(st.integers(1, ring.ctx.q - 1))])
+    quot, rem = ring.divmod(f, g)
+    assert ring.add(ring.mul(quot, g), rem) == f
+    assert not rem or len(rem) < len(g)
+
+
+@given(st.sampled_from(RINGS), st.data())
+def test_gcd_is_monic_common_divisor(ring, data):
+    h = draw_poly(data, ring, max_len=4)
+    f = ring.mul(draw_poly(data, ring), h)
+    g = ring.mul(draw_poly(data, ring), h)
+    d = ring.gcd(f, g)
+    if not f and not g:
+        assert d == ()
+        return
+    assert ring.is_monic(d)
+    assert ring.divides(d, f) and ring.divides(d, g)
+    assert ring.divides(ring.monic(h), d)
+
+
+@given(st.sampled_from(RINGS), st.data(), st.integers(0, 4))
+def test_reverse_is_an_involution(ring, data, extra):
+    f = draw_poly(data, ring, const=1)
+    n = len(f) - 1 + extra
+    assert ring.reverse(ring.reverse(f, n), n) == f

@@ -19,7 +19,8 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
-from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, index_tables
+from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask
+from rsfq.vecenum import index_tables
 
 LIMIT = 10**7
 
@@ -147,14 +148,21 @@ def test_digit_add_bounded_and_exact():
 
 
 def test_index_tables_match_field_ops():
-    """The vectorised add/mul tables against ctx.add/ctx.mul, pair by pair."""
-    for p, e in ((3, 2), (5, 2), (3, 3), (3, 5)):
-        ring = PolyRing(FieldCtx(p, e))
-        ctx = ring.ctx
-        add, mul = index_tables(ring)
-        elements = ctx.elements()
-        for i, x in enumerate(elements):
-            assert add[i].tolist() == [
-                ctx.element_index(ctx.add(x, y)) for y in elements]
-            assert mul[i].tolist() == [
-                ctx.element_index(ctx.mul(x, y)) for y in elements]
+    """The vectorised tables against the per-element digit path, pair by pair.
+
+    FieldCtx reads its add/mul/neg/inv tables off index_tables, so the
+    reference is digit_add/digit_mul/digit_neg, the formulas the fields
+    above TABLE_Q compute with.
+    """
+    for p, e in ((3, 1), (3, 2), (5, 2), (3, 3), (131, 1), (3, 5)):
+        ctx = FieldCtx(p, e)
+        add, mul = index_tables(ctx.p, ctx.basis)
+        assert ctx.add_table == add.tolist()
+        assert ctx.mul_table == mul.tolist()
+        elements = range(ctx.q)
+        for x in elements:
+            assert add[x].tolist() == [ctx.digit_add(x, y) for y in elements]
+            assert mul[x].tolist() == [ctx.digit_mul(x, y) for y in elements]
+            assert ctx.neg_table[x] == ctx.digit_neg(x)
+            if x:
+                assert ctx.digit_mul(x, ctx.inv_table[x]) == 1
