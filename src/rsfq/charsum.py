@@ -2,10 +2,16 @@
 
 Every sum here is accumulated as an integer histogram over field values and
 only converted to a complex number at the very end: each term is a p-th
-root of unity, so a sum is determined by exact integer counts per trace
-residue.  That keeps enumeration order (and hence any parallel partition of
+root of unity, so a sum is determined by exact integer counts per field
+value.  That keeps enumeration order (and hence any parallel partition of
 it) irrelevant to the result bit for bit, and the only rounding is the
-final dot product against a p-entry root table.
+final dot product against the q character values.
+
+The Gauss scan needs the histogram of x^T M x + L.x for all q^m linear
+parts L.  gauss_counts builds them with one staged transform over the
+add/mul index tables, trading one coordinate of x for one of L per stage:
+m q^(m+2) work and O(q^(m+1)) memory for every q, where pairing every x
+with every L costs q^(2m) of both.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .field import FieldCtx
 from .poly import PolyRing, PolySet
 from .quadform import SymMatrix, matrix_rank, qa_matrix, quad_eval
 from .rudin import autocorrelation, rudin_shapiro
-from .vecenum import coeff_digits, index_tables
+from .vecenum import coeff_digits, index_tables, int_dtype, sub_table
 
 
 @dataclass(frozen=True)
@@ -57,9 +63,9 @@ def char_values(chi: CharSpec) -> list:
     return [roots[ctx.trace(ctx.mul(chi.beta, x))] for x in ctx.elements()]
 
 
-def hist_to_sum(ctx: FieldCtx, hist, chi: CharSpec) -> complex:
-    """Turn per-element integer counts into the corresponding character sum."""
-    vals = char_values(chi)
+def hist_to_sum(hist, vals) -> complex:
+    """Character sum from per-element integer counts and the character's
+    values (char_values), accumulated in element order."""
     total = 0j
     for idx, count in enumerate(hist):
         if count:
@@ -90,7 +96,7 @@ def quad_form_char_sum(
             if li and xi:
                 acc = ctx.add(acc, ctx.mul(li, xi))
         hist[acc] += 1
-    return hist_to_sum(ctx, hist, chi)
+    return hist_to_sum(hist, char_values(chi))
 
 
 def gauss_bound_report(
@@ -103,18 +109,49 @@ def gauss_bound_report(
     return charsum_report(value, bound, tol)
 
 
+def gauss_counts(mat: SymMatrix) -> np.ndarray:
+    """(q, q^m) int64 array: counts[v, L] = #{x in F_q^m : x^T M x + L.x = v}.
+
+    L has base-q digits L_0, L_1, ... (counting order).  From A[x, v] =
+    [x^T M x = v], stage j sets A'[..., L_j, ..., v] to the sum over x_j of
+    A[..., x_j, ..., v - L_j x_j]; after stage m - 1, A[L, v] = counts[v, L].
+    """
+    q, m = mat.ctx.q, mat.dim
+    add, mul = index_tables(mat.ctx.p, mat.ctx.basis)
+    sub = sub_table(add)
+    xs = coeff_digits(q**m, q, m)
+    quad = np.zeros(q**m, dtype=add.dtype)
+    for i in range(m):
+        row = np.zeros_like(quad)
+        for j in range(m):
+            row = add[row, mul[mat.rows[i][j], xs[:, j]]]
+        quad = add[quad, mul[xs[:, i], row]]
+    hist = (quad[:, None] == np.arange(q)).astype(int_dtype(q**m))
+    for j in range(m):
+        # Axes: coordinates above x_j, x_j, coordinates below x_j, value v;
+        # sub[:, mul[:, x]].T is the shift table [L, v] -> v - L x.
+        cur = hist.reshape(q ** (m - 1 - j), q, q**j, q)
+        out = sum(cur[:, x][:, :, sub[:, mul[:, x]].T] for x in range(q))
+        hist = out.transpose(0, 2, 1, 3).reshape(q**m, q)
+    return np.ascontiguousarray(hist.T, dtype=np.int64)
+
+
 def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
     """Worst |sum psi(x^T M x + L(x))| over every linear part L (the zero
-    form included) and every non-trivial character."""
+    form included) and every non-trivial character: per character,
+    gauss_counts(mat).T @ (character values) holds the sum of every L."""
     ctx = mat.ctx
     if ctx.q ** (2 * mat.dim) > cap:
         raise EnumerationCapError(
             f"all-linear-parts scan needs q^{2 * mat.dim} pair evaluations, "
             f"over the cap {cap}"
         )
-    if ctx.e == 1:
-        return _worst_magnitude_prime(ctx, mat, mat.dim)
-    return _worst_magnitude_generic(ctx, mat, mat.dim, cap)
+    counts = gauss_counts(mat)
+    worst = 0.0
+    for beta in range(1, ctx.q):
+        vals = np.array(char_values(CharSpec(ctx, beta)), dtype=np.complex128)
+        worst = max(worst, float(np.abs(counts.T @ vals).max()))
+    return worst
 
 
 def scan_gauss_bound(
@@ -153,70 +190,6 @@ def scan_gauss_bound(
     return reports
 
 
-def _worst_magnitude_prime(ctx: FieldCtx, mat: SymMatrix, m: int) -> float:
-    """Max |sum| over all linear parts and all non-trivial characters, e = 1.
-
-    Enumerates X = all q^m vectors once; X @ X.T gives every linear value
-    against every linear form, so one integer histogram per form yields all
-    character sums exactly.
-    """
-    p = ctx.p
-    count = p**m
-    x_small = coeff_digits(count, p, m)
-    x64 = x_small.astype(np.int64)
-    m_np = np.array([[int(c) for c in row] for row in mat.rows], dtype=np.int64)
-    quad_vals = ((x64 @ m_np) * x64).sum(axis=1) % p
-    lin_vals = (x64 @ x64.T) % p
-    phases = (quad_vals[:, None] + lin_vals).astype(np.int16) % p
-    counts = np.empty((p, count), dtype=np.int64)
-    for r in range(p):
-        counts[r] = (phases == r).sum(axis=0)
-    roots = np.array(roots_of_unity(p), dtype=np.complex128)
-    worst = 0.0
-    for beta in range(1, p):
-        omega = roots[(beta * np.arange(p)) % p]
-        sums = counts.T @ omega
-        mags = np.abs(sums)
-        peak = float(mags.max())
-        if peak > worst:
-            worst = peak
-    return worst
-
-
-def _worst_magnitude_generic(
-    ctx: FieldCtx, mat: SymMatrix, m: int, cap: int
-) -> float:
-    """Extension-field variant of the all-linear-parts scan.
-
-    Coefficients are element indices and arithmetic goes through the q x q
-    add/mul index tables, so the same histogram construction applies.
-    """
-    q = ctx.q
-    if q ** (2 * m) > cap:
-        raise EnumerationCapError("generic gauss scan over the cap")
-    add_tab, mul_tab = index_tables(ctx.p, ctx.basis)
-    count = q**m
-    xs = coeff_digits(count, q, m).astype(np.int32)
-    quad_vals = np.array([quad_eval(mat, x) for x in xs.tolist()], dtype=np.int32)
-    counts = np.zeros((q, count), dtype=np.int64)
-    block = max(1, 4_000_000 // max(count, 1))
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        lin_vals = np.zeros((count, hi - lo), dtype=np.int32)
-        for j in range(m):
-            term = mul_tab[xs[:, j][:, None], xs[lo:hi, j][None, :]]
-            lin_vals = add_tab[lin_vals, term]
-        phases = add_tab[quad_vals[:, None], lin_vals]
-        for idx in range(q):
-            counts[idx, lo:hi] = (phases == idx).sum(axis=0)
-    worst = 0.0
-    for beta in range(1, q):
-        vals = np.array(char_values(CharSpec(ctx, beta)), dtype=np.complex128)
-        mags = np.abs(counts.T @ vals)
-        worst = max(worst, float(mags.max()))
-    return worst
-
-
 def rs_char_sum_over_set(
     ring: PolyRing,
     kind: PolySet,
@@ -248,7 +221,7 @@ def rs_char_sum_over_set(
         else:
             val = autocorrelation(ring, f, 1, bound)
         hist[val] += 1
-    return hist_to_sum(ctx, hist, chi)
+    return hist_to_sum(hist, char_values(chi))
 
 
 def rs_pair_char_sum(
@@ -270,7 +243,7 @@ def rs_pair_char_sum(
             rudin_shapiro(ring, ring.mul(h, g2)),
         )
         hist[val] += 1
-    return hist_to_sum(ctx, hist, chi)
+    return hist_to_sum(hist, char_values(chi))
 
 
 def charsum_report(value: complex, bound: float, tol: float = 1e-6) -> dict:

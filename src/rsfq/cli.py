@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma.add_argument("-n", type=int, required=True)
     p_sigma.add_argument("-u", type=int, required=True)
     p_sigma.add_argument("-v", type=int, required=True)
-    p_sigma.add_argument("--beta", default="1", help="character parameter")
+    p_sigma.add_argument("--beta", default=None,
+                         help="character parameter (default: the scalar 1)")
     _add_global_flags(p_sigma)
 
     p_nf = sub.add_parser("nf-count", help="reversal-equation solution counts")
@@ -237,7 +238,10 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 def _cmd_sigma(cfg: RunConfig, args) -> int:
     ring = cfg.ring()
     validate_cutoffs(args.n, args.u, args.v)
-    beta = ring.ctx.parse_element(args.beta)
+    if args.beta is None:
+        beta = ring.ctx.scalar(1)
+    else:
+        beta = ring.ctx.parse_element(args.beta)
     chi = CharSpec(ring.ctx, beta)
     fn = sigma1 if args.which == "sigma1" else sigma2
     report = fn(ring, args.n, args.u, args.v, chi, cfg.cap)

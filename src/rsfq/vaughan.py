@@ -28,8 +28,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import FactorTable
-from .charsum import CharSpec, char_eval, rs_char_sum_over_set, rs_pair_char_sum
+from .charsum import (CharSpec, char_eval, char_values, hist_to_sum,
+                      rs_char_sum_over_set)
 from .errors import (
     ExactIdentityError,
     InvalidCutoffsError,
@@ -37,6 +40,7 @@ from .errors import (
 )
 from .poly import PolyRing, PolySet
 from .rudin import rudin_shapiro
+from .vecenum import index_tables, int_dtype, sub_table
 
 RESIDUAL_TOL = 1e-9
 
@@ -332,21 +336,33 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     degree the magnitude of sum_h psi(R(h g1)) conj(psi(R(h g2))) with h
     monic of degree i.  The reference shape q^(15n/14 - u) + q^(3n/2 - v + 1)
     is reported, not asserted.
+
+    Each pair sum is rs_pair_char_sum's histogram of R(h g1) - R(h g2),
+    from one cached vector of R(h g) over h per g.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError("sigma2 needs a non-trivial character")
     q = ring.ctx.q
+    vals = char_values(chi)
+    sub = sub_table(index_tables(ring.ctx.p, ring.ctx.basis)[0])
     best = -1.0
     best_i = None
     best_g1 = None
     for i in range(v, n - u + 1):
         dg = n - i
         monics = list(ring.enumerate(PolySet.MONIC, dg, cap))
-        for g1 in monics:
+        hs = list(ring.enumerate(PolySet.MONIC, i, cap))
+        r_vals = np.array([[rudin_shapiro(ring, ring.mul(h, g)) for h in hs]
+                           for g in monics], dtype=int_dtype(q - 1))
+        # Row offsets: one bincount gives the histogram of every g2.
+        offsets = np.arange(len(monics))[:, None] * q
+        for g1, r1 in zip(monics, r_vals):
+            hists = np.bincount((offsets + sub[r1, r_vals]).ravel(),
+                                minlength=len(monics) * q)
             total = 0.0
-            for g2 in monics:
-                total += abs(rs_pair_char_sum(ring, i, g1, g2, chi, cap))
+            for hist in hists.reshape(-1, q).tolist():
+                total += abs(hist_to_sum(hist, vals))
             if total > best:
                 best = total
                 best_i = i

@@ -6,7 +6,7 @@ two elements adds their digits mod p without carry; multiplying by x is an
 F_p-linear map whose matrix comes from the powers w^0, ..., w^(2e-2) of
 the root w of the modulus (Lidl & Niederreiter, Finite Fields, ch. 10 on
 tables).  index_tables builds the add/mul tables of the whole field from
-those two facts in numpy; FieldCtx, the sieve, dist and charsum all use it.
+those two facts in numpy; FieldCtx and every bulk path use it.
 """
 
 from __future__ import annotations
@@ -100,3 +100,8 @@ def index_tables(p: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(e):
         mul += (x @ mats[:, :, k].T) % p * p**k
     return add, mul.astype(dtype)
+
+
+def sub_table(add: np.ndarray) -> np.ndarray:
+    """q x q table sub[x, y] = x - y, from the add table of index_tables."""
+    return add[:, (add == 0).argmax(axis=1)]

@@ -1,7 +1,10 @@
 import cmath
 import math
 import random
+import tracemalloc
+from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from rsfq import (
@@ -14,6 +17,7 @@ from rsfq import (
     char_eval,
     char_values,
     matrix_rank,
+    max_gauss_magnitude,
     qa_matrix,
     quad_form_char_sum,
     rs_char_sum_over_set,
@@ -21,7 +25,9 @@ from rsfq import (
     scan_gauss_bound,
     sym_matrix,
 )
-from rsfq.quadform import bilinear_eval
+from rsfq.charsum import gauss_counts, roots_of_unity
+from rsfq.quadform import bilinear_eval, quad_eval
+from rsfq.vecenum import coeff_digits
 
 ALL_Q = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
          (3, 2), (5, 2), (3, 3)]
@@ -209,22 +215,97 @@ def test_gauss_scan_extension_field(f9):
     assert reports and all(r["pass"] for r in reports)
 
 
-def test_gauss_scan_paths_agree(f3):
-    """The table-based scan path reproduces the prime-field int path."""
-    from rsfq.charsum import _worst_magnitude_generic, _worst_magnitude_prime
-    for n in (2, 3):
-        for k in range((n - 1) // 2 + 1):
-            for a in f3.enumerate(PolySet.MONIC, k):
-                mat = qa_matrix(f3, a, n)
-                fast = _worst_magnitude_prime(f3.ctx, mat, mat.dim)
-                slow = _worst_magnitude_generic(f3.ctx, mat, mat.dim, 10**8)
-                assert abs(fast - slow) < 1e-9
+def _worst_magnitude_all_pairs(ctx, mat):
+    """Prime-field brute force: X @ X.T pairs every x with every linear part
+    L, one integer histogram per L, then the worst sum over all characters."""
+    p, m = ctx.p, mat.dim
+    x = coeff_digits(p**m, p, m).astype(np.int64)
+    m_np = np.array(mat.rows, dtype=np.int64)
+    quad_vals = ((x @ m_np) * x).sum(axis=1) % p
+    phases = (quad_vals[:, None] + x @ x.T) % p
+    counts = np.stack([(phases == r).sum(axis=0) for r in range(p)])
+    roots = np.array(roots_of_unity(p), dtype=np.complex128)
+    worst = 0.0
+    for beta in range(1, p):
+        omega = roots[(beta * np.arange(p)) % p]
+        worst = max(worst, float(np.abs(counts.T @ omega).max()))
+    return worst
+
+
+def test_gauss_scan_paths_agree(f3, f5):
+    """The staged transform reproduces the all-pairs X @ X.T histogram
+    route bit for bit on prime fields."""
+    for ring, n_max in ((f3, 4), (f5, 3)):
+        for n in range(2, n_max + 1):
+            for k in range((n - 1) // 2 + 1):
+                for a in ring.enumerate(PolySet.MONIC, k):
+                    mat = qa_matrix(ring, a, n)
+                    fast = max_gauss_magnitude(mat)
+                    slow = _worst_magnitude_all_pairs(ring.ctx, mat)
+                    assert fast == slow
+
+
+def _random_symmetric(ctx, rng, m):
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = rng.randrange(ctx.q)
+    return sym_matrix(ctx, rows)
+
+
+def _full_rank_symmetric(ctx, rng, m):
+    while True:
+        mat = _random_symmetric(ctx, rng, m)
+        if matrix_rank(mat) == m:
+            return mat
+
+
+@pytest.mark.parametrize("p, e, dims", [
+    (3, 1, (1, 2, 3)), (5, 1, (1, 2)), (7, 1, (1, 2)), (3, 2, (1, 2)),
+    (5, 2, (1, 2)), (3, 3, (1, 2)),
+])
+def test_gauss_counts_match_direct_enumeration(p, e, dims):
+    """Every entry of counts[v, L] equals the number of x with
+    Q(x) + L.x = v, enumerated per linear part L with field operations."""
+    ctx = FieldCtx(p, e)
+    rng = random.Random(1000 * p + e)
+    for m in dims:
+        zero = sym_matrix(ctx, [[0] * m for _ in range(m)])
+        for mat in (zero, _full_rank_symmetric(ctx, rng, m),
+                    _random_symmetric(ctx, rng, m)):
+            counts = gauss_counts(mat)
+            assert counts.shape == (ctx.q, ctx.q**m)
+            assert counts.dtype == np.int64
+            xs = list(iproduct(range(ctx.q), repeat=m))
+            quads = [quad_eval(mat, x[::-1]) for x in xs]
+            for col, linear in enumerate(iproduct(range(ctx.q), repeat=m)):
+                linear = linear[::-1]
+                hist = [0] * ctx.q
+                for x, val in zip(xs, quads):
+                    for li, xi in zip(linear, x[::-1]):
+                        val = ctx.add(val, ctx.mul(li, xi))
+                    hist[val] += 1
+                assert counts[:, col].tolist() == hist, (p, e, m, col)
+
+
+def test_gauss_scan_memory_stays_small(f5):
+    """At q=5, m=5 the scan holds O(q^(m+1)) entries, not a q^m x q^m
+    matrix (176 MB traced for the all-pairs route)."""
+    mat = qa_matrix(f5, (1,), 4)
+    assert mat.dim == 5
+    tracemalloc.start()
+    try:
+        max_gauss_magnitude(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_gauss_bound_on_difference_forms(f3):
     """The rank bound also holds over every difference form with every
     linear part, using the exact computed ranks."""
-    from rsfq import bab_matrix, max_gauss_magnitude
+    from rsfq import bab_matrix
     for n, k in ((4, 1), (5, 1), (5, 2)):
         monics = list(f3.enumerate(PolySet.MONIC, k))
         for a in monics:

@@ -97,6 +97,16 @@ def test_sigma_subcommand():
     assert data["bound"] == 3.0 ** ((5 + 1 + 2 + 2) / 2)
 
 
+def test_sigma_default_beta_is_scalar_one_in_extension_fields():
+    args = ("--p", "3", "--e", "2", "sigma", "sigma1", "-n", "4", "-u", "1",
+            "-v", "2")
+    default = run_cli(*args)
+    explicit = run_cli(*args, "--beta", "1+0")
+    assert default.returncode == 0, default.stderr
+    assert explicit.returncode == 0
+    assert default.stdout == explicit.stdout
+
+
 def test_sigma_trivial_character_rejected():
     result = run_cli("sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2",
                      "--beta", "0")

@@ -6,13 +6,16 @@ import pytest
 from rsfq import (
     CharSpec,
     ExactIdentityError,
+    FieldCtx,
     InvalidCutoffsError,
+    PolyRing,
     PolySet,
     TrivialCharacterError,
     VaughanContext,
     character_rs_weight,
     default_cutoffs,
     random_weight_values,
+    rs_pair_char_sum,
     rudin_shapiro,
     sigma1,
     sigma2,
@@ -190,6 +193,29 @@ def test_sigma2_against_direct_loop(f3):
                 total += abs(inner)
             best = max(best, total)
     assert abs(best - report["value"]) < 1e-9
+
+
+@pytest.mark.parametrize("p, e, n, u, v", [
+    (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
+    (5, 1, 4, 1, 2), (5, 1, 4, 2, 1), (3, 2, 3, 1, 1),
+])
+def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
+    """The cached sigma2 equals, bit for bit, the aggregate of one
+    rs_pair_char_sum call per pair (g1, g2)."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, 1)
+    best, best_i, best_g1 = -1.0, None, None
+    for i in range(v, n - u + 1):
+        monics = list(ring.enumerate(PolySet.MONIC, n - i))
+        for g1 in monics:
+            total = 0.0
+            for g2 in monics:
+                total += abs(rs_pair_char_sum(ring, i, g1, g2, chi))
+            if total > best:
+                best, best_i, best_g1 = total, i, ring.to_str(g1)
+    report = sigma2(ring, n, u, v, chi)
+    assert (report["value"], report["argmax_i"], report["argmax_g1"]) == (
+        best, best_i, best_g1)
 
 
 def test_sigma1_monotone_in_cutoff_window(f3):
