@@ -9,6 +9,7 @@ scale with exact integer accounting.
 """
 
 from .arith import (
+    Dirichlet,
     FactorTable,
     check_tau_bound,
     check_tau_second_moment,

@@ -1,16 +1,84 @@
 """Multiplicative functions on F_q[t] and the reversal-equation counts.
 
-Factorizations are found by trial division and memoized per FactorTable;
-divisors_monic is the deliberately slow, independently auditable route that
-trial-divides against every enumerated monic polynomial.
+Dirichlet.convolve sums x[a]*y[b] exactly at the index of a*b, from
+sieve.product_indices; degree by degree it gives mu from mu*1 = delta,
+Lambda from Lambda*1 = deg and tau = 1*1 (Rosen, Number Theory in Function
+Fields, ch. 2).  FactorTable (trial division) and divisors_monic are the
+independent routes it is tested against, and count_reversal_solutions,
+the scan's per-f oracle, uses FactorTable.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DegreeBoundError, ZeroPolynomialError
+import numpy as np
+
+from .errors import DegreeBoundError, EnumerationCapError, ZeroPolynomialError
 from .poly import PolyRing, PolySet
+from .sieve import SIEVE_CAP, DigitAdd, product_indices
+
+
+class Dirichlet:
+    """Exact Dirichlet convolution over the monic polynomials of F_q[t].
+
+    A degree-d vector is an int64 array over the q^d monic polynomials of
+    degree d in counting order, at most SIEVE_CAP long.  mu and Lambda are
+    kept per instance as they are built.
+    """
+
+    def __init__(self, ring: PolyRing):
+        self.ctx = ring.ctx
+        self._mu = [np.ones(1, dtype=np.int64)]
+        self._lam = [np.zeros(1, dtype=np.int64)]
+
+    def ones(self, d: int) -> np.ndarray:
+        return np.ones(self.ctx.q**d, dtype=np.int64)
+
+    def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
+                 db: int) -> np.ndarray:
+        """Vector z of degree da + db with z[a*b] = sum of x[a] * y[b]."""
+        ctx = self.ctx
+        size = ctx.q ** (da + db)
+        if size > SIEVE_CAP:
+            raise EnumerationCapError(
+                f"q^{da + db} = {size} exceeds the convolution cap {SIEVE_CAP}")
+        if not da or not db:
+            return np.outer(x, y).ravel()
+        xs, ys = np.flatnonzero(x), np.flatnonzero(y)
+        if len(ys) * ctx.q**da < len(xs) * ctx.q**db:
+            x, da, xs, y, db = y, db, ys, x, da      # enumerate the sparser
+        # bincount sums in float64, which is exact below 2^53.
+        if int(np.abs(x).sum()) * int(np.abs(y).sum()) >= 2**53:
+            raise OverflowError("convolution sums exceed exact float range")
+        z = np.zeros(size)
+        for gs, rows, idx in product_indices(
+                xs, da, db, ctx.p, ctx.basis, DigitAdd(ctx.p, (da + db) * ctx.e)):
+            w = x[xs[gs], None, None] * y.reshape(idx.shape[2], -1).T[rows]
+            z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=size)
+        return z.astype(np.int64)
+
+    def _solve(self, f: list, n: int, slope: int) -> list:
+        """Extend f to degree n so that (f*1)_k = slope * k for k >= 1."""
+        for k in range(len(f), n + 1):
+            acc = np.full(self.ctx.q**k, slope * k, dtype=np.int64)
+            for j in range(k):
+                acc -= self.convolve(f[j], j, self.ones(k - j), k - j)
+            f.append(acc)
+        return f[:n + 1]
+
+    def mobius(self, n: int) -> list:
+        """[mu_0, ..., mu_n] from mu*1 = delta."""
+        return self._solve(self._mu, n, 0)
+
+    def von_mangoldt(self, n: int) -> list:
+        """[Lambda_0, ..., Lambda_n] from Lambda*1 = deg."""
+        return self._solve(self._lam, n, 1)
+
+    def tau(self, n: int) -> np.ndarray:
+        """tau_n = (1*1)_n."""
+        return sum(self.convolve(self.ones(j), j, self.ones(n - j), n - j)
+                   for j in range(n + 1))
 
 
 class FactorTable:
@@ -125,28 +193,21 @@ def tau(ring: PolyRing, f, table: FactorTable | None = None) -> int:
     return (table or FactorTable(ring)).tau(f)
 
 
-def check_tau_bound(
-    ring: PolyRing,
-    n: int,
-    epsilon: float = 0.5,
-    table: FactorTable | None = None,
-    cap: int | None = None,
-) -> dict:
+def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5,
+                    cap: int | None = None) -> dict:
     """Scan M(n) for the hard divisor bound tau(f) <= 2^deg f.
 
-    The soft branch q^(n(2+eps)/ln n) is reported for inspection only; its
-    implied constant is unquantified, so nothing is asserted about it.
+    The argmax is the first maximum in counting order.  The soft branch
+    q^(n(2+eps)/ln n) is reported for inspection only; its implied constant
+    is unquantified, so nothing is asserted about it.
     """
     if n < 1:
         raise DegreeBoundError("tau scan needs degree >= 1")
-    table = table or FactorTable(ring)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
     q = ring.ctx.q
-    worst = 0
-    worst_f = None
-    for f in ring.enumerate(PolySet.MONIC, n, cap):
-        t = table.tau(f)
-        if t > worst:
-            worst, worst_f = t, f
+    taus = Dirichlet(ring).tau(n)
+    arg = int(np.argmax(taus))
+    worst = int(taus[arg])
     bound = 2**n
     soft = q ** (n * (2 + epsilon) / math.log(n)) if n >= 2 else None
     return {
@@ -156,25 +217,20 @@ def check_tau_bound(
         "observed": worst,
         "bound": bound,
         "pass": worst <= bound,
-        "detail": {"argmax": ring.to_str(worst_f), "soft_branch": soft,
-                   "epsilon": epsilon},
+        "detail": {"argmax": ring.to_str(next(ring.monic_range(n, arg, arg + 1))),
+                   "soft_branch": soft, "epsilon": epsilon},
     }
 
 
-def check_tau_second_moment(
-    ring: PolyRing,
-    n: int,
-    table: FactorTable | None = None,
-    cap: int | None = None,
-) -> dict:
+def check_tau_second_moment(ring: PolyRing, n: int,
+                            cap: int | None = None) -> dict:
     """Exact second moment of tau over M(n) against 4 n^3 q^n."""
     if n < 1:
         raise DegreeBoundError("moment scan needs degree >= 1")
-    table = table or FactorTable(ring)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
     q = ring.ctx.q
-    total = 0
-    for f in ring.enumerate(PolySet.MONIC, n, cap):
-        total += table.tau(f) ** 2
+    taus = Dirichlet(ring).tau(n)
+    total = int(np.dot(taus, taus))
     bound = 4 * n**3 * q**n
     return {
         "statistic": "tau-second-moment",
@@ -198,9 +254,9 @@ def count_reversal_solutions(
 
     Solutions come in unit pairs {a, -a} because scaling by c multiplies the
     product by c^2 and c^2 = 1 only for c = +-1 in odd characteristic.  The
-    report carries both the raw count and the count of +-classes.  When a
-    solution b exists it witnesses f as a reversal product and the doubled
-    divisor bound 2*tau(b) applies on top of the unconditional 2^n.
+    report carries both the raw count and the count of +-classes.  A
+    solution is c*A, A a monic degree-n divisor of f and c^2 fixed by f, so
+    N(f) <= 2 d_n(f) (divisor_bound); with a solution b, N(f) <= 2 tau(b).
     """
     deg = ring.degree(f)
     if deg is not None and deg > 2 * n:
@@ -213,8 +269,9 @@ def count_reversal_solutions(
             solutions.append(a)
     classes = {min(ring.index_of(a), ring.index_of(ring.neg(a))) for a in solutions}
     count = len(solutions)
+    divisor_bound = 2 * sum(len(d) == n + 1 for d in table.divisors(f)) if f else 0
     tau_bound = None
-    ok = count <= 2**n
+    ok = count <= 2**n and count <= divisor_bound
     if solutions:
         tau_bound = 2 * table.tau(solutions[0])
         ok = ok and count <= tau_bound
@@ -230,6 +287,7 @@ def count_reversal_solutions(
             "classes": len(classes),
             "solutions": [ring.to_str(a) for a in solutions],
             "tau_bound": tau_bound,
+            "divisor_bound": divisor_bound,
         },
     }
 
@@ -239,7 +297,10 @@ def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict
 
     Groups the products reverse(a, n) * a over all a of degree n, then reads
     off N(f) for each f of degree exactly 2n.  The per-f operation
-    count_reversal_solutions is the direct oracle for spot checks.
+    count_reversal_solutions is the direct oracle for spot checks.  The
+    stated N(f) <= 2^n decides pass, as the stated bound does for rank-qa;
+    it fails from q = 5 on, and every f above it is listed with N(f) and
+    the provable 2 d_n(f), d_n = (1_n * 1_n)[monic f], which is checked.
     """
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n), cap)
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, 2 * n), cap)
@@ -247,27 +308,35 @@ def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict
     for a in ring.enumerate(PolySet.DEGREE_EXACT, n, cap):
         prod = ring.mul(ring.reverse(a, n), a)
         products.setdefault(prod, []).append(a)
+    kernel = Dirichlet(ring)
+    d_n = kernel.convolve(kernel.ones(n), n, kernel.ones(n), n)
     max_count = 0
     max_f = None
     hist: dict[int, int] = {}
-    represented = 0
+    found = []      # (f, N(f), 2 d_n(f)) for every f with N(f) > 0
     for f in ring.enumerate(PolySet.DEGREE_EXACT, 2 * n, cap):
         cnt = len(products.get(f, ()))
         hist[cnt] = hist.get(cnt, 0) + 1
         if cnt:
-            represented += 1
+            found.append((f, cnt, 2 * int(d_n[ring.index_of(ring.monic(f)[:-1])])))
         if cnt > max_count:
             max_count, max_f = cnt, f
+    divisor_ok = all(cnt <= bound for _, cnt, bound in found)
     return {
         "statistic": "reversal-count-scan",
         "q": ring.ctx.q,
         "n": n,
         "observed": max_count,
         "bound": 2**n,
-        "pass": max_count <= 2**n,
+        "pass": max_count <= 2**n and divisor_ok,
         "detail": {
             "argmax": ring.to_str(max_f) if max_f else None,
             "histogram": {str(k): v for k, v in sorted(hist.items())},
-            "represented": represented,
+            "represented": len(found),
+            "divisor_bound_holds": divisor_ok,
+            "divisor_bound_attained": any(cnt == b for _, cnt, b in found),
+            "counterexamples": [
+                {"f": ring.to_str(f), "count": cnt, "divisor_bound": bound}
+                for f, cnt, bound in found if cnt > 2**n],
         },
     }

@@ -21,12 +21,13 @@ t^m*g offset.  Each product index is then the carry-free base-p sum of one
 entry of PA and one of PB, by gathers from a digit-add table over chunks of
 s digits.
 
-composite_mask(ring, n) returns the marking as a boolean array over the
-monic degree-n counting indices; count_irreducibles_sieve counts its
-unmarked entries and dist.distribution reads the irreducibles off it.
-Memory is bounded: a digit-add table holds at most TABLE_BYTES and one
-image or gather block about BLOCK entries.  Nothing is cached between
-calls.  All arithmetic is in integers sized so that nothing wraps around.
+composite_mask(ring, n) marks the product_indices blocks in a boolean array
+over the monic degree-n counting indices; count_irreducibles_sieve counts
+its unmarked entries and dist.distribution reads the irreducibles off it.
+arith.Dirichlet sums weights over the same blocks.  Memory is bounded: a
+digit-add table holds at most TABLE_BYTES and one image or gather block
+about BLOCK entries.  Nothing is cached between calls.  All arithmetic is
+in integers sized so that nothing wraps around.
 """
 
 from __future__ import annotations
@@ -84,12 +85,13 @@ class DigitAdd:
         return out
 
 
-def _mark(composite: np.ndarray, factors: np.ndarray, d: int, n: int,
-          p: int, basis: np.ndarray, digit_add: DigitAdd) -> None:
-    """Mark every g*h, g the degree-d monics indexed by `factors`."""
+def product_indices(factors: np.ndarray, d: int, m: int, p: int,
+                    basis: np.ndarray, digit_add: DigitAdd):
+    """Yield (gs, rows, idx) blocks of the indices of every g*h, h monic of
+    degree m >= 1: idx[i, r, j] is that of g = factors[gs][i] times the h of
+    counting index rows.start + r + j*la, where la * idx.shape[2] = q^m."""
     e = basis.shape[0]
-    m = n - d
-    width = n * e
+    width = (d + m) * e
     a = m * e // 2
     low = digits(np.arange(p**a), p, a)
     high = digits(np.arange(p ** (m * e - a)), p, m * e - a)
@@ -117,8 +119,9 @@ def _mark(composite: np.ndarray, factors: np.ndarray, d: int, n: int,
         cands = max(1, BLOCK // (la * lb)) if rows == la else 1
         for c0 in range(0, c, cands):
             x, y = pa[c0:c0 + cands, :, None], pb[c0:c0 + cands, None, :]
+            gs = slice(start + c0, start + min(c0 + cands, c))
             for r0 in range(0, la, rows):
-                composite[digit_add(x[:, r0:r0 + rows], y, width)] = True
+                yield gs, slice(r0, r0 + rows), digit_add(x[:, r0:r0 + rows], y, width)
 
 
 def _composite(n: int, p: int, basis: np.ndarray,
@@ -127,7 +130,10 @@ def _composite(n: int, p: int, basis: np.ndarray,
     composite = np.zeros(p ** (n * e), dtype=bool)
     for d in range(1, n // 2 + 1):
         factors = np.flatnonzero(~_composite(d, p, basis, digit_add))
-        _mark(composite, factors, d, n, p, basis, digit_add)
+        for _, _, idx in product_indices(factors, d, n - d, p, basis,
+                                         digit_add):
+            composite[idx] = True
+            del idx     # free the block before the next one is gathered
     return composite
 
 

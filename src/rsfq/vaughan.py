@@ -9,11 +9,11 @@ sum of Lambda(f) Psi(f) over monic f of degree n equals S1 - S2 + S3:
          mu(a) * Lambda(b) * Psi(a b c)
     S3 = the same triple sum restricted to deg a > u and deg b > v
 
-The decomposition is an exact identity; the residual is checked to
-1e-9 * (1 + |lhs|) and a violation raises.  S2 is evaluated by grouping the
-inner mu * Lambda coefficient per product z = a b and summing over c, which
-is quadratically cheaper than the raw triple loop; the raw loop is kept as
-a cross-check (s2_triple).
+Each Sj is Psi dotted with an integer vector cj over monic degree n
+(Iwaniec-Kowalski, Analytic Number Theory, ch. 13).  VaughanContext builds
+the blocks of the cj once with rsfq.arith's convolution kernel and, for each
+(u, v), asserts c1 - c2 + c3 = Lambda in integers before weighing anything.
+S2 is grouped as (mu*Lambda)*1; s2_triple's mu*(Lambda*1) cross-checks it.
 
 sigma1 and sigma2 are the type-I and type-II character-sum aggregates built
 from the same inner sums the identity produces, with their asymptotic-shape
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorTable
+from .arith import Dirichlet
 from .charsum import (CharSpec, char_eval, char_values, hist_to_sum,
                       rs_char_sum_over_set)
 from .errors import (
@@ -41,8 +41,6 @@ from .errors import (
 from .poly import PolyRing, PolySet
 from .rudin import rudin_shapiro
 from .vecenum import index_tables, int_dtype, sub_table
-
-RESIDUAL_TOL = 1e-9
 
 
 def validate_cutoffs(n: int, u: int, v: int) -> None:
@@ -69,16 +67,6 @@ def default_cutoffs(n: int) -> tuple[int, int]:
     if u + v >= n:
         raise InvalidCutoffsError(f"no valid cutoffs exist for n = {n}")
     return u, v
-
-
-def _csum(terms) -> complex:
-    """Error-free complex accumulation (fsum on both components)."""
-    re = []
-    im = []
-    for t in terms:
-        re.append(t.real)
-        im.append(t.imag)
-    return complex(math.fsum(re), math.fsum(im))
 
 
 @dataclass
@@ -116,151 +104,85 @@ class VaughanReport:
 
 
 class VaughanContext:
-    """Precomputed degree-n structure reused across cutoffs and weights.
+    """Integer coefficient blocks at degree n, reused across cutoffs and weights.
 
-    Holds the monic degree-n list (counting order), Lambda values, the
-    pair records behind S1, the mu/Lambda triple records behind S2 and S3,
-    and the per-product inner index lists behind the grouped S2 route.
-    All weight evaluations happen on monic degree-n products, so a weight
-    is tabulated once per run as a vector over the monic list.
+    Holds the monic degree-n list (counting order), Lambda_n (lambdas),
+    c1[da] = mu_da * (deg . 1) and blocks[da, db] = (mu_da * Lambda_db) * 1,
+    all int64 vectors at degree n.  A weight is tabulated once per run as a
+    vector over the monic list.
     """
 
-    def __init__(self, ring: PolyRing, n: int, table: FactorTable | None = None,
-                 cap: int | None = None):
+    def __init__(self, ring: PolyRing, n: int, cap: int | None = None):
         if n < 2:
             raise InvalidCutoffsError("decomposition needs n >= 2")
         ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
         self.ring = ring
         self.n = n
-        self.table = table or FactorTable(ring)
         self.monics = list(ring.enumerate(PolySet.MONIC, n, cap))
-        self.index = {f: i for i, f in enumerate(self.monics)}
-        self.lambdas = [self.table.von_mangoldt(f) for f in self.monics]
-        self._build_records(cap)
+        self.kernel = kernel = Dirichlet(ring)
+        mu = kernel.mobius(n - 1)
+        lam = kernel.von_mangoldt(n)
+        self.lambdas = lam[n]
+        self.c1 = [(n - da) * kernel.convolve(mu[da], da, kernel.ones(n - da),
+                                              n - da) for da in range(n)]
+        self.blocks = {
+            (da, db): kernel.convolve(kernel.convolve(mu[da], da, lam[db], db),
+                                      da + db, kernel.ones(n - da - db),
+                                      n - da - db)
+            for da in range(n) for db in range(1, n - da + 1)}
 
-    def _build_records(self, cap) -> None:
-        ring = self.ring
-        table = self.table
-        n = self.n
-        mu_by_deg = []      # degree -> [(a, mu(a))], mu != 0 only
-        lam_by_deg = []     # degree -> [(b, Lambda(b))], Lambda != 0 only
-        for d in range(n + 1):
-            mus = []
-            lams = []
-            for f in ring.enumerate(PolySet.MONIC, d, cap):
-                mu = table.mobius(f)
-                if mu:
-                    mus.append((f, mu))
-                if d >= 1:
-                    lam = table.von_mangoldt(f)
-                    if lam:
-                        lams.append((f, lam))
-            mu_by_deg.append(mus)
-            lam_by_deg.append(lams)
-
-        # S1: (deg a, mu(a) * deg b, index of a*b) over deg a <= n - 1.
-        self.s1_records = []
-        for da in range(n):
-            for a, mu in mu_by_deg[da]:
-                for b in ring.enumerate(PolySet.MONIC, n - da, cap):
-                    self.s1_records.append(
-                        (da, mu * (n - da), self.index[ring.mul(a, b)])
-                    )
-
-        # Triples: (deg a, deg b, mu(a) * Lambda(b), index of a*b*c), plus
-        # the grouped view keyed by the product z = a*b.
-        self.triples = []
-        z_splits: dict = {}
-        for da in range(n):
-            for a, mu in mu_by_deg[da]:
-                for db in range(1, n - da + 1):
-                    for b, lam in lam_by_deg[db]:
-                        ab = ring.mul(a, b)
-                        coef = mu * lam
-                        z_splits.setdefault(ab, []).append((da, db, coef))
-                        dc = n - da - db
-                        for c in ring.enumerate(PolySet.MONIC, dc, cap):
-                            self.triples.append(
-                                (da, db, coef, self.index[ring.mul(ab, c)])
-                            )
-        self.z_splits = z_splits
-        self.z_products = {
-            z: [self.index[ring.mul(z, c)]
-                for c in ring.enumerate(PolySet.MONIC, n - (len(z) - 1), cap)]
-            for z in z_splits
-        }
-
-    # -- weights ---------------------------------------------------------
-
-    def tabulate(self, weight) -> list:
+    def tabulate(self, weight) -> np.ndarray:
         """Evaluate a weight callable on the monic degree-n list."""
-        return [complex(weight(f)) for f in self.monics]
+        return np.array([complex(weight(f)) for f in self.monics])
 
-    # -- components --------------------------------------------------------
+    def coefficients(self, u: int, v: int) -> tuple:
+        """Integer vectors (c1, c2, c3) over monic degree n for cutoffs u, v."""
+        zero = np.zeros(len(self.monics), dtype=np.int64)
+        blocks = self.blocks.items()
+        return (sum(self.c1[:u + 1], zero),
+                sum((b for (da, db), b in blocks if da <= u and db <= v), zero),
+                sum((b for (da, db), b in blocks if da > u and db > v), zero))
 
-    def lhs(self, values) -> complex:
-        return _csum(
-            lam * values[i] for i, lam in enumerate(self.lambdas) if lam
-        )
-
-    def s1(self, u: int, values) -> complex:
-        return _csum(
-            coef * values[idx]
-            for da, coef, idx in self.s1_records
-            if da <= u
-        )
+    def triple_coefficients(self, u: int, v: int) -> np.ndarray:
+        """c2 evaluated as mu*(Lambda*1), independently of the blocks."""
+        n, kernel = self.n, self.kernel
+        mu, lam = kernel.mobius(u), kernel.von_mangoldt(v)
+        return sum(kernel.convolve(mu[da], da, sum(
+            kernel.convolve(lam[db], db, kernel.ones(n - da - db), n - da - db)
+            for db in range(1, min(v, n - da) + 1)), n - da)
+            for da in range(u + 1))
 
     def s2_grouped(self, u: int, v: int, values) -> complex:
-        """Grouped route: sum over z of (filtered mu*Lambda weight) * inner sum."""
-        terms = []
-        for z, splits in self.z_splits.items():
-            w = sum(coef for da, db, coef in splits if da <= u and db <= v)
-            if not w:
-                continue
-            inner = _csum(values[idx] for idx in self.z_products[z])
-            terms.append(w * inner)
-        return _csum(terms)
+        """Grouped route: (mu*Lambda)*1, summed from the blocks."""
+        return complex(np.dot(self.coefficients(u, v)[1], values))
 
     def s2_triple(self, u: int, v: int, values) -> complex:
-        """Raw triple loop, kept as the independent cross-check for S2."""
-        return _csum(
-            coef * values[idx]
-            for da, db, coef, idx in self.triples
-            if da <= u and db <= v
-        )
-
-    def s3(self, u: int, v: int, values) -> complex:
-        return _csum(
-            coef * values[idx]
-            for da, db, coef, idx in self.triples
-            if da > u and db > v
-        )
+        """mu*(Lambda*1), kept as the independent cross-check for S2."""
+        return complex(np.dot(self.triple_coefficients(u, v), values))
 
     def decompose(self, u: int, v: int, weight) -> VaughanReport:
-        """Compute every component and verify the identity exactly."""
+        """Verify the identity in integers, then weigh every component."""
         validate_cutoffs(self.n, u, v)
-        values = weight if isinstance(weight, list) else self.tabulate(weight)
-        lhs = self.lhs(values)
-        s1 = self.s1(u, values)
-        s2 = self.s2_grouped(u, v, values)
-        s3 = self.s3(u, v, values)
-        residual = abs(lhs - (s1 - s2 + s3))
-        if residual >= RESIDUAL_TOL * (1 + abs(lhs)):
-            raise ExactIdentityError(
-                f"decomposition residual {residual} for n={self.n}, "
-                f"u={u}, v={v}"
-            )
+        c1, c2, c3 = self.coefficients(u, v)
+        bad = np.flatnonzero(c1 - c2 + c3 != np.asarray(self.lambdas))
+        if len(bad):
+            f = self.ring.to_str(self.monics[bad[0]])
+            raise ExactIdentityError(f"c1 - c2 + c3 != Lambda at f = {f} for "
+                                     f"n={self.n}, u={u}, v={v}")
+        values = np.asarray(self.tabulate(weight) if callable(weight)
+                            else weight, dtype=complex)
+        lhs, s1, s2, s3 = (complex(np.dot(c, values))
+                           for c in (self.lambdas, c1, c2, c3))
         return VaughanReport(
-            q=self.ring.ctx.q, n=self.n, u=u, v=v,
-            lhs=lhs, s1=s1, s2=s2, s3=s3, residual=residual,
+            q=self.ring.ctx.q, n=self.n, u=u, v=v, lhs=lhs, s1=s1, s2=s2,
+            s3=s3, residual=abs(lhs - (s1 - s2 + s3)),
         )
 
 
 def vaughan_decompose(ring: PolyRing, n: int, u: int, v: int, weight,
-                      table: FactorTable | None = None,
                       cap: int | None = None) -> VaughanReport:
     """One-shot decomposition; build a VaughanContext to amortize several."""
-    return VaughanContext(ring, n, table, cap).decompose(u, v, weight)
+    return VaughanContext(ring, n, cap).decompose(u, v, weight)
 
 
 # -- weights -----------------------------------------------------------------

@@ -1,7 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
 from rsfq import (
+    Dirichlet,
+    EnumerationCapError,
     FactorTable,
+    FieldCtx,
+    PolyRing,
     PolySet,
     ZeroPolynomialError,
     check_tau_bound,
@@ -171,3 +178,136 @@ def test_reversal_scan_n2(f3):
     assert rep["observed"] == 4
     assert rep["detail"]["tau_bound"] == 4
     assert rep["detail"]["classes"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet convolution kernel against independent routes
+# ---------------------------------------------------------------------------
+
+KERNEL_CASES = [(3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 2, 3), (5, 2, 2),
+                (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p, e, n", KERNEL_CASES)
+def test_kernel_matches_factor_table(p, e, n):
+    """mu, Lambda and tau vectors equal FactorTable's for every monic of
+    degree <= n at q in {3, 5, 7, 9, 25, 27}."""
+    ring = PolyRing(FieldCtx(p, e))
+    table = _FT(ring)
+    kernel = Dirichlet(ring)
+    mu, lam = kernel.mobius(n), kernel.von_mangoldt(n)
+    for k in range(n + 1):
+        monics = list(ring.enumerate(PolySet.MONIC, k))
+        assert mu[k].tolist() == [table.mobius(f) for f in monics], k
+        assert lam[k].tolist() == [table.von_mangoldt(f) for f in monics], k
+        if k:
+            assert kernel.tau(k).tolist() == [table.tau(f) for f in monics], k
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 4), (5, 1, 2), (3, 2, 2)])
+def test_kernel_tau_matches_trial_division(p, e, n):
+    ring = PolyRing(FieldCtx(p, e))
+    taus = Dirichlet(ring).tau(n)
+    assert taus.tolist() == [len(divisors_monic(ring, f))
+                             for f in ring.enumerate(PolySet.MONIC, n)]
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (5, 4), (7, 3)])
+def test_kernel_matches_sympy_factorization(p, n):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy").ZZ
+    ring = PolyRing(FieldCtx(p))
+    kernel = Dirichlet(ring)
+    mu, lam = kernel.mobius(n)[n], kernel.von_mangoldt(n)[n]
+    taus = kernel.tau(n)
+    for i, f in enumerate(ring.enumerate(PolySet.MONIC, n)):
+        _, factors = galoistools.gf_factor(list(reversed(f)), p, zz)
+        exps = [exp for _, exp in factors]
+        assert taus[i] == math.prod(exp + 1 for exp in exps)
+        assert mu[i] == (0 if any(exp > 1 for exp in exps)
+                         else (-1) ** len(exps))
+        assert lam[i] == (len(factors[0][0]) - 1 if len(factors) == 1 else 0)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 8), (5, 1, 5), (3, 2, 4),
+                                     (5, 2, 3)])
+def test_kernel_exact_sums(p, e, n):
+    """Sum of Lambda over degree k is q^k; sum of mu is -q at k = 1 and 0
+    above."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    kernel = Dirichlet(ring)
+    mu, lam = kernel.mobius(n), kernel.von_mangoldt(n)
+    for k in range(1, n + 1):
+        assert int(lam[k].sum()) == q**k
+        assert int(mu[k].sum()) == (-q if k == 1 else 0)
+
+
+def test_kernel_convolution_is_bilinear_product(f3):
+    """convolve places x[a] * y[b] at the counting index of a*b."""
+    kernel = Dirichlet(f3)
+    rng = np.random.default_rng(5)
+    x, y = rng.integers(-4, 5, 3**2), rng.integers(-4, 5, 3**3)
+    want = np.zeros(3**5, dtype=np.int64)
+    for i, a in enumerate(f3.enumerate(PolySet.MONIC, 2)):
+        for j, b in enumerate(f3.enumerate(PolySet.MONIC, 3)):
+            want[f3.index_of(f3.mul(a, b)[:-1])] += x[i] * y[j]
+    assert (kernel.convolve(x, 2, y, 3) == want).all()
+    assert (kernel.convolve(y, 3, x, 2) == want).all()
+
+
+def test_kernel_refuses_vectors_above_the_cap(f3):
+    kernel = Dirichlet(f3)
+    with pytest.raises(EnumerationCapError):
+        kernel.convolve(kernel.ones(1), 1, kernel.ones(1), 15)
+
+
+# ---------------------------------------------------------------------------
+# the provable reversal-count bound N(f) <= 2 d_n(f)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)])
+def test_reversal_divisor_bound_holds_and_is_attained(p, n):
+    """N(f) <= 2 d_n(f), with d_n from FactorTable.divisors, holds for every
+    f, some f attains it, and the scan lists exactly the f above 2^n."""
+    ring = PolyRing(FieldCtx(p))
+    table = _FT(ring)
+    counts: dict = {}
+    for a in ring.enumerate(PolySet.DEGREE_EXACT, n):
+        f = ring.mul(ring.reverse(a, n), a)
+        counts[f] = counts.get(f, 0) + 1
+    attained = False
+    above = []
+    for f in sorted(counts, key=ring.index_of):
+        bound = 2 * sum(1 for d in table.divisors(f) if len(d) - 1 == n)
+        assert counts[f] <= bound, ring.to_str(f)
+        attained = attained or counts[f] == bound
+        if counts[f] > 2**n:
+            above.append({"f": ring.to_str(f), "count": counts[f],
+                          "divisor_bound": bound})
+    assert attained
+    scan = scan_reversal_counts(ring, n)
+    detail = scan["detail"]
+    assert detail["divisor_bound_holds"] and detail["divisor_bound_attained"]
+    assert detail["counterexamples"] == above
+    assert scan["pass"] == (not above)
+
+
+def test_reversal_inventory_q5_contains_square_of_t2_plus_1(f5):
+    scan = scan_reversal_counts(f5, 2)
+    assert not scan["pass"] and scan["observed"] == 6
+    inventory = {c["f"]: c for c in scan["detail"]["counterexamples"]}
+    assert inventory["1,0,2,0,1"] == {"f": "1,0,2,0,1", "count": 6,
+                                      "divisor_bound": 6}
+    rep = count_reversal_solutions(f5, f5.from_ints([1, 0, 2, 0, 1]), 2)
+    assert rep["observed"] == 6 and rep["detail"]["divisor_bound"] == 6
+    assert not rep["pass"]
+
+
+def test_reversal_count_divisor_bound_small_cases(f3):
+    rep = count_reversal_solutions(f3, f3.from_ints([0, 1]), 1)
+    assert rep["detail"]["divisor_bound"] == 2       # t itself
+    rep = count_reversal_solutions(f3, f3.from_ints([1, 1, 1]), 1)
+    assert rep["detail"]["divisor_bound"] == 2       # (t + 2)^2
+    rep = count_reversal_solutions(f3, f3.from_ints([2]), 1)
+    assert rep["detail"]["divisor_bound"] == 0 and rep["observed"] == 0

@@ -128,6 +128,19 @@ def test_nf_count_scan():
     assert data["observed"] == 4 and data["pass"]
 
 
+def test_nf_count_scan_reports_stated_bound_counterexamples():
+    """At q=5 the stated N(f) <= 2^n fails (exit 1) while the provable
+    N(f) <= 2 d_n(f) holds; the report lists every f above 2^n."""
+    result = run_cli("--p", "5", "nf-count", "-n", "2")
+    assert result.returncode == 1
+    data = json.loads(result.stdout)
+    assert data["observed"] == 6 and data["bound"] == 4 and not data["pass"]
+    detail = data["detail"]
+    assert detail["divisor_bound_holds"] and detail["divisor_bound_attained"]
+    assert {"f": "1,0,2,0,1", "count": 6, "divisor_bound": 6} in \
+        detail["counterexamples"]
+
+
 def test_trend_csv():
     result = run_cli("trend", "--trend-max", "4", "--format", "csv")
     assert result.returncode == 0

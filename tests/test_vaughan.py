@@ -5,6 +5,7 @@ import pytest
 
 from rsfq import (
     CharSpec,
+    Dirichlet,
     ExactIdentityError,
     FieldCtx,
     InvalidCutoffsError,
@@ -124,10 +125,12 @@ def test_triple_regions_partition(f3):
                 else:
                     mixed += count
         assert s2_region + s3_region + mixed == all_triples
-    # the recorded triples carry only nonzero mu * Lambda coefficients
-    for da, db, coef, _idx in vc.triples:
-        assert coef != 0
-        assert 0 <= da <= n and 1 <= db <= n
+    # the (deg a, deg b) blocks cover the triple regions and sum to Lambda_n
+    total = 0
+    for (da, db), block in vc.blocks.items():
+        assert 0 <= da and 1 <= db and da + db <= n
+        total = total + block
+    assert (total == vc.lambdas).all()
 
 
 def test_weight_tabulation_order(f3):
@@ -241,3 +244,39 @@ def test_decompose_guards_against_inconsistent_state(f3):
     vc.lambdas[0] += 1      # breaks lhs but not the component sums
     with pytest.raises(ExactIdentityError):
         vc.decompose(1, 1, values)
+
+
+# ---------------------------------------------------------------------------
+# the identity as integer vectors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, e, top", [(3, 1, 7), (5, 1, 5), (3, 2, 4)])
+def test_integer_identity_every_cutoff(p, e, top):
+    """c1 - c2 + c3 == Lambda_n exactly, the blocks sum to Lambda_n, and
+    the grouped and triple S2 orders agree in integers, at every (u, v)."""
+    ring = PolyRing(FieldCtx(p, e))
+    for n in range(3, top + 1):
+        vc = VaughanContext(ring, n)
+        assert int(vc.lambdas.sum()) == ring.ctx.q**n
+        assert (sum(vc.blocks.values()) == vc.lambdas).all()
+        for u in range(1, n):
+            for v in range(1, n - u):
+                c1, c2, c3 = vc.coefficients(u, v)
+                assert (c1 - c2 + c3 == vc.lambdas).all(), (n, u, v)
+                assert (c2 == vc.triple_coefficients(u, v)).all(), (n, u, v)
+
+
+def test_corrupted_mobius_entry_raises(f3, monkeypatch):
+    """One wrong mu entry makes the integer identity fail by name."""
+    mobius = Dirichlet.mobius
+
+    def corrupted(self, n):
+        mu = mobius(self, n)
+        if n >= 1:
+            mu[1][0] = 0        # mu(t) = -1 in truth
+        return mu
+
+    monkeypatch.setattr(Dirichlet, "mobius", corrupted)
+    vc = VaughanContext(f3, 4)
+    with pytest.raises(ExactIdentityError, match="Lambda at f = "):
+        vc.decompose(1, 1, unit_weight)
