@@ -295,9 +295,9 @@ def count_reversal_solutions(
 def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict:
     """Exhaustive reversal-equation counts over every f of degree 2n.
 
-    Groups the products reverse(a, n) * a over all a of degree n, then reads
-    off N(f) for each f of degree exactly 2n.  The per-f operation
-    count_reversal_solutions is the direct oracle for spot checks.  The
+    Groups the products reverse(a, n) * a over all a of degree n and reads
+    off N(f) for each such f of degree exactly 2n; every other f has N = 0.
+    count_reversal_solutions is the per-f oracle for spot checks.  The
     stated N(f) <= 2^n decides pass, as the stated bound does for rank-qa;
     it fails from q = 5 on, and every f above it is listed with N(f) and
     the provable 2 d_n(f), d_n = (1_n * 1_n)[monic f], which is checked.
@@ -310,15 +310,13 @@ def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict
         products.setdefault(prod, []).append(a)
     kernel = Dirichlet(ring)
     d_n = kernel.convolve(kernel.ones(n), n, kernel.ones(n), n)
-    max_count = 0
-    max_f = None
-    hist: dict[int, int] = {}
-    found = []      # (f, N(f), 2 d_n(f)) for every f with N(f) > 0
-    for f in ring.enumerate(PolySet.DEGREE_EXACT, 2 * n, cap):
-        cnt = len(products.get(f, ()))
+    # (f, N(f), 2 d_n(f)) for every f of degree 2n with N(f) > 0, in order.
+    found = [(f, len(products[f]), 2 * int(d_n[ring.index_of(ring.monic(f)[:-1])]))
+             for f in sorted(products, key=ring.index_of) if len(f) == 2 * n + 1]
+    hist = {0: ring.cardinality(PolySet.DEGREE_EXACT, 2 * n) - len(found)}
+    max_count, max_f = 0, None
+    for f, cnt, _ in found:
         hist[cnt] = hist.get(cnt, 0) + 1
-        if cnt:
-            found.append((f, cnt, 2 * int(d_n[ring.index_of(ring.monic(f)[:-1])])))
         if cnt > max_count:
             max_count, max_f = cnt, f
     divisor_ok = all(cnt <= bound for _, cnt, bound in found)

@@ -2,8 +2,8 @@
 
 distribution(ring, n) reads every monic irreducible of degree n off the
 composite-marking sieve (sieve.composite_mask), evaluates the statistic
-R(f) = sum f_i f_(i-1) on their coefficient digits column by column with
-numpy, and tallies the exact count per field value.  The table carries the
+R(f) = sum f_i f_(i-1) at their counting indices with rudin.rs_values, and
+tallies the exact count per field value.  The table carries the
 exact expected value total/q and two construction-time invariants, both
 checked in exact integer arithmetic (violations raise ExactIdentityError):
 the prime-polynomial bracket (q^n - 2 q^(n/2)) / n <= total <= q^n / n, and
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DegreeBoundError, ExactIdentityError
 from .poly import PolyRing, PolySet, irreducible_count_formula
+from .rudin import rs_values
 from .sieve import composite_mask
-from .vecenum import index_tables
 
 
 def pnt_bracket_exact(q: int, n: int, count: int) -> bool:
@@ -82,35 +82,6 @@ class DistTable:
         return out.getvalue()
 
 
-def _rs_histogram(ring: PolyRing, n: int) -> list:
-    """Count of monic irreducibles of degree n per value of R, by element index.
-
-    The counting index of f holds f_0, ..., f_(n-1) as base-q digits (element
-    indices), peeled off one coefficient at a time.  Over F_p the products
-    are summed as integers and reduced once, which needs no q x q table
-    (q = 4093 is in range); over F_(p^e) they go through the index tables.
-    """
-    ctx = ring.ctx
-    q = ctx.q
-    if ctx.e == 1:
-        def accumulate(values, high, low):
-            return values + high * low
-    else:
-        add_tab, mul_tab = index_tables(ctx.p, ctx.basis)
-
-        def accumulate(values, high, low):
-            return add_tab[values, mul_tab[high, low]]
-    rest = np.flatnonzero(~composite_mask(ring, n))
-    values = np.zeros_like(rest)
-    low = rest % q
-    for _ in range(1, n):
-        rest //= q
-        high = rest % q
-        values = accumulate(values, high, low)
-        low = high
-    return np.bincount(values % q, minlength=q).tolist()
-
-
 def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
     """Exact distribution table for degree n (requires n >= 2)."""
     if n < 2:
@@ -119,7 +90,8 @@ def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
     q = ctx.q
     size = ring.cardinality(PolySet.MONIC, n)
     ring.check_cap(size, cap)
-    hist = _rs_histogram(ring, n)
+    irreducibles = np.flatnonzero(~composite_mask(ring, n))
+    hist = np.bincount(rs_values(ring, n, irreducibles), minlength=q).tolist()
     total = sum(hist)
     expected = Fraction(total, q)
     counts = {ctx.element_str(x): hist[x] for x in range(q)}

@@ -3,13 +3,17 @@
 autocorrelation(f, lag, n) sums f_i * f_(i-lag) for i = lag..n against an
 explicit degree bound n, so padded coefficient vectors (top coefficients
 zero) are handled without ambiguity.  The lag-1 value of a monic polynomial
-minus its second-highest coefficient is the Rudin-Shapiro value.
+minus its second-highest coefficient is the Rudin-Shapiro value R, which
+rs_values reads off counting indices in bulk (rudin_shapiro is its oracle).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DegreeBoundError, NotMonicError
 from .poly import PolyRing
+from .vecenum import index_tables
 
 
 def autocorrelation(ring: PolyRing, f, lag: int, n: int):
@@ -42,6 +46,26 @@ def rudin_shapiro(ring: PolyRing, f):
     for i in range(1, n):
         total = add[total][mul[f[i]][f[i - 1]]]
     return total
+
+
+def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
+    """R of the monic degree-n polynomials at counting indices idx (n >= 2).
+
+    The counting index of f holds f_0, ..., f_(n-1) as base-q digits.  Over
+    F_p the products are summed as integers and reduced once, with no q x q
+    table (q = 4093 is in range); over F_(p^e) they go through index_tables.
+    """
+    ctx = ring.ctx
+    q = ctx.q
+    add, mul = index_tables(ctx.p, ctx.basis) if ctx.e > 1 else (None, None)
+    values = np.zeros_like(idx)
+    low = idx % q
+    for k in range(1, n):
+        high = idx // q**k % q
+        values = (values + high * low if add is None
+                  else add[values, mul[high, low]])
+        low = high
+    return values % q
 
 
 def reversal_product_correlations(ring: PolyRing, a, n: int) -> list:

@@ -15,10 +15,10 @@ the blocks of the cj once with rsfq.arith's convolution kernel and, for each
 (u, v), asserts c1 - c2 + c3 = Lambda in integers before weighing anything.
 S2 is grouped as (mu*Lambda)*1; s2_triple's mu*(Lambda*1) cross-checks it.
 
-sigma1 and sigma2 are the type-I and type-II character-sum aggregates built
-from the same inner sums the identity produces, with their asymptotic-shape
-reference values reported (never asserted: the implied constants carry no
-numeric value).
+sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
+read R(g h) off sieve.product_indices through rudin.rs_values and report
+their asymptotic-shape reference values (never asserted: the implied
+constants carry no numeric value).
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import Dirichlet
-from .charsum import (CharSpec, char_eval, char_values, hist_to_sum,
-                      rs_char_sum_over_set)
+from .charsum import CharSpec, char_eval, char_values, hist_to_sum
 from .errors import (
     ExactIdentityError,
     InvalidCutoffsError,
     TrivialCharacterError,
 )
 from .poly import PolyRing, PolySet
-from .rudin import rudin_shapiro
+from .rudin import rs_values, rudin_shapiro
+from .sieve import DigitAdd, product_indices
 from .vecenum import index_tables, int_dtype, sub_table
 
 
@@ -218,25 +218,50 @@ def random_weight_values(ring: PolyRing, n: int, seed: int,
 # -- sigma aggregates ---------------------------------------------------------
 
 
+def _rs_products(ring: PolyRing, d: int, m: int, cap: int | None) -> np.ndarray:
+    """(q^d, q^m) matrix of R(g h), monic g of degree d and h of degree m >= 1
+    in counting order, from sieve.product_indices (cap-checked per degree)."""
+    ctx = ring.ctx
+    for k in (d, m):
+        ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
+    out = np.empty((ctx.q**d, ctx.q**m), dtype=int_dtype(ctx.q - 1))
+    for gs, rows, idx in product_indices(np.arange(ctx.q**d), d, m, ctx.p,
+                                         ctx.basis, DigitAdd(ctx.p, (d + m) * ctx.e)):
+        # idx[i, r, j] is g times the h of counting index r + j*la.
+        out.reshape(len(out), idx.shape[2], -1)[gs, :, rows] = (
+            rs_values(ring, d + m, idx).transpose(0, 2, 1))
+    return out
+
+
+def _abs_row_sums(r: np.ndarray, vals: list) -> float:
+    """Sum over the rows of r, in order, of |hist_to_sum| of each row's
+    histogram, all histograms from one offset bincount."""
+    q = len(vals)
+    hists = np.bincount((np.arange(len(r))[:, None] * q + r).ravel(),
+                        minlength=len(r) * q)
+    total = 0.0
+    for hist in hists.reshape(-1, q).tolist():
+        total += abs(hist_to_sum(hist, vals))
+    return total
+
+
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
            cap: int | None = None) -> dict:
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
-    The inner sum ranges over monic h of degree n - deg g.  The reference
-    shape q^((n + u + v + 2) / 2) is reported, not asserted.
+    The inner sum ranges over monic h of degree n - deg g, one row of the
+    R(g h) matrix.  The reference shape q^((n + u + v + 2) / 2) is reported,
+    not asserted.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError("sigma1 needs a non-trivial character")
     q = ring.ctx.q
+    vals = char_values(chi)
     total = 0.0
     by_degree = []
     for dg in range(u + v + 1):
-        deg_total = 0.0
-        for g in ring.enumerate(PolySet.MONIC, dg, cap):
-            deg_total += abs(
-                rs_char_sum_over_set(ring, PolySet.MONIC, n - dg, g, chi, "R", cap)
-            )
+        deg_total = _abs_row_sums(_rs_products(ring, dg, n - dg, cap), vals)
         by_degree.append(deg_total)
         total += deg_total
     return {
@@ -260,7 +285,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     is reported, not asserted.
 
     Each pair sum is rs_pair_char_sum's histogram of R(h g1) - R(h g2),
-    from one cached vector of R(h g) over h per g.
+    read off two rows of the R(g h) matrix.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
@@ -273,22 +298,13 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     best_g1 = None
     for i in range(v, n - u + 1):
         dg = n - i
-        monics = list(ring.enumerate(PolySet.MONIC, dg, cap))
-        hs = list(ring.enumerate(PolySet.MONIC, i, cap))
-        r_vals = np.array([[rudin_shapiro(ring, ring.mul(h, g)) for h in hs]
-                           for g in monics], dtype=int_dtype(q - 1))
-        # Row offsets: one bincount gives the histogram of every g2.
-        offsets = np.arange(len(monics))[:, None] * q
-        for g1, r1 in zip(monics, r_vals):
-            hists = np.bincount((offsets + sub[r1, r_vals]).ravel(),
-                                minlength=len(monics) * q)
-            total = 0.0
-            for hist in hists.reshape(-1, q).tolist():
-                total += abs(hist_to_sum(hist, vals))
+        r_vals = _rs_products(ring, dg, i, cap)
+        for k, r1 in enumerate(r_vals):
+            total = _abs_row_sums(sub[r1, r_vals], vals)
             if total > best:
                 best = total
                 best_i = i
-                best_g1 = ring.to_str(g1)
+                best_g1 = ring.to_str(next(ring.monic_range(dg, k, k + 1)))
     return {
         "q": q,
         "n": n,

@@ -180,6 +180,48 @@ def test_reversal_scan_n2(f3):
     assert rep["detail"]["classes"] == 2
 
 
+def full_enumeration_scan(ring, n):
+    """scan_reversal_counts' histogram, argmax and inventory, read off a walk
+    over every f of degree exactly 2n."""
+    products = {}
+    for a in ring.enumerate(PolySet.DEGREE_EXACT, n):
+        products.setdefault(ring.mul(ring.reverse(a, n), a), []).append(a)
+    max_count, max_f, hist, over = 0, None, {}, []
+    for f in ring.enumerate(PolySet.DEGREE_EXACT, 2 * n):
+        cnt = len(products.get(f, ()))
+        hist[cnt] = hist.get(cnt, 0) + 1
+        if cnt > 2**n:
+            over.append((ring.to_str(f), cnt))
+        if cnt > max_count:
+            max_count, max_f = cnt, f
+    return {"observed": max_count, "argmax": ring.to_str(max_f),
+            "histogram": {str(k): v for k, v in sorted(hist.items())},
+            "represented": sum(v for k, v in hist.items() if k),
+            "counterexamples": over}
+
+
+@pytest.mark.parametrize("p, e, n", [
+    (3, 1, 0), (3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 1), (5, 1, 2),
+    (5, 1, 3), (7, 1, 2), (3, 2, 1), (3, 2, 2), (11, 1, 2),
+])
+def test_reversal_scan_matches_full_enumeration(p, e, n):
+    ring = PolyRing(FieldCtx(p, e))
+    scan = scan_reversal_counts(ring, n)
+    detail = scan["detail"]
+    assert full_enumeration_scan(ring, n) == {
+        "observed": scan["observed"], "argmax": detail["argmax"],
+        "histogram": detail["histogram"], "represented": detail["represented"],
+        "counterexamples": [(c["f"], c["count"])
+                            for c in detail["counterexamples"]]}
+
+
+def test_reversal_scan_keeps_both_cap_checks(f3):
+    with pytest.raises(EnumerationCapError, match="enumeration of 18 elements"):
+        scan_reversal_counts(f3, 2, cap=17)
+    with pytest.raises(EnumerationCapError, match="enumeration of 162 elements"):
+        scan_reversal_counts(f3, 2, cap=161)
+
+
 # ---------------------------------------------------------------------------
 # the Dirichlet convolution kernel against independent routes
 # ---------------------------------------------------------------------------

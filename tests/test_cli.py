@@ -84,6 +84,15 @@ def test_distribution_above_sieve_cap_is_usage_error():
     assert "sieve cap" in result.stderr
 
 
+def test_sigma_cap_exceeded_is_usage_error(capsys):
+    """Both aggregates refuse a degree whose monic set exceeds --cap."""
+    assert main(["sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2",
+                 "--cap", "100"]) == 2
+    assert main(["sigma", "sigma2", "-n", "6", "-u", "1", "-v", "2",
+                 "--cap", "100"]) == 2
+    assert "exceeds the cap 100" in capsys.readouterr().err
+
+
 def test_bad_selector_rejected():
     result = run_cli("verify", "nonsense")
     assert result.returncode == 2

@@ -1,15 +1,17 @@
-"""Property tests for field arithmetic and polynomial division.
+"""Property tests for field arithmetic, polynomial division and R.
 
 Fields: F_9 and F_125 are table-backed, F_257 and F_(3^6) compute every
 entry from base-p digits (q > TABLE_Q).  Examples are drawn by hypothesis
 under the derandomized profile registered in conftest.py.
 """
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsfq import FieldCtx, PolyRing
+from rsfq import FieldCtx, PolyRing, rudin_shapiro
 from rsfq.field import TABLE_Q
+from rsfq.rudin import rs_values
 
 TABLE_FIELD = FieldCtx(5, 3)
 VIEW_FIELD = FieldCtx(3, 6)
@@ -85,3 +87,14 @@ def test_reverse_is_an_involution(ring, data, extra):
     f = draw_poly(data, ring, const=1)
     n = len(f) - 1 + extra
     assert ring.reverse(ring.reverse(f, n), n) == f
+
+
+@given(st.sampled_from(RINGS), st.integers(2, 6), st.data())
+def test_rs_values_matches_rudin_shapiro(ring, n, data):
+    """R read off counting indices equals the per-polynomial value."""
+    element = st.integers(0, ring.ctx.q - 1)
+    lows = data.draw(st.lists(st.tuples(*[element] * n), min_size=1,
+                              max_size=8))
+    idx = np.array([ring.index_of(low) for low in lows])
+    assert rs_values(ring, n, idx).tolist() == [
+        rudin_shapiro(ring, low + (1,)) for low in lows]

@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
 
 from rsfq import (
     DegreeBoundError,
+    FieldCtx,
     NotMonicError,
+    PolyRing,
     PolySet,
     autocorrelation,
     reversal_product_correlations,
     rudin_shapiro,
 )
+from rsfq.rudin import rs_values
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,41 @@ def test_value_partition_is_exact(f3):
             val = rudin_shapiro(f3, f)
             counts[val] = counts.get(val, 0) + 1
         assert sum(counts.values()) == 3**n
+
+
+# ---------------------------------------------------------------------------
+# rs_values: R at counting indices, against the per-polynomial oracle
+# ---------------------------------------------------------------------------
+
+RS_CASES = [(p, e, n) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+            for n in (2, 3, 4) if p ** (e * n) <= 20000]
+
+
+@pytest.mark.parametrize("p, e, n", RS_CASES)
+def test_rs_values_matches_rudin_shapiro_on_every_monic(p, e, n):
+    ring = PolyRing(FieldCtx(p, e))
+    idx = np.arange(ring.ctx.q**n)
+    got = rs_values(ring, n, idx)
+    assert got.tolist() == [rudin_shapiro(ring, f)
+                            for f in ring.enumerate(PolySet.MONIC, n)]
+    assert idx.tolist() == list(range(ring.ctx.q**n))      # left untouched
+
+
+def test_rs_values_large_prime_field_sample():
+    """q = 4093 takes the integer-sum path, with no q x q table."""
+    ring = PolyRing(FieldCtx(4093))
+    q = ring.ctx.q
+    idx = np.random.default_rng(8).integers(0, q**2, size=500)
+    want = [rudin_shapiro(ring, next(ring.monic_range(2, int(k), int(k) + 1)))
+            for k in idx]
+    assert rs_values(ring, 2, idx).tolist() == want
+
+
+def test_rs_values_keeps_the_index_shape(f9):
+    idx = np.arange(81).reshape(3, 9, 3)
+    got = rs_values(f9, 2, idx)
+    assert got.shape == idx.shape
+    assert got.ravel().tolist() == rs_values(f9, 2, idx.ravel()).tolist()
 
 
 # ---------------------------------------------------------------------------

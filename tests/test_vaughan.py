@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from rsfq import (
     CharSpec,
     Dirichlet,
+    EnumerationCapError,
     ExactIdentityError,
     FieldCtx,
     InvalidCutoffsError,
@@ -16,6 +18,7 @@ from rsfq import (
     character_rs_weight,
     default_cutoffs,
     random_weight_values,
+    rs_char_sum_over_set,
     rs_pair_char_sum,
     rudin_shapiro,
     sigma1,
@@ -24,6 +27,7 @@ from rsfq import (
     vaughan_decompose,
 )
 from rsfq.arith import FactorTable
+from rsfq.vaughan import _rs_products
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,58 @@ def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
     report = sigma2(ring, n, u, v, chi)
     assert (report["value"], report["argmax_i"], report["argmax_g1"]) == (
         best, best_i, best_g1)
+
+
+# The grid of test_sigma2_equals_sum_of_pair_oracles.
+SIGMA_GRID = [
+    (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
+    (5, 1, 4, 1, 2), (5, 1, 4, 2, 1), (3, 2, 3, 1, 1),
+]
+
+
+@pytest.mark.parametrize("p, e, n, u, v", SIGMA_GRID)
+def test_sigma1_equals_sum_of_set_oracles(p, e, n, u, v):
+    """sigma1 equals, bit for bit, the in-order sum of one
+    rs_char_sum_over_set call per multiplier g."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, 1)
+    total, by_degree = 0.0, []
+    for dg in range(u + v + 1):
+        deg_total = 0.0
+        for g in ring.enumerate(PolySet.MONIC, dg):
+            deg_total += abs(rs_char_sum_over_set(
+                ring, PolySet.MONIC, n - dg, g, chi, "R"))
+        by_degree.append(deg_total)
+        total += deg_total
+    report = sigma1(ring, n, u, v, chi)
+    assert (report["value"], report["by_degree"]) == (total, by_degree)
+
+
+@pytest.mark.parametrize("p, e, d, m", [
+    (3, 1, 0, 2), (3, 1, 0, 5), (3, 1, 1, 1), (3, 1, 2, 3), (3, 1, 4, 2),
+    (5, 1, 0, 3), (5, 1, 2, 2), (7, 1, 1, 3), (3, 2, 0, 2), (3, 2, 1, 2),
+    (3, 2, 2, 1), (5, 2, 1, 1), (3, 3, 1, 2),
+])
+def test_rs_products_matches_polynomial_products(p, e, d, m):
+    """Row g, column h of the R(g h) matrix is rudin_shapiro(g * h), with
+    g and h in counting order; d = 0 is the single row g = 1."""
+    ring = PolyRing(FieldCtx(p, e))
+    want = [[rudin_shapiro(ring, ring.mul(g, h))
+             for h in ring.enumerate(PolySet.MONIC, m)]
+            for g in ring.enumerate(PolySet.MONIC, d)]
+    got = _rs_products(ring, d, m, None)
+    assert got.shape == (ring.ctx.q**d, ring.ctx.q**m)
+    assert got.tolist() == want
+
+
+def test_rs_products_checks_both_degrees_against_the_cap(f3):
+    with pytest.raises(EnumerationCapError, match="enumeration of 9 elements"):
+        _rs_products(f3, 2, 1, 8)
+    with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
+        _rs_products(f3, 1, 3, 26)
+    # g = t shifts h up one coefficient: R(t h) is R at index 3 * idx(h).
+    assert np.array_equal(_rs_products(f3, 1, 3, 27)[0],
+                          _rs_products(f3, 0, 4, 81)[0, ::3])
 
 
 def test_sigma1_monotone_in_cutoff_window(f3):
