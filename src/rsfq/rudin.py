@@ -5,6 +5,10 @@ explicit degree bound n, so padded coefficient vectors (top coefficients
 zero) are handled without ambiguity.  The lag-1 value of a monic polynomial
 minus its second-highest coefficient is the Rudin-Shapiro value R, which
 rs_values reads off counting indices in bulk (rudin_shapiro is its oracle).
+lag_sums and reversal_products read every autocorrelation and the product
+reverse(a, n) * a off the counting indices of the polynomials a of degree
+<= n in bulk; autocorrelation and reversal_product_correlations are their
+oracles, and neither bulk route builds a q x q table.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
 from .poly import PolyRing
-from .vecenum import index_tables
+from .vecenum import digits, index_tables
 
 
 def autocorrelation(ring: PolyRing, f, lag: int, n: int):
@@ -66,6 +70,60 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
                   else add[values, mul[high, low]])
         low = high
     return values % q
+
+
+def _sum_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element indices of sum_k x_k * y_k from (K, e, ...) base-p digit arrays.
+
+    The e x e integer sums of x_l * y_j are contracted with the digits of
+    w^(l+j) and reduced mod p once; at e = 1 that is sum x_k y_k mod p.
+    """
+    e = ctx.e
+    # Row l of the e x e integer sums holds sum_k x_kl * y_kj over j, and
+    # basis[l, j] is w^(l+j): each row is added into the antidiagonals,
+    # which are contracted with w^0, ..., w^(2e-2).
+    diagonals = np.zeros((2 * e - 1,) + x.shape[2:], dtype=np.int64)
+    for l in range(e):
+        diagonals[l:l + e] += np.einsum("k...,kj...->j...", x[:, l], y)
+    powers = np.concatenate([ctx.basis[0], ctx.basis[-1, 1:]])
+    coords = np.einsum("mc,m...->c...", powers, diagonals) % ctx.p
+    return np.einsum("c,c...->...", ctx.p ** np.arange(e), coords)
+
+
+def _coefficient_digits(ctx, n: int, idx: np.ndarray) -> np.ndarray:
+    """(n+1, e, *idx.shape) base-p digits of a_0, ..., a_n at counting
+    indices idx, which hold the coefficients as base-q digits."""
+    cols = digits(idx, ctx.p, (n + 1) * ctx.e)
+    cols = cols.reshape(cols.shape[:-1] + (n + 1, ctx.e))
+    return np.ascontiguousarray(np.moveaxis(cols, (-2, -1), (0, 1)))
+
+
+def lag_sums(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
+    """(n+1, *idx.shape) array whose row lag is autocorrelation(a, lag, n).
+
+    a ranges over the polynomials of degree <= n at counting indices idx
+    (the DEGREE_AT_MOST order).
+    """
+    a = _coefficient_digits(ring.ctx, n, idx)
+    return np.stack([_sum_products(ring.ctx, a[lag:], a[:n + 1 - lag])
+                     for lag in range(n + 1)])
+
+
+def reversal_products(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
+    """(2n+1, *idx.shape) coefficients of reverse(a, n) * a, t^0 first.
+
+    Coefficient k sums r_i * a_(k-i) over every i with 0 <= i, k-i <= n,
+    r = reverse(a, n), for the polynomials a of degree <= n at counting
+    indices idx.
+    """
+    a = _coefficient_digits(ring.ctx, n, idx)
+    r = a[::-1]
+    out = []
+    for k in range(2 * n + 1):
+        lo, hi = max(0, k - n), min(k, n)
+        out.append(_sum_products(ring.ctx, r[lo:hi + 1],
+                                 a[k - hi:k - lo + 1][::-1]))
+    return np.stack(out)
 
 
 def reversal_product_correlations(ring: PolyRing, a, n: int) -> list:

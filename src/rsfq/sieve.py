@@ -26,8 +26,10 @@ over the monic degree-n counting indices; count_irreducibles_sieve counts
 its unmarked entries and dist.distribution reads the irreducibles off it.
 arith.Dirichlet sums weights over the same blocks.  Memory is bounded: a
 digit-add table holds at most TABLE_BYTES and one image or gather block
-about BLOCK entries.  Nothing is cached between calls.  All arithmetic is
-in integers sized so that nothing wraps around.
+about BLOCK entries.  Each digit-add table is built once per process
+(vecenum.digit_add_table) and shared read-only; nothing else is kept
+between calls.  All arithmetic is in integers sized so that nothing wraps
+around.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ those two facts in numpy; FieldCtx and every bulk path use it.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
@@ -53,11 +55,13 @@ def digits(values, p: int, width: int) -> np.ndarray:
     return out
 
 
+@cache
 def digit_add_table(p: int, s: int) -> np.ndarray:
     """(p^s, p^s) int32 table whose [u, v] is the digit-wise sum mod p of u, v.
 
     Built one digit at a time: appending a top digit with place value p^k
     turns the k-digit table T into D * p^k (+) T, D the one-digit table.
+    Each (p, s) is built once per process and shared read-only.
     """
     digit = np.arange(p, dtype=np.int32)
     one = (digit[:, None] + digit[None, :]) % p
@@ -66,6 +70,7 @@ def digit_add_table(p: int, s: int) -> np.ndarray:
         size = p ** (k + 1)
         table = ((one * p**k)[:, None, :, None]
                  + table[None, :, None, :]).reshape(size, size)
+    table.setflags(write=False)
     return table
 
 

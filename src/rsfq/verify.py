@@ -11,6 +11,13 @@ Cell pass semantics are the mathematical claims themselves.  A failing cell
 is a violated desk-scale instance of a stated bound and turns into exit
 code 1 at the CLI; the rank-qa scan is known to contain such instances at
 boundary degrees (see the scan reports for the inventory).
+
+The star cell walks the q^(n+1) polynomials a of degree <= n as blocks of
+counting indices: rudin.reversal_products gives the coefficients of
+reverse(a, n) * a and rudin.lag_sums every autocorrelation of a.  A
+product that is not palindromic raises AssertionError naming a; a
+coefficient t^(n-lag) that differs from the lag sum is a failure
+{"a", "lag"}, listed by a and then by lag.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from .dist import distribution
 from .errors import ConfigError, ExactIdentityError
 from .field import FieldCtx
 from .poly import DEFAULT_CAP, PolyRing, PolySet
-from .rudin import autocorrelation, reversal_product_correlations, rs_values
+from .rudin import autocorrelation, lag_sums, reversal_products, rs_values
+from .sieve import BLOCK
 from .vaughan import (
     VaughanContext,
     default_cutoffs,
@@ -36,6 +44,7 @@ from .vaughan import (
     sigma2,
     unit_weight,
 )
+from .vecenum import digits
 
 CHECK_CHOICES = (
     "star", "lin-red", "tau", "tau-moment", "gauss",
@@ -147,15 +156,29 @@ def run_cell(cell: dict) -> dict:
 
 def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
-    checked = 0
+    count = ring.cardinality(PolySet.DEGREE_AT_MOST, n)
+    ring.check_cap(count, cell["cap"])
+    # Each block forms about BLOCK digit products per coefficient.
+    per = max(1, BLOCK // ((n + 1) * ring.ctx.e**2))
     failures = []
-    for a in ring.enumerate(PolySet.DEGREE_AT_MOST, n, cell["cap"]):
-        corr = reversal_product_correlations(ring, a, n)
-        for lag in range(n + 1):
-            if corr[lag] != autocorrelation(ring, a, lag, n):
-                failures.append({"a": ring.to_str(a), "lag": lag})
-        checked += 1
-    return not failures, {"checked": checked, "failures": failures}
+    for start in range(0, count, per):
+        idx = np.arange(start, min(start + per, count))
+        prod = reversal_products(ring, n, idx)
+        corr = prod[n::-1]                  # t^(n-lag), lag = 0..n
+        skew = corr != prod[n:]             # against t^(n+lag)
+        if skew.any():
+            k, lag = np.argwhere(skew.T)[0]
+            raise AssertionError(
+                f"reversal product of {_poly_str(ring, n, idx[k])} is not "
+                f"palindromic at lag {lag}")
+        for k, lag in np.argwhere((corr != lag_sums(ring, n, idx)).T):
+            failures.append({"a": _poly_str(ring, n, idx[k]), "lag": int(lag)})
+    return not failures, {"checked": count, "failures": failures}
+
+
+def _poly_str(ring: PolyRing, n: int, index) -> str:
+    """ring.to_str of the polynomial of degree <= n at a counting index."""
+    return ring.to_str(ring.poly(digits(index, ring.ctx.q, n + 1).tolist()))
 
 
 def _run_lin_red(ring: PolyRing, cell: dict):

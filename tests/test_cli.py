@@ -45,6 +45,15 @@ def test_verify_star_passes():
     assert all(cell["check"] == "star" for cell in data["cells"])
 
 
+def test_verify_star_above_the_cap_is_usage_error():
+    """At q = 3^12 the n = 0 cell walks all 531441 constants in blocks; the
+    n = 1 cell would enumerate q^2 polynomials and exits 2."""
+    result = run_cli("--p", "3", "--e", "12", "verify", "star")
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines()[-1] == (
+        "rsfq: enumeration of 282429536481 elements exceeds the cap 100000000")
+
+
 def test_verify_selector_csv():
     result = run_cli("verify", "tau", "--format", "csv")
     assert result.returncode == 0

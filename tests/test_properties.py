@@ -1,4 +1,5 @@
-"""Property tests for field arithmetic, polynomial division and R.
+"""Property tests for field arithmetic, polynomial division, R and the
+autocorrelations read off counting indices.
 
 Fields: F_9 and F_125 are table-backed, F_257 and F_(3^6) compute every
 entry from base-p digits (q > TABLE_Q).  Examples are drawn by hypothesis
@@ -9,9 +10,15 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsfq import FieldCtx, PolyRing, rudin_shapiro
+from rsfq import (
+    FieldCtx,
+    PolyRing,
+    autocorrelation,
+    reversal_product_correlations,
+    rudin_shapiro,
+)
 from rsfq.field import TABLE_Q
-from rsfq.rudin import rs_values
+from rsfq.rudin import lag_sums, reversal_products, rs_values
 
 TABLE_FIELD = FieldCtx(5, 3)
 VIEW_FIELD = FieldCtx(3, 6)
@@ -98,3 +105,22 @@ def test_rs_values_matches_rudin_shapiro(ring, n, data):
     idx = np.array([ring.index_of(low) for low in lows])
     assert rs_values(ring, n, idx).tolist() == [
         rudin_shapiro(ring, low + (1,)) for low in lows]
+
+
+@given(st.sampled_from(RINGS + [PolyRing(VIEW_FIELD)]), st.integers(0, 5),
+       st.data())
+def test_bulk_correlations_match_oracles(ring, n, data):
+    """Every lag sum and both halves of the reversal product read off
+    counting indices equal the per-polynomial values."""
+    element = st.integers(0, ring.ctx.q - 1)
+    vecs = data.draw(st.lists(st.tuples(*[element] * (n + 1)), min_size=1,
+                              max_size=8))
+    idx = np.array([ring.index_of(vec) for vec in vecs])
+    polys = [ring.poly(vec) for vec in vecs]
+    corr = [reversal_product_correlations(ring, a, n) for a in polys]
+    assert lag_sums(ring, n, idx).T.tolist() == [
+        [autocorrelation(ring, a, lag, n) for lag in range(n + 1)]
+        for a in polys]
+    prod = reversal_products(ring, n, idx)
+    assert prod[n::-1].T.tolist() == corr
+    assert prod[n:].T.tolist() == corr

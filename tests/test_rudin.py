@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,9 @@ from rsfq import (
     reversal_product_correlations,
     rudin_shapiro,
 )
-from rsfq.rudin import rs_values
+from rsfq import verify
+from rsfq.rudin import lag_sums, reversal_products, rs_values
+from rsfq.vecenum import digits
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +167,146 @@ def test_reconstruction_from_correlations(f3):
                 coeffs[n - lag] = corr[lag]
                 coeffs[n + lag] = corr[lag]
             assert f3.poly(coeffs) == f3.mul(f3.reverse(a, n), a)
+
+
+# ---------------------------------------------------------------------------
+# lag_sums and reversal_products: every correlation at counting indices,
+# against the per-polynomial oracles
+# ---------------------------------------------------------------------------
+
+def check_bulk_correlations(ring, n, idx, polys):
+    """lag_sums and both halves of reversal_products against the oracles."""
+    lags = lag_sums(ring, n, idx)
+    prod = reversal_products(ring, n, idx)
+    assert lags.shape == (n + 1, len(idx))
+    assert prod.shape == (2 * n + 1, len(idx))
+    want_lags = [[autocorrelation(ring, a, lag, n) for a in polys]
+                 for lag in range(n + 1)]
+    want_corr = np.array([reversal_product_correlations(ring, a, n)
+                          for a in polys]).T.reshape(n + 1, len(idx))
+    assert lags.tolist() == want_lags
+    assert (prod[n::-1] == want_corr).all()      # t^(n-lag)
+    assert (prod[n:] == want_corr).all()         # t^(n+lag)
+
+
+STAR_CASES = [(p, e, n) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+              for n in range(6) if p ** (e * (n + 1)) <= 20000]
+
+
+@pytest.mark.parametrize("p, e, n", STAR_CASES)
+def test_bulk_correlations_match_oracles_on_every_polynomial(p, e, n):
+    ring = PolyRing(FieldCtx(p, e))
+    idx = np.arange(ring.ctx.q ** (n + 1))
+    check_bulk_correlations(ring, n, idx,
+                            list(ring.enumerate(PolySet.DEGREE_AT_MOST, n)))
+    assert idx.tolist() == list(range(ring.ctx.q ** (n + 1)))
+
+
+@pytest.mark.parametrize("p, e", [(257, 1), (3, 6), (4093, 1)])
+def test_bulk_correlations_match_oracles_above_table_q(p, e):
+    """q > TABLE_Q: the oracles compute every entry from base-p digits."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 2):
+        idx = rng.integers(0, q ** (n + 1), size=60)
+        polys = [ring.poly(digits(k, q, n + 1).tolist()) for k in idx]
+        check_bulk_correlations(ring, n, idx, polys)
+
+
+def test_reversal_products_are_the_ring_product(f9):
+    """Every coefficient, not only the correlations, equals reverse(a) * a."""
+    n = 2
+    prod = reversal_products(f9, n, np.arange(9 ** (n + 1)))
+    for k, a in enumerate(f9.enumerate(PolySet.DEGREE_AT_MOST, n)):
+        full = f9.mul(f9.reverse(a, n), a)
+        assert prod[:, k].tolist() == [f9.coeff(full, j) for j in range(2 * n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the star cell
+# ---------------------------------------------------------------------------
+
+def star_cell(p, e, n, cap=10**8):
+    return {"p": p, "e": e, "modulus": None, "cap": cap, "seed": 1,
+            "weights": 3, "check": "star", "n": n}
+
+
+def per_polynomial_failures(ring, n, bad):
+    """The failure list of the per-polynomial loop when the lag sum of the
+    k-th polynomial at lag is wrong for exactly the (k, lag) in bad."""
+    return [{"a": ring.to_str(a), "lag": lag}
+            for k, a in enumerate(ring.enumerate(PolySet.DEGREE_AT_MOST, n))
+            for lag in range(n + 1) if (k, lag) in bad]
+
+
+def corrupt(route, bad, row_of=lambda lag, n: lag):
+    """route with the entry of counting index k at row_of(lag) shifted by 1."""
+    def wrapped(ring, n, idx):
+        out = route(ring, n, idx).copy()
+        for k, lag in bad:
+            hit = idx == k
+            out[row_of(lag, n), hit] = (out[row_of(lag, n), hit] + 1) % ring.ctx.q
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("p, e, n, bad", [
+    (3, 1, 0, {(2, 0)}),
+    (3, 2, 2, {(400, 1)}),
+    (5, 1, 3, {(7, 2), (7, 0), (3, 3), (600, 1), (13, 0), (14, 2), (624, 3)}),
+])
+def test_star_reports_each_corrupted_lag_in_order(monkeypatch, p, e, n, bad):
+    """Corrupted lag sums surface as exactly the (a, lag) failures of the
+    per-polynomial loop, by a and then by lag, also across block edges."""
+    ring = PolyRing(FieldCtx(p, e))
+    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) * e * e)   # 7 per block
+    monkeypatch.setattr(verify, "lag_sums", corrupt(lag_sums, bad))
+    result = verify.run_cell(star_cell(p, e, n))
+    assert not result["pass"]
+    assert result["detail"]["checked"] == ring.ctx.q ** (n + 1)
+    assert result["detail"]["failures"] == per_polynomial_failures(ring, n, bad)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 0), (5, 1, 4), (3, 2, 3)])
+def test_star_cell_passes_across_block_edges(monkeypatch, p, e, n):
+    ring = PolyRing(FieldCtx(p, e))
+    monkeypatch.setattr(verify, "BLOCK", 5 * (n + 1) * e * e + 1)
+    result = verify.run_cell(star_cell(p, e, n))
+    assert result["pass"] and result["detail"]["failures"] == []
+    assert result["detail"]["checked"] == ring.ctx.q ** (n + 1)
+
+
+def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):
+    """The t^(n+lag) coefficient of one product is wrong: the cell raises
+    and names that polynomial, even under python -O."""
+    n, k = 2, 500
+    a = f9.poly(digits(k, 9, n + 1).tolist())
+    monkeypatch.setattr(verify, "reversal_products", corrupt(
+        reversal_products, {(k, 1)}, row_of=lambda lag, n: n + lag))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"of {f9.to_str(a)} is not palindromic at lag 1")):
+        verify.run_cell(star_cell(3, 2, n))
+
+
+def test_star_cell_keeps_the_enumeration_cap(f3):
+    from rsfq import EnumerationCapError
+    with pytest.raises(EnumerationCapError,
+                       match="enumeration of 81 elements exceeds the cap 80"):
+        verify.run_cell(star_cell(3, 1, 3, cap=80))
+    assert verify.run_cell(star_cell(3, 1, 3, cap=81))["pass"]
+
+
+def test_star_cell_memory_is_bounded():
+    """Above TABLE_Q the cell walks blocks of counting indices: q = 3^6,
+    n = 1 (531441 polynomials) and q = 3^12, n = 0, where one q x q table
+    would take 282 GB, stay under a fixed traced peak."""
+    for e, n in ((6, 1), (12, 0)):
+        tracemalloc.start()
+        try:
+            result = verify.run_cell(star_cell(3, e, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["pass"] and result["detail"]["checked"] == 3**(e * (n + 1))
+        assert peak < 64 * 2**20, (e, n, peak)

@@ -19,8 +19,9 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
+from rsfq.arith import Dirichlet
 from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask
-from rsfq.vecenum import index_tables
+from rsfq.vecenum import digit_add_table, index_tables
 
 LIMIT = 10**7
 
@@ -145,6 +146,24 @@ def test_digit_add_bounded_and_exact():
         want = [[_digit_add_reference(int(a), int(b), p, width) for b in y]
                 for a in x]
         assert got.tolist() == want, (p, width)
+
+
+def test_digit_add_table_is_built_once_and_read_only(f9):
+    """Every DigitAdd of one (p, s) shares one read-only table, and masks
+    and convolutions through the shared table equal those built fresh."""
+    rng = np.random.default_rng(4)
+    x, y = rng.integers(-3, 4, 9), rng.integers(-3, 4, 81)
+    digit_add_table.cache_clear()
+    fresh_mask = composite_mask(f9, 4)
+    fresh_conv = Dirichlet(f9).convolve(x, 1, y, 2)
+    table = digit_add_table(3, 4)
+    assert DigitAdd(3, 8).table is table and digit_add_table(3, 4) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert (composite_mask(f9, 4) == fresh_mask).all()
+    assert (Dirichlet(f9).convolve(x, 1, y, 2) == fresh_conv).all()
+    assert digit_add_table.cache_info().misses == 2     # (3, 4) and (3, 6)
 
 
 def test_index_tables_match_field_ops():
