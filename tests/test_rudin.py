@@ -6,6 +6,7 @@ import pytest
 
 from rsfq import (
     DegreeBoundError,
+    EnumerationCapError,
     FieldCtx,
     NotMonicError,
     PolyRing,
@@ -183,14 +184,14 @@ def check_bulk_correlations(ring, n, idx, polys):
     want_lags = [[autocorrelation(ring, a, lag, n) for a in polys]
                  for lag in range(n + 1)]
     want_corr = np.array([reversal_product_correlations(ring, a, n)
-                          for a in polys]).T.reshape(n + 1, len(idx))
+                          for a in polys]).T
     assert lags.tolist() == want_lags
     assert (prod[n::-1] == want_corr).all()      # t^(n-lag)
     assert (prod[n:] == want_corr).all()         # t^(n+lag)
 
 
 STAR_CASES = [(p, e, n) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
-              for n in range(6) if p ** (e * (n + 1)) <= 20000]
+              for n in range(9) if p ** (e * (n + 1)) <= 20000]
 
 
 @pytest.mark.parametrize("p, e, n", STAR_CASES)
@@ -212,15 +213,6 @@ def test_bulk_correlations_match_oracles_above_table_q(p, e):
         idx = rng.integers(0, q ** (n + 1), size=60)
         polys = [ring.poly(digits(k, q, n + 1).tolist()) for k in idx]
         check_bulk_correlations(ring, n, idx, polys)
-
-
-def test_reversal_products_are_the_ring_product(f9):
-    """Every coefficient, not only the correlations, equals reverse(a) * a."""
-    n = 2
-    prod = reversal_products(f9, n, np.arange(9 ** (n + 1)))
-    for k, a in enumerate(f9.enumerate(PolySet.DEGREE_AT_MOST, n)):
-        full = f9.mul(f9.reverse(a, n), a)
-        assert prod[:, k].tolist() == [f9.coeff(full, j) for j in range(2 * n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +260,6 @@ def test_star_reports_each_corrupted_lag_in_order(monkeypatch, p, e, n, bad):
     assert result["detail"]["failures"] == per_polynomial_failures(ring, n, bad)
 
 
-@pytest.mark.parametrize("p, e, n", [(3, 1, 0), (5, 1, 4), (3, 2, 3)])
-def test_star_cell_passes_across_block_edges(monkeypatch, p, e, n):
-    ring = PolyRing(FieldCtx(p, e))
-    monkeypatch.setattr(verify, "BLOCK", 5 * (n + 1) * e * e + 1)
-    result = verify.run_cell(star_cell(p, e, n))
-    assert result["pass"] and result["detail"]["failures"] == []
-    assert result["detail"]["checked"] == ring.ctx.q ** (n + 1)
-
-
 def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):
     """The t^(n+lag) coefficient of one product is wrong: the cell raises
     and names that polynomial, even under python -O."""
@@ -289,8 +272,7 @@ def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):
         verify.run_cell(star_cell(3, 2, n))
 
 
-def test_star_cell_keeps_the_enumeration_cap(f3):
-    from rsfq import EnumerationCapError
+def test_star_cell_keeps_the_enumeration_cap():
     with pytest.raises(EnumerationCapError,
                        match="enumeration of 81 elements exceeds the cap 80"):
         verify.run_cell(star_cell(3, 1, 3, cap=80))
