@@ -7,8 +7,12 @@ minus its second-highest coefficient is the Rudin-Shapiro value R, which
 rs_values reads off counting indices in bulk (rudin_shapiro is its oracle).
 lag_sums and reversal_products read every autocorrelation and the product
 reverse(a, n) * a off the counting indices of the polynomials a of degree
-<= n in bulk; autocorrelation and reversal_product_correlations are their
-oracles, and neither bulk route builds a q x q table.
+<= n in bulk, by two routes that share no field arithmetic: lag_sums
+contracts integer sums of digit products with the powers of the field
+generator w, reversal_products multiplies coefficients by Horner's rule
+through the modulus.  The star cell compares them; autocorrelation and
+reversal_product_correlations are their oracles, and neither bulk route
+builds a q x q table.
 """
 
 from __future__ import annotations
@@ -109,20 +113,47 @@ def lag_sums(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
                      for lag in range(n + 1)])
 
 
+def _field_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Base-p digits of x * y for broadcastable (e, ...) digit arrays.
+
+    Horner's rule in the digits of y: acc = acc * w + y_j * x for
+    j = e-1, ..., 0, where acc * w moves every digit up one place and folds
+    the top one back through the modulus, w^e = -(m_0 + ... + m_(e-1)
+    w^(e-1)).  It shares no step with _sum_products, which reads the
+    powers of w off ctx.basis.  Only the folded digit is reduced before the
+    end, so every entry stays below 2e p^2.
+    """
+    p, e = ctx.p, ctx.e
+    fold = [(d, -c % p) for d, c in enumerate(ctx.modulus[:e]) if c % p]
+    acc = [y[e - 1] * x[d] for d in range(e)]
+    for j in range(e - 2, -1, -1):
+        top = acc.pop() % p
+        acc.insert(0, np.zeros_like(top))
+        for d, c in fold:
+            acc[d] += c * top
+        for d in range(e):
+            acc[d] += y[j] * x[d]
+    return np.stack(acc) % p
+
+
 def reversal_products(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
     """(2n+1, *idx.shape) coefficients of reverse(a, n) * a, t^0 first.
 
     Coefficient k sums r_i * a_(k-i) over every i with 0 <= i, k-i <= n,
-    r = reverse(a, n), for the polynomials a of degree <= n at counting
-    indices idx.
+    r_i = a_(n-i), for the polynomials a of degree <= n at counting indices
+    idx.  Each product of two coefficients is formed by _field_products and
+    the sums are digit-wise mod p, so this route and lag_sums share no
+    field arithmetic.
     """
-    a = _coefficient_digits(ring.ctx, n, idx)
-    r = a[::-1]
+    ctx = ring.ctx
+    a = np.moveaxis(_coefficient_digits(ctx, n, idx), 1, 0)
+    pairs = _field_products(ctx, a[:, :, None], a[:, None])  # [:, i, j]: a_i a_j
+    place = ctx.p ** np.arange(ctx.e)
     out = []
     for k in range(2 * n + 1):
-        lo, hi = max(0, k - n), min(k, n)
-        out.append(_sum_products(ring.ctx, r[lo:hi + 1],
-                                 a[k - hi:k - lo + 1][::-1]))
+        i = np.arange(max(0, k - n), min(k, n) + 1)
+        coeff = pairs[:, n - i, k - i].sum(axis=1) % ctx.p
+        out.append(np.tensordot(place, coeff, axes=1))
     return np.stack(out)
 
 

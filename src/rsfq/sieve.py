@@ -26,10 +26,11 @@ over the monic degree-n counting indices; count_irreducibles_sieve counts
 its unmarked entries and dist.distribution reads the irreducibles off it.
 arith.Dirichlet sums weights over the same blocks.  Memory is bounded: a
 digit-add table holds at most TABLE_BYTES and one image or gather block
-about BLOCK entries.  Each digit-add table is built once per process
-(vecenum.digit_add_table) and shared read-only; nothing else is kept
-between calls.  All arithmetic is in integers sized so that nothing wraps
-around.
+about BLOCK entries.  Digit-add tables are shared read-only through
+vecenum.digit_add_table, which keeps the 16 most recently used, so the
+tables kept between calls add up across (p, s) to at most 16 of them;
+nothing else is kept.  All arithmetic is in integers sized so that nothing
+wraps around.
 """
 
 from __future__ import annotations

@@ -14,10 +14,12 @@ boundary degrees (see the scan reports for the inventory).
 
 The star cell walks the q^(n+1) polynomials a of degree <= n as blocks of
 counting indices: rudin.reversal_products gives the coefficients of
-reverse(a, n) * a and rudin.lag_sums every autocorrelation of a.  A
-product that is not palindromic raises AssertionError naming a; a
-coefficient t^(n-lag) that differs from the lag sum is a failure
-{"a", "lag"}, listed by a and then by lag.
+reverse(a, n) * a and rudin.lag_sums every autocorrelation of a, by two
+routes that share no field arithmetic (Horner's rule through the modulus
+against digit sums contracted with the powers of w).  A product that is
+not palindromic raises AssertionError naming a; a coefficient t^(n-lag)
+that differs from the lag sum is a failure {"a", "lag"}, listed by a and
+then by lag.
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
     count = ring.cardinality(PolySet.DEGREE_AT_MOST, n)
     ring.check_cap(count, cell["cap"])
-    # Each block forms about BLOCK digit products per coefficient.
-    per = max(1, BLOCK // ((n + 1) * ring.ctx.e**2))
+    # Each block holds about BLOCK digits of coefficient products.
+    per = max(1, BLOCK // ((n + 1) ** 2 * ring.ctx.e))
     failures = []
     for start in range(0, count, per):
         idx = np.arange(start, min(start + per, count))

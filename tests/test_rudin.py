@@ -252,12 +252,32 @@ def test_star_reports_each_corrupted_lag_in_order(monkeypatch, p, e, n, bad):
     """Corrupted lag sums surface as exactly the (a, lag) failures of the
     per-polynomial loop, by a and then by lag, also across block edges."""
     ring = PolyRing(FieldCtx(p, e))
-    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) * e * e)   # 7 per block
+    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) ** 2 * e)   # 7 per block
     monkeypatch.setattr(verify, "lag_sums", corrupt(lag_sums, bad))
     result = verify.run_cell(star_cell(p, e, n))
     assert not result["pass"]
     assert result["detail"]["checked"] == ring.ctx.q ** (n + 1)
     assert result["detail"]["failures"] == per_polynomial_failures(ring, n, bad)
+
+
+@pytest.mark.parametrize("part", ["basis", "modulus"])
+def test_star_routes_share_no_field_arithmetic(part):
+    """Over F_9 = F_3[w]/(w^2 + 1), a w^2 of 1 in ctx.basis (read only by
+    lag_sums) or in the modulus (read only by reversal_products) makes the
+    n = 0 cell fail at exactly the squares that see w^2: a = c_0 + c_1 w
+    with c_1 != 0, counting indices 3..8."""
+    ring = PolyRing(FieldCtx(3, 2))
+    ctx = ring.ctx
+    assert ctx.modulus == (1, 0, 1)
+    if part == "basis":
+        ctx.basis = ctx.basis.copy()
+        ctx.basis[1, 1] = [1, 0]                  # digits of w^2
+    else:
+        ctx.modulus = (2, 0, 1)                   # w^2 = -2 = 1
+    passed, detail = verify._run_star(ring, star_cell(3, 2, 0))
+    assert not passed
+    assert detail["failures"] == [{"a": ring.to_str(ring.poly([x])), "lag": 0}
+                                  for x in range(3, 9)]
 
 
 def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):

@@ -163,7 +163,8 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
         table[0, 0] = 1
     assert (composite_mask(f9, 4) == fresh_mask).all()
     assert (Dirichlet(f9).convolve(x, 1, y, 2) == fresh_conv).all()
-    assert digit_add_table.cache_info().misses == 2     # (3, 4) and (3, 6)
+    info = digit_add_table.cache_info()
+    assert info.misses == 2 and info.maxsize == 16      # (3, 4) and (3, 6)
 
 
 def test_index_tables_match_field_ops():
