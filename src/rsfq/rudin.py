@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
 from .poly import PolyRing
-from .vecenum import digits, index_tables
+from .vecenum import digits, index_tables, int_dtype
 
 
 def autocorrelation(ring: PolyRing, f, lag: int, n: int):
@@ -146,7 +146,9 @@ def reversal_products(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
     field arithmetic.
     """
     ctx = ring.ctx
-    a = np.moveaxis(_coefficient_digits(ctx, n, idx), 1, 0)
+    # The narrowest dtype that holds every entry of _field_products.
+    a = np.moveaxis(_coefficient_digits(ctx, n, idx), 1, 0).astype(
+        int_dtype(2 * ctx.e * ctx.p**2))
     pairs = _field_products(ctx, a[:, :, None], a[:, None])  # [:, i, j]: a_i a_j
     place = ctx.p ** np.arange(ctx.e)
     out = []
