@@ -11,12 +11,16 @@ The Gauss scan needs the histogram of x^T M x + L.x for all q^m linear
 parts L.  gauss_counts builds them with one staged transform over the
 add/mul index tables, trading one coordinate of x for one of L per stage:
 m q^(m+2) work and O(q^(m+1)) memory for every q, where pairing every x
-with every L costs q^(2m) of both.
+with every L costs q^(2m) of both.  scan_gauss_bound decides each form
+in integers from those histograms: |S|^2 = sum_d A_d psi(d) with
+A_d = sum_v c_v c_(v+d), so no character value enters the check.
+max_gauss_magnitude is its floating-point oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -28,11 +32,13 @@ from .errors import (
     TrivialCharacterError,
     ZeroPolynomialError,
 )
-from .field import FieldCtx
+from .field import FieldCtx, field_tables
 from .poly import PolyRing, PolySet
-from .quadform import SymMatrix, matrix_rank, qa_matrix, quad_eval
+from .quadform import (
+    SymMatrix, form_ranks, matrix_rank, qa_forms, quad_eval, sym_matrix,
+)
 from .rudin import autocorrelation, rudin_shapiro
-from .vecenum import coeff_digits, index_tables, int_dtype, sub_table
+from .vecenum import coeff_digits, int_dtype, sub_table
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def gauss_counts(mat: SymMatrix) -> np.ndarray:
     A[..., x_j, ..., v - L_j x_j]; after stage m - 1, A[L, v] = counts[v, L].
     """
     q, m = mat.ctx.q, mat.dim
-    add, mul = index_tables(mat.ctx.p, mat.ctx.basis)
+    add, mul = field_tables(mat.ctx.key())
     sub = sub_table(add)
     xs = coeff_digits(q**m, q, m)
     quad = np.zeros(q**m, dtype=add.dtype)
@@ -136,16 +142,20 @@ def gauss_counts(mat: SymMatrix) -> np.ndarray:
     return np.ascontiguousarray(hist.T, dtype=np.int64)
 
 
+def _check_all_pairs_cap(ctx: FieldCtx, m: int, cap: int) -> None:
+    if ctx.q ** (2 * m) > cap:
+        raise EnumerationCapError(
+            f"all-linear-parts scan needs q^{2 * m} pair evaluations, "
+            f"over the cap {cap}"
+        )
+
+
 def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
     """Worst |sum psi(x^T M x + L(x))| over every linear part L (the zero
     form included) and every non-trivial character: per character,
     gauss_counts(mat).T @ (character values) holds the sum of every L."""
     ctx = mat.ctx
-    if ctx.q ** (2 * mat.dim) > cap:
-        raise EnumerationCapError(
-            f"all-linear-parts scan needs q^{2 * mat.dim} pair evaluations, "
-            f"over the cap {cap}"
-        )
+    _check_all_pairs_cap(ctx, mat.dim, cap)
     counts = gauss_counts(mat)
     worst = 0.0
     for beta in range(1, ctx.q):
@@ -154,38 +164,52 @@ def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
     return worst
 
 
-def scan_gauss_bound(
-    ring: PolyRing, n: int, tol: float = 1e-6, cap: int | None = None
-) -> list:
-    """Exhaustive rank-bound check for every multiplier form at degree n.
+def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
+    """Exhaustive exact rank-bound check for every multiplier form at degree n.
 
-    For every k < n/2, every monic a of degree k, every linear part L on the
-    h-space and every non-trivial character, the enumerated sum of
-    psi(Q_a(h) + L(h)) is compared against q^(dim - rank/2) + tol.  Returns
-    one report per (k, a) with the worst observed magnitude.
+    For every k < n/2 and every monic a of degree k, the form Q_a and its
+    rank r come from one qa_forms block and form_ranks, and gauss_counts
+    gives c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
+    A_d = sum_v c_v c_(v+d), |S_beta|^2 = sum_d A_d psi_beta(d) for every
+    character psi_beta.  The form passes when, for every L, A_d is the same
+    for every d != 0, so that |S_beta|^2 = A_0 - A_1 for every non-trivial
+    character, and A_0 - A_1 is 0 or q^(2m - r): the quadratic-form
+    dichotomy (Lidl & Niederreiter, Finite Fields, ch. 5-6), all in
+    integers.  Returns one report per (k, a) with the largest A_0 - A_1 as
+    max_abs_sq, its square root as max_magnitude and the bound q^(m - r/2).
     """
-    q = ring.ctx.q
+    ctx = ring.ctx
+    q = ctx.q
+    add = field_tables(ctx.key())[0]
     reports = []
     limit = ring.cap if cap is None else cap
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
-        for a in ring.enumerate(PolySet.MONIC, k, cap):
-            mat = qa_matrix(ring, a, n)
-            rank = matrix_rank(mat)
-            bound = float(q) ** (m - rank / 2)
-            worst = max_gauss_magnitude(mat, limit)
+        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k, cap)]
+        _check_all_pairs_cap(ctx, m, limit)
+        forms = qa_forms(ring, n, k)
+        ranks = form_ranks(ctx, forms)[0].tolist()
+        for name, form, rank in zip(names, forms, ranks):
+            counts = gauss_counts(sym_matrix(ctx, form.tolist()))
+            energy = np.stack([(counts * counts[add[:, d]]).sum(axis=0)
+                               for d in range(q)])
+            abs_sq = energy[0] - energy[1]
+            max_abs_sq = int(abs_sq.max())
+            top = q ** (2 * m - rank)
             reports.append({
                 "q": q,
                 "n": n,
                 "k": k,
-                "a": ring.to_str(a),
+                "a": name,
                 "dim": m,
                 "rank": rank,
-                "bound": bound,
-                "max_magnitude": worst,
+                "bound": float(q) ** (m - rank / 2),
+                "max_abs_sq": max_abs_sq,
+                "max_magnitude": math.sqrt(max_abs_sq),
                 "linear_forms": q**m,
                 "characters": q - 1,
-                "pass": worst <= bound + tol,
+                "pass": bool((energy[1:] == energy[1]).all()
+                             and ((abs_sq == 0) | (abs_sq == top)).all()),
             })
     return reports
 

@@ -11,7 +11,7 @@ are spelled out only where elements are read or written as text, as
 
 Arithmetic is table lookup.  For q <= TABLE_Q the constructor builds the
 q x q add/mul tables and the size-q neg/inv tables once, as nested lists,
-with vecenum.index_tables; up to TABLE_Q every entry is a cached small int,
+from field_tables; up to TABLE_Q every entry is a cached small int,
 so a table costs 8 bytes per entry.  Above TABLE_Q the same attributes are
 views that compute each entry from base-p digits (digit_add, digit_mul,
 digit_neg, and power(x, q - 2) for inv), so callers index add_table[x][y]
@@ -23,7 +23,9 @@ processes; every operation is a pure function of its arguments.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .errors import ConfigError, ExactTraceError, ZeroInversionError
 from .vecenum import basis_products, index_tables
@@ -95,6 +97,31 @@ def _pf_is_irreducible(f: list, p: int) -> bool:
             if not _pf_divmod(f, g, p)[1]:
                 return False
     return True
+
+
+def _w_powers(p: int, e: int, modulus: tuple) -> list:
+    """Digits of w^k, k = 0..2e-2, w the root of the modulus (t for F_p)."""
+    reduce_by = list(modulus or (0, 1))
+    out = []
+    for k in range(2 * e - 1):
+        rem = _pf_divmod([0] * k + [1], reduce_by, p)[1]
+        out.append(rem + [0] * (e - len(rem)))
+    return out
+
+
+@lru_cache(maxsize=4)
+def field_tables(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """vecenum.index_tables of the field whose FieldCtx.key() is key.
+
+    Built once per key and read-only; the 4 most recently used fields are
+    kept.  FieldCtx reads its tables off it up to TABLE_Q, and the bulk
+    paths over F_(p^e) call it instead of building their own.
+    """
+    p, e, modulus = key
+    tables = index_tables(p, basis_products(_w_powers(p, e, modulus)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _default_modulus(p: int, e: int) -> tuple:
@@ -172,15 +199,10 @@ class FieldCtx:
             if not _pf_is_irreducible(list(mod), p):
                 raise ConfigError("modulus is reducible over F_p")
             self.modulus = mod
-        # Digits of w^k, k = 0..2e-2, w the root of the modulus (t for F_p).
-        reduce_by = list(self.modulus or (0, 1))
-        self._w_powers = []
-        for k in range(2 * e - 1):
-            rem = _pf_divmod([0] * k + [1], reduce_by, p)[1]
-            self._w_powers.append(rem + [0] * (e - len(rem)))
+        self._w_powers = _w_powers(p, e, self.modulus)
         self.basis = basis_products(self._w_powers)
         if q <= TABLE_Q:
-            add, mul = index_tables(p, self.basis)
+            add, mul = field_tables(self.key())
             self.add_table = add.tolist()
             self.mul_table = mul.tolist()
             self.neg_table = (add == 0).argmax(axis=1).tolist()

@@ -11,16 +11,30 @@ Forms live on the full degree-at-most space of dimension n - k + 1.  The
 restriction to monic h (top coefficient fixed to 1) is affine; its
 quadratic part is the principal submatrix with the top index deleted, and
 monic_slice_rank reports that rank.
+
+The scans rank a whole degree of forms at once.  qa_forms reads every
+multiplier form of one degree off rudin.lag_sums: it is the symmetric
+Toeplitz matrix with entries (S(|d-1|) + S(d+1)) / 2 on the d-th
+diagonals, and a difference form is the difference of two of them.
+form_ranks blows every entry up to its e x e F_p multiplication matrix
+and eliminates mod p over the whole block, the same path for every q with
+no q x q table.  matrix_rank, monic_slice_rank and the per-form builders
+qa_matrix, qa_matrix_entrywise and bab_matrix are their oracles and never
+call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegreeBoundError, NotMonicError
 from .field import FieldCtx
 from .poly import PolyRing, PolySet
-from .rudin import autocorrelation
+from .rudin import autocorrelation, lag_sums
+from .sieve import BLOCK
+from .vecenum import digits, int_dtype, mul_matrices
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,122 @@ def bab_matrix(ring: PolyRing, a, b, n: int) -> SymMatrix:
     return sym_matrix(ctx, rows)
 
 
+def _eliminate(mats: np.ndarray, p: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_q rank and monic-slice rank from blown-up symmetric forms.
+
+    mats is a (B, N, N) block of residues mod p, N = m e, each the blow-up
+    of a symmetric F = [[A, b], [b^T, c]] with A the leading (m - 1) block.
+    Fraction-free elimination clears the first N - e columns: the pivot of
+    a column is a nonzero entry in one of the first N - e rows, and every
+    row r becomes pivot * r - r[col] * (pivot row).  That keeps the row
+    space and turns the pivot row itself to zero, so it is never chosen
+    again; the number of pivots is e rank A.  The last e rows are then b^T
+    and c reduced by the rows of [A b]: they are nonzero on the first
+    N - e columns exactly when b is not in the column space of A, and then
+    rank F = rank A + 2 (A is symmetric); otherwise their last e columns
+    hold c - b^T A^- b and rank F = rank A + 1 if it is nonzero, rank A if
+    it is zero.
+    """
+    size, dim = mats.shape[:2]
+    lead = dim - e
+    # Row 0 stays zero: argmax picks it when a column has no pivot, and
+    # then the update is the identity.
+    work = np.zeros((size, dim + 1, dim), dtype=int_dtype(p * p))
+    work[:, 1:] = mats
+    pivots = np.zeros((size, lead), dtype=work.dtype)
+    every = np.arange(size)
+    for col in range(lead):
+        column = work[:, :, col]
+        prow = work[every, column[:, :lead + 1].argmax(axis=1), col:]
+        pivots[:, col] = prow[:, 0]
+        work[:, :, col:] = (work[:, :, col:] * np.maximum(prow[:, :1, None], 1)
+                            - column[:, :, None] * prow[:, None, :]) % p
+    monic_rank = np.count_nonzero(pivots, axis=1) // e
+    tail = work[:, lead + 1:]
+    grow = np.where(tail[:, :, :lead].any(axis=(1, 2)), 2,
+                    tail[:, :, lead:].any(axis=(1, 2)))
+    return monic_rank + grow, monic_rank
+
+
+def form_ranks(ctx: FieldCtx, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and monic-slice rank of every form in a (B, m, m) block.
+
+    forms holds symmetric matrices of element indices.  Each entry x is
+    blown up to the e x e F_p matrix of multiplication by x
+    (vecenum.mul_matrices); x -> that matrix embeds F_q in the F_p
+    matrices, so F_p row operations on the (m e) x (m e) blow-up are F_q
+    row operations on the form, and F_p ranks are e times F_q ranks.  The
+    block is eliminated mod p (_eliminate) in batches of about sieve.BLOCK
+    matrix entries, the same path for every q.
+    """
+    if not (forms == forms.swapaxes(1, 2)).all():
+        raise ValueError("forms must be symmetric")
+    p, e = ctx.p, ctx.e
+    size, m = forms.shape[:2]
+    rank = np.empty(size, dtype=np.int64)
+    monic_rank = np.empty(size, dtype=np.int64)
+    per = max(1, BLOCK // (m * e) ** 2)
+    for start in range(0, size, per):
+        stop = min(start + per, size)
+        blocks = mul_matrices(ctx.basis, digits(forms[start:stop], p, e), p)
+        # Axes (form, i, j, row, col) -> rows (i, row), columns (j, col).
+        mats = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * e, m * e)
+        rank[start:stop], monic_rank[start:stop] = _eliminate(mats, p, e)
+    return rank, monic_rank
+
+
+def _diagonals(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag sums and diagonals of h -> S(a h) for every monic a of degree k.
+
+    Returns the (q^k, k + 1) autocorrelations S(0..k) of each a, as element
+    indices in counting order, and the (q^k, m, e) base-p digits of
+    w_d = (S(|d - 1|) + S(d + 1)) / 2, d < m = n - k + 1, S zero above lag
+    k: entry (i, j) of the form is w_|i-j| (qa_matrix_entrywise).  1/2 is
+    the F_p scalar (p + 1) / 2, so every step is digit-wise mod p.
+    """
+    ctx = ring.ctx
+    p, q, m = ctx.p, ctx.q, n - k + 1
+    # In degree <= k counting order the monics of degree k follow q^k.
+    lags = lag_sums(ring, k, np.arange(q**k, 2 * q**k)).T
+    s = digits(lags, p, ctx.e)
+    s = np.concatenate([s, np.zeros((len(s), m - k, ctx.e), s.dtype)], axis=1)
+    d = np.arange(m)
+    return lags, (s[:, abs(d - 1)] + s[:, d + 1]) * ((p + 1) // 2) % p
+
+
+def _toeplitz(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
+    """(B, m, m) element indices w_|i-j| from (B, m, e) base-p digits w."""
+    d = np.arange(w.shape[1])
+    first = w @ ctx.p ** np.arange(ctx.e)
+    return first[:, abs(d[:, None] - d)].astype(int_dtype(ctx.q - 1))
+
+
+def qa_forms(ring: PolyRing, n: int, k: int) -> np.ndarray:
+    """qa_matrix(ring, a, n) for every monic a of degree k, counting order,
+    as one (q^k, n - k + 1, n - k + 1) array of element indices."""
+    return _toeplitz(ring.ctx, _diagonals(ring, n, k)[1])
+
+
+def bab_forms(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coincidences and difference forms of the ordered monic pairs of degree k.
+
+    The coefficients of reverse(a, k) * a are the autocorrelations of a, so
+    two reversal products coincide exactly when the lag vectors do:
+    same[a, b] says so for every pair, as a (q^k, q^k) boolean matrix in
+    counting order.  The forms are bab_matrix(ring, a, b, n) for every pair
+    with same[a, b] false, in the order of np.nonzero(~same), as one
+    (pairs, n - k + 1, n - k + 1) array of element indices.
+    """
+    lags, w = _diagonals(ring, n, k)
+    same = (lags[:, None] == lags).all(axis=2)
+    a_idx, b_idx = np.nonzero(~same)
+    return same, _toeplitz(ring.ctx, (w[a_idx] - w[b_idx]) % ring.ctx.p)
+
+
+def _monic_names(ring: PolyRing, k: int, cap: int | None) -> list:
+    return [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k, cap)]
+
+
 @dataclass
 class RankReport:
     """Observed rank data for one scanned form."""
@@ -295,22 +425,23 @@ def scan_qa_ranks(ring: PolyRing, n: int, cap: int | None = None) -> list:
     t^(k+1) w = a a* (t^2 + 1)/2 of degree >= k + 2, so a kernel vector h
     is fixed by the top k + 1 coefficients of t^(k+1) w h and the kernel
     has dimension <= k + 1; the monic slice is T_(m-1)(w).  ``bound`` and
-    ``passed`` still record the stated n - k - 1 claim.
+    ``passed`` still record the stated n - k - 1 claim.  Each degree k is
+    one qa_forms block ranked by form_ranks.
     """
     if n < 2:
         raise DegreeBoundError("rank scan needs n >= 2")
     reports = []
     q = ring.ctx.q
     for k in range((n - 1) // 2 + 1):
-        ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
-        for a in ring.enumerate(PolySet.MONIC, k, cap):
-            mat = qa_matrix(ring, a, n)
-            rank = matrix_rank(mat)
-            mrank = monic_slice_rank(mat)
-            bound = n - k - 1
+        m = n - k + 1
+        bound = n - k - 1
+        names = _monic_names(ring, k, cap)
+        ranks, monic_ranks = form_ranks(ring.ctx, qa_forms(ring, n, k))
+        for name, rank, mrank in zip(names, ranks.tolist(),
+                                     monic_ranks.tolist()):
             reports.append(RankReport(
-                q=q, n=n, k=k, form="qa", a=ring.to_str(a), b=None,
-                rank=rank, kernel_dim=mat.dim - rank, bound=bound,
+                q=q, n=n, k=k, form="qa", a=name, b=None,
+                rank=rank, kernel_dim=m - rank, bound=bound,
                 monic_rank=mrank, passed=rank >= bound,
             ))
     return reports
@@ -322,36 +453,30 @@ def scan_bab_ranks(ring: PolyRing, n: int, k: int, cap: int | None = None) -> di
     Pairs whose reversal products coincide are excluded from the rank bound
     and collected per a as the coincidence set; every other pair is checked
     against the lower bound n - 2k - 1 (pass is rank >= bound), with the
-    monic-slice rank recorded alongside.
+    monic-slice rank recorded alongside.  The pairs and their forms are one
+    bab_forms block ranked by form_ranks.
     """
     if 2 * k >= n:
         raise DegreeBoundError(f"need 2k = {2 * k} < n = {n}")
     ring.check_cap(ring.cardinality(PolySet.MONIC, k) ** 2, cap)
-    q = ring.ctx.q
-    monics = list(ring.enumerate(PolySet.MONIC, k, cap))
-    star = {a: ring.mul(ring.reverse(a, k), a) for a in monics}
-    reports = []
-    coincidence = []
-    excluded = 0
-    for a in monics:
-        bset = [b for b in monics if star[b] == star[a]]
-        coincidence.append({"a": ring.to_str(a), "size": len(bset)})
-        for b in monics:
-            if star[a] == star[b]:
-                excluded += 1
-                continue
-            mat = bab_matrix(ring, a, b, n)
-            rank = matrix_rank(mat)
-            mrank = monic_slice_rank(mat)
-            bound = n - 2 * k - 1
-            reports.append(RankReport(
-                q=q, n=n, k=k, form="bab", a=ring.to_str(a), b=ring.to_str(b),
-                rank=rank, kernel_dim=mat.dim - rank, bound=bound,
-                monic_rank=mrank, passed=rank >= bound,
-            ))
+    m = n - k + 1
+    bound = n - 2 * k - 1
+    names = _monic_names(ring, k, cap)
+    same, forms = bab_forms(ring, n, k)
+    ranks, monic_ranks = form_ranks(ring.ctx, forms)
+    reports = [
+        RankReport(
+            q=ring.ctx.q, n=n, k=k, form="bab", a=names[a], b=names[b],
+            rank=rank, kernel_dim=m - rank, bound=bound,
+            monic_rank=mrank, passed=rank >= bound,
+        )
+        for a, b, rank, mrank in zip(*np.nonzero(~same), ranks.tolist(),
+                                     monic_ranks.tolist())
+    ]
     return {
         "reports": reports,
-        "coincidence_sets": coincidence,
+        "coincidence_sets": [{"a": name, "size": size} for name, size
+                             in zip(names, same.sum(axis=1).tolist())],
         "pairs_checked": len(reports),
-        "pairs_excluded": excluded,
+        "pairs_excluded": len(names) ** 2 - len(reports),
     }

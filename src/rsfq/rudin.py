@@ -12,7 +12,8 @@ contracts integer sums of digit products with the powers of the field
 generator w, reversal_products multiplies coefficients by Horner's rule
 through the modulus.  The star cell compares them; autocorrelation and
 reversal_product_correlations are their oracles, and neither bulk route
-builds a q x q table.
+builds a q x q table.  quadform reads every multiplier form of one degree
+off lag_sums.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
+from .field import field_tables
 from .poly import PolyRing
-from .vecenum import digits, index_tables, int_dtype
+from .vecenum import digits, int_dtype
 
 
 def autocorrelation(ring: PolyRing, f, lag: int, n: int):
@@ -61,11 +63,12 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
 
     The counting index of f holds f_0, ..., f_(n-1) as base-q digits.  Over
     F_p the products are summed as integers and reduced once, with no q x q
-    table (q = 4093 is in range); over F_(p^e) they go through index_tables.
+    table (q = 4093 is in range); over F_(p^e) they go through the tables
+    of field.field_tables.
     """
     ctx = ring.ctx
     q = ctx.q
-    add, mul = index_tables(ctx.p, ctx.basis) if ctx.e > 1 else (None, None)
+    add, mul = field_tables(ctx.key()) if ctx.e > 1 else (None, None)
     values = np.zeros_like(idx)
     low = idx % q
     for k in range(1, n):

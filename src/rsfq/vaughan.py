@@ -37,10 +37,11 @@ from .errors import (
     InvalidCutoffsError,
     TrivialCharacterError,
 )
+from .field import field_tables
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
 from .sieve import DigitAdd, product_indices
-from .vecenum import index_tables, int_dtype, sub_table
+from .vecenum import int_dtype, sub_table
 
 
 def validate_cutoffs(n: int, u: int, v: int) -> None:
@@ -292,7 +293,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         raise TrivialCharacterError("sigma2 needs a non-trivial character")
     q = ring.ctx.q
     vals = char_values(chi)
-    sub = sub_table(index_tables(ring.ctx.p, ring.ctx.basis)[0])
+    sub = sub_table(field_tables(ring.ctx.key())[0])
     best = -1.0
     best_i = None
     best_g1 = None

@@ -19,7 +19,8 @@ routes that share no field arithmetic (Horner's rule through the modulus
 against digit sums contracted with the powers of w).  A product that is
 not palindromic raises AssertionError naming a; a coefficient t^(n-lag)
 that differs from the lag sum is a failure {"a", "lag"}, listed by a and
-then by lag.
+then by lag.  verify_all cap-checks every scheduled star cell before any
+cell runs.
 """
 
 from __future__ import annotations
@@ -156,10 +157,17 @@ def run_cell(cell: dict) -> dict:
     }
 
 
+def _star_count(ring: PolyRing, cell: dict) -> int:
+    """q^(n+1) polynomials of degree <= n, cap-checked as ring.enumerate
+    checks them."""
+    count = ring.cardinality(PolySet.DEGREE_AT_MOST, cell["n"])
+    ring.check_cap(count, cell["cap"])
+    return count
+
+
 def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
-    count = ring.cardinality(PolySet.DEGREE_AT_MOST, n)
-    ring.check_cap(count, cell["cap"])
+    count = _star_count(ring, cell)
     # Each block holds about BLOCK digits of coefficient products.
     per = max(1, BLOCK // ((n + 1) ** 2 * ring.ctx.e))
     failures = []
@@ -342,6 +350,10 @@ def verify_all(cfg: RunConfig, checks=("all",)) -> dict:
             raise ConfigError(f"unknown check {check!r}")
     started = time.time()
     cells = build_cells(cfg, checks)
+    ring = cfg.ring()
+    for cell in cells:
+        if cell["check"] == "star":
+            _star_count(ring, cell)
     results = run_cells(cells, cfg.jobs)
     return {
         "config": cfg.public_dict(),

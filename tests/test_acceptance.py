@@ -79,14 +79,15 @@ def test_criterion_2_linear_reduction():
 
 
 def test_criterion_3_gauss_bound_scan():
-    """|sum psi(Q_a + L)| <= q^(dim - rank/2) + 1e-6 for q=3, n <= 6,
-    every monic a with deg a < n/2, every linear part, every character."""
+    """|sum psi(Q_a + L)|^2 is 0 or q^(2 dim - rank), decided in integers,
+    for q=3, n <= 6, every monic a with deg a < n/2, every linear part,
+    every character."""
     started = time.time()
     ring = PolyRing(FieldCtx(3))
     failures = []
     forms = 0
     for n in range(2, 7):
-        for rep in scan_gauss_bound(ring, n, tol=1e-6):
+        for rep in scan_gauss_bound(ring, n):
             forms += 1
             if not rep["pass"]:
                 failures.append(rep)

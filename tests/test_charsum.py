@@ -16,15 +16,19 @@ from rsfq import (
     TrivialCharacterError,
     char_eval,
     char_values,
+    bab_matrix,
     matrix_rank,
     max_gauss_magnitude,
+    monic_slice_rank,
     qa_matrix,
+    qa_matrix_entrywise,
     quad_form_char_sum,
     rs_char_sum_over_set,
     rs_pair_char_sum,
     scan_gauss_bound,
     sym_matrix,
 )
+from rsfq import charsum, quadform
 from rsfq.charsum import gauss_counts, roots_of_unity
 from rsfq.quadform import bilinear_eval, quad_eval
 from rsfq.vecenum import coeff_digits
@@ -213,6 +217,61 @@ def test_gauss_scan_agrees_with_direct_sums(f3):
 def test_gauss_scan_extension_field(f9):
     reports = scan_gauss_bound(f9, 2)
     assert reports and all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("p, e, n", [
+    (3, 1, 4), (5, 1, 4), (7, 1, 3), (3, 2, 3), (5, 2, 1), (3, 3, 1),
+])
+def test_gauss_scan_is_exact(p, e, n):
+    """Every form passes the integer dichotomy.  The zero linear part is
+    orthogonal to every radical, so the largest |S|^2 is exactly
+    q^(2 dim - rank), and the floating-point oracle agrees with it."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    reports = scan_gauss_bound(ring, n)
+    assert reports and all(r["pass"] for r in reports)
+    for rep in reports:
+        assert rep["max_abs_sq"] == q ** (2 * rep["dim"] - rep["rank"])
+        assert rep["max_magnitude"] == math.sqrt(rep["max_abs_sq"])
+        mat = qa_matrix(ring, ring.parse(rep["a"]), n)
+        assert matrix_rank(mat) == rep["rank"]
+        assert abs(max_gauss_magnitude(mat) - rep["max_magnitude"]) < 1e-9
+
+
+def test_gauss_scan_fails_on_a_wrong_count(monkeypatch, f3):
+    """Moving one x to another value in one histogram breaks the integer
+    check: every form of the scan fails."""
+    real_counts = charsum.gauss_counts
+
+    def moved(mat):
+        counts = real_counts(mat).copy()
+        v = counts[:, 0].argmax()
+        counts[v, 0] -= 1
+        counts[(v + 1) % 3, 0] += 1
+        return counts
+
+    monkeypatch.setattr(charsum, "gauss_counts", moved)
+    reports = scan_gauss_bound(f3, 3)
+    assert reports and not any(r["pass"] for r in reports)
+
+
+def test_oracles_never_call_the_kernel(monkeypatch, f9):
+    """The per-form builders, ranks and character sums stay independent of
+    the bulk forms and the batched rank kernel."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called the bulk path")
+
+    for module in (quadform, charsum):
+        for name in ("form_ranks", "qa_forms", "bab_forms", "_eliminate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    a, b = f9.parse("1+1,1+0"), f9.parse("0+1,1+0")
+    for mat in (qa_matrix(f9, a, 3), qa_matrix_entrywise(f9, a, 3),
+                bab_matrix(f9, a, b, 3)):
+        assert matrix_rank(mat) >= monic_slice_rank(mat)
+    mat = qa_matrix(f9, a, 2)
+    assert max_gauss_magnitude(mat) > 0
+    assert abs(quad_form_char_sum(mat, (0, 0), CharSpec(f9.ctx, 1))) > 0
 
 
 def _worst_magnitude_all_pairs(ctx, mat):

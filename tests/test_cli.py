@@ -46,8 +46,9 @@ def test_verify_star_passes():
 
 
 def test_verify_star_above_the_cap_is_usage_error():
-    """At q = 3^12 the n = 0 cell walks all 531441 constants in blocks; the
-    n = 1 cell would enumerate q^2 polynomials and exits 2."""
+    """At q = 3^12 the n = 1 cell would enumerate q^2 polynomials: every
+    star cell is cap-checked before any cell runs, so the run exits 2
+    without walking the 531441 constants of the n = 0 cell first."""
     result = run_cli("--p", "3", "--e", "12", "verify", "star")
     assert result.returncode == 2
     assert result.stderr.strip().splitlines()[-1] == (

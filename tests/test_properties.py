@@ -1,5 +1,5 @@
-"""Property tests for field arithmetic, polynomial division, R and the
-autocorrelations read off counting indices.
+"""Property tests for field arithmetic, polynomial division, R, the
+autocorrelations read off counting indices and the batched rank kernel.
 
 Fields: F_9 and F_125 are table-backed, F_257 and F_(3^6) compute every
 entry from base-p digits (q > TABLE_Q).  Examples are drawn by hypothesis
@@ -15,9 +15,13 @@ from rsfq import (
     PolyRing,
     autocorrelation,
     reversal_product_correlations,
+    matrix_rank,
+    monic_slice_rank,
     rudin_shapiro,
+    sym_matrix,
 )
 from rsfq.field import TABLE_Q
+from rsfq.quadform import form_ranks
 from rsfq.rudin import lag_sums, reversal_products, rs_values
 
 TABLE_FIELD = FieldCtx(5, 3)
@@ -124,3 +128,48 @@ def test_bulk_correlations_match_oracles(ring, n, data):
     prod = reversal_products(ring, n, idx)
     assert prod[n::-1].T.tolist() == corr
     assert prod[n:].T.tolist() == corr
+
+
+@st.composite
+def symmetric_forms(draw, ctx):
+    """A block of symmetric m x m forms sum_t d_t x_t x_t^T plus an
+    optional random symmetric part, so every rank from 0 to m occurs."""
+    m = draw(st.integers(1, 5))
+    element = st.integers(0, ctx.q - 1)
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [[0] * m for _ in range(m)]
+        for _ in range(draw(st.integers(0, m))):
+            d = draw(element)
+            x = draw(st.lists(element, min_size=m, max_size=m))
+            for i in range(m):
+                for j in range(m):
+                    term = ctx.mul(d, ctx.mul(x[i], x[j]))
+                    rows[i][j] = ctx.add(rows[i][j], term)
+        if draw(st.booleans()):
+            for i in range(m):
+                for j in range(i, m):
+                    rows[i][j] = rows[j][i] = ctx.add(rows[i][j], draw(element))
+        forms.append(rows)
+    return forms
+
+
+@given(st.data())
+def test_form_ranks_match_elimination_table_backed(data):
+    forms = data.draw(symmetric_forms(TABLE_FIELD))
+    check_form_ranks(TABLE_FIELD, forms)
+
+
+@given(st.data())
+def test_form_ranks_match_elimination_above_table_q(data):
+    forms = data.draw(symmetric_forms(VIEW_FIELD))
+    check_form_ranks(VIEW_FIELD, forms)
+
+
+def check_form_ranks(ctx, forms):
+    """The kernel's rank and monic-slice rank of each form equal the
+    per-form Gaussian elimination over F_q."""
+    ranks, monic_ranks = form_ranks(ctx, np.array(forms))
+    mats = [sym_matrix(ctx, rows) for rows in forms]
+    assert ranks.tolist() == [matrix_rank(mat) for mat in mats]
+    assert monic_ranks.tolist() == [monic_slice_rank(mat) for mat in mats]

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from rsfq import (
@@ -18,6 +21,7 @@ from rsfq import (
     scan_qa_ranks,
     sym_matrix,
 )
+from rsfq.quadform import bab_forms, form_ranks, qa_forms
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +206,108 @@ def test_q5_scan_has_boundary_counterexamples():
     ring = PolyRing(FieldCtx(5))
     fails = [r for r in scan_qa_ranks(ring, 6) if not r.passed]
     assert {r.a for r in fails} == {"2,0,1", "3,0,1"}
+
+
+# ---------------------------------------------------------------------------
+# bulk forms and the batched rank kernel
+# ---------------------------------------------------------------------------
+
+BULK_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+
+
+def _rows(mat):
+    return [list(row) for row in mat.rows]
+
+
+def _ranks(mat):
+    return matrix_rank(mat), monic_slice_rank(mat)
+
+
+@pytest.mark.parametrize("p, e", BULK_FIELDS)
+def test_bulk_qa_forms_and_ranks_match_oracles(p, e):
+    """Every bulk multiplier form equals qa_matrix (the composition route)
+    and its kernel rank and monic rank equal the per-form elimination."""
+    ring = PolyRing(FieldCtx(p, e))
+    for n in range(2, 6):
+        for k in range((n - 1) // 2 + 1):
+            monics = list(ring.enumerate(PolySet.MONIC, k))
+            forms = qa_forms(ring, n, k)
+            ranks, monic_ranks = form_ranks(ring.ctx, forms)
+            assert len(forms) == len(monics)
+            for a, form, rank, mrank in zip(monics, forms, ranks, monic_ranks):
+                mat = qa_matrix(ring, a, n)
+                assert form.tolist() == _rows(mat), (p, e, n, a)
+                assert (rank, mrank) == _ranks(mat), (p, e, n, a)
+
+
+@pytest.mark.parametrize("p, e", BULK_FIELDS)
+def test_bulk_bab_forms_and_ranks_match_oracles(p, e):
+    """Every pair the rank-bab cell scans (q^(2k) <= 8000, n <= 5): the
+    coincidences are those of the reversal products, each difference form
+    equals bab_matrix and its ranks equal the per-form elimination."""
+    ring = PolyRing(FieldCtx(p, e))
+    for n in range(2, 6):
+        for k in range((n - 1) // 2 + 1):
+            if ring.ctx.q ** (2 * k) > 8000:
+                break
+            monics = list(ring.enumerate(PolySet.MONIC, k))
+            star = [ring.mul(ring.reverse(a, k), a) for a in monics]
+            same, forms = bab_forms(ring, n, k)
+            assert same.tolist() == [[x == y for y in star] for x in star]
+            ranks, monic_ranks = form_ranks(ring.ctx, forms)
+            pairs = zip(*np.nonzero(~same), forms, ranks, monic_ranks)
+            for i, j, form, rank, mrank in pairs:
+                mat = bab_matrix(ring, monics[i], monics[j], n)
+                assert form.tolist() == _rows(mat), (p, e, n, i, j)
+                assert (rank, mrank) == _ranks(mat), (p, e, n, i, j)
+
+
+def test_bulk_forms_above_table_q():
+    """A seeded sample over F_(3^6), whose elements are digit views: bulk
+    multiplier forms, and difference forms formed with the field's own
+    subtraction, against qa_matrix, bab_matrix and the per-form ranks."""
+    ring = PolyRing(FieldCtx(3, 6))
+    ctx = ring.ctx
+    rng = random.Random(36)
+    for n, k in ((2, 0), (3, 1), (4, 1)):
+        forms = qa_forms(ring, n, k)
+        picks = rng.sample(range(len(forms)), min(12, len(forms)))
+        monics = [next(ring.monic_range(k, i, i + 1)) for i in picks]
+        for i, a in zip(picks, monics):
+            assert forms[i].tolist() == _rows(qa_matrix(ring, a, n))
+        ranks, monic_ranks = form_ranks(ctx, forms[picks])
+        for a, rank, mrank in zip(monics, ranks, monic_ranks):
+            assert (rank, mrank) == _ranks(qa_matrix(ring, a, n))
+        pairs = list(zip(picks, monics))[:6]
+        diffs = np.array([
+            [[ctx.sub(x, y) for x, y in zip(row_a, row_b)]
+             for row_a, row_b in zip(forms[i].tolist(), forms[j].tolist())]
+            for i, _ in pairs for j, _ in pairs])
+        ranks, monic_ranks = form_ranks(ctx, diffs)
+        mats = [bab_matrix(ring, a, b, n) for _, a in pairs for _, b in pairs]
+        for diff, mat, rank, mrank in zip(diffs, mats, ranks, monic_ranks):
+            assert diff.tolist() == _rows(mat)
+            assert (rank, mrank) == _ranks(mat)
+
+
+def test_form_ranks_frozen_and_rejects_asymmetric(f3, f9):
+    """Ranks of fixed forms, including the three ways the last row can add
+    to the rank of the leading block (0, 1 and 2), and a non-symmetric
+    block is refused."""
+    forms = np.array([
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],      # rank 0
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],      # c only: +1
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],      # b outside col(A): +2
+        [[1, 0, 1], [0, 0, 0], [1, 0, 1]],      # c = b^T A^- b: +0
+        [[1, 2, 0], [2, 1, 0], [0, 0, 2]],      # 1 - 4 = 0 mod 3: rank 2
+    ])
+    ranks, monic_ranks = form_ranks(f3.ctx, forms)
+    assert ranks.tolist() == [0, 1, 2, 1, 2]
+    assert monic_ranks.tolist() == [0, 0, 0, 1, 1]
+    for form, rank, mrank in zip(forms, ranks, monic_ranks):
+        assert (rank, mrank) == _ranks(sym_matrix(f3.ctx, form.tolist()))
+    w = 3                                       # w^2 = -1 in F_9
+    ranks, monic_ranks = form_ranks(f9.ctx, np.array([[[1, w], [w, 2]]]))
+    assert (ranks.tolist(), monic_ranks.tolist()) == ([1], [1])
+    with pytest.raises(ValueError):
+        form_ranks(f3.ctx, np.array([[[0, 1], [2, 0]]]))

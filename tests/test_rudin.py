@@ -299,6 +299,18 @@ def test_star_cell_keeps_the_enumeration_cap():
     assert verify.run_cell(star_cell(3, 1, 3, cap=81))["pass"]
 
 
+def test_star_caps_are_checked_before_any_cell_runs(monkeypatch):
+    """At q = 3^12 the n = 1 cell is over the cap: the run stops before the
+    n = 0 cell walks its 531441 constants."""
+    def no_cells(cells, jobs=1):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(verify, "run_cells", no_cells)
+    with pytest.raises(EnumerationCapError, match=re.escape(
+            "enumeration of 282429536481 elements exceeds the cap 100000000")):
+        verify.verify_all(verify.RunConfig(p=3, e=12), ("star",))
+
+
 def test_star_cell_memory_is_bounded():
     """Above TABLE_Q the cell walks blocks of counting indices: q = 3^6,
     n = 1 (531441 polynomials) and q = 3^12, n = 0, where one q x q table

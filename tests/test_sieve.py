@@ -19,8 +19,12 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
+from rsfq import CharSpec, field, qa_matrix
 from rsfq.arith import Dirichlet
+from rsfq.charsum import gauss_counts
+from rsfq.rudin import rs_values
 from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask
+from rsfq.vaughan import sigma2
 from rsfq.vecenum import digit_add_table, index_tables
 
 LIMIT = 10**7
@@ -165,6 +169,28 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
     assert (Dirichlet(f9).convolve(x, 1, y, 2) == fresh_conv).all()
     info = digit_add_table.cache_info()
     assert info.misses == 2 and info.maxsize == 16      # (3, 4) and (3, 6)
+
+
+def test_index_tables_are_built_once_per_field(monkeypatch, f9):
+    """field_tables builds one read-only pair per field key: contexts of one
+    field, rs_values, gauss_counts and sigma2 all share it."""
+    calls = []
+
+    def counted(p, basis):
+        calls.append(p)
+        return index_tables(p, basis)
+
+    monkeypatch.setattr(field, "index_tables", counted)
+    field.field_tables.cache_clear()
+    ring = PolyRing(FieldCtx(3, 2))
+    assert FieldCtx(3, 2).mul_table == f9.ctx.mul_table
+    for n in (2, 3, 4):
+        rs_values(ring, n, np.arange(9**n))
+    gauss_counts(qa_matrix(ring, ring.one, 2))
+    sigma2(ring, 4, 1, 2, CharSpec(ring.ctx, 1))
+    assert len(calls) == 1
+    add, mul = field.field_tables(ring.ctx.key())
+    assert not add.flags.writeable and not mul.flags.writeable
 
 
 def test_index_tables_match_field_ops():
