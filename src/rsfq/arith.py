@@ -1,11 +1,16 @@
 """Multiplicative functions on F_q[t] and the reversal-equation counts.
 
-Dirichlet.convolve sums x[a]*y[b] exactly at the index of a*b, from
-sieve.product_indices; degree by degree it gives mu from mu*1 = delta,
-Lambda from Lambda*1 = deg and tau = 1*1 (Rosen, Number Theory in Function
-Fields, ch. 2).  FactorTable (trial division) and divisors_monic are the
-independent routes it is tested against, and count_reversal_solutions,
-the scan's per-f oracle, uses FactorTable.
+Dirichlet.convolve sums x[a]*y[b] exactly at the index of a*b; degree by
+degree it gives mu from mu*1 = delta, Lambda from Lambda*1 = deg and
+tau = 1*1 (Rosen, Number Theory in Function Fields, ch. 2).  The indices
+come from sieve.product_indices: Dirichlet.products builds the table of
+g*h over all monic g, h of degrees d, m once per kernel and unordered
+{d, m}, and keeps it while it has at most sieve.BLOCK entries, so each
+convolution of that size is one bincount over it; a larger one streams
+the blocks and keeps nothing.  vaughan's sigma1 and sigma2 read R(g h)
+off the same tables.  FactorTable (trial division) and divisors_monic are
+the independent routes it is tested against, and
+count_reversal_solutions, the scan's per-f oracle, uses FactorTable.
 """
 
 from __future__ import annotations
@@ -16,24 +21,57 @@ import numpy as np
 
 from .errors import DegreeBoundError, EnumerationCapError, ZeroPolynomialError
 from .poly import PolyRing, PolySet
-from .sieve import SIEVE_CAP, DigitAdd, product_indices
+from .sieve import BLOCK, SIEVE_CAP, DigitAdd, product_indices
 
 
 class Dirichlet:
     """Exact Dirichlet convolution over the monic polynomials of F_q[t].
 
     A degree-d vector is an int64 array over the q^d monic polynomials of
-    degree d in counting order, at most SIEVE_CAP long.  mu and Lambda are
-    kept per instance as they are built.
+    degree d in counting order, at most SIEVE_CAP long.  mu, Lambda and the
+    product tables of at most BLOCK entries are kept per instance as they
+    are built, and freed with it; tables=False keeps no table, so every
+    convolution streams product_indices blocks.
     """
 
-    def __init__(self, ring: PolyRing):
+    def __init__(self, ring: PolyRing, tables: bool = True):
         self.ctx = ring.ctx
         self._mu = [np.ones(1, dtype=np.int64)]
         self._lam = [np.zeros(1, dtype=np.int64)]
+        self._keep = BLOCK if tables else 0
+        self._tables = {}
 
     def ones(self, d: int) -> np.ndarray:
         return np.ones(self.ctx.q**d, dtype=np.int64)
+
+    def products(self, d: int, m: int) -> np.ndarray:
+        """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
+        degrees d and m in counting order.
+
+        Built from product_indices once per unordered {d, m}, (m, d) being
+        the transpose, and kept while q^(d+m) <= BLOCK.
+        """
+        q = self.ctx.q
+        if not d or not m:
+            return np.arange(q ** (d + m)).reshape(q**d, q**m)
+        if (d, m) in self._tables:
+            return self._tables[d, m]
+        if (m, d) in self._tables:
+            return self._tables[m, d].T
+        ctx = self.ctx
+        table = None
+        for gs, rows, idx in product_indices(
+                np.arange(q**d), d, m, ctx.p, ctx.basis,
+                DigitAdd(ctx.p, (d + m) * ctx.e)):
+            if table is None:
+                table = np.empty((q**d, q**m), dtype=idx.dtype)
+            # idx[i, r, j] is g times the h of counting index r + j*la.
+            table.reshape(q**d, idx.shape[2], -1)[gs, :, rows] = (
+                idx.transpose(0, 2, 1))
+        table.flags.writeable = False
+        if q ** (d + m) <= self._keep:
+            self._tables[d, m] = table
+        return table
 
     def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
                  db: int) -> np.ndarray:
@@ -51,9 +89,15 @@ class Dirichlet:
         # bincount sums in float64, which is exact below 2^53.
         if int(np.abs(x).sum()) * int(np.abs(y).sum()) >= 2**53:
             raise OverflowError("convolution sums exceed exact float range")
+        if size <= self._keep:
+            # One block of the kept table: idx[i, r, 0] is xs[i] times h_r.
+            blocks = [(slice(None), slice(None),
+                       self.products(da, db)[xs, :, None])]
+        else:
+            blocks = product_indices(xs, da, db, ctx.p, ctx.basis,
+                                     DigitAdd(ctx.p, (da + db) * ctx.e))
         z = np.zeros(size)
-        for gs, rows, idx in product_indices(
-                xs, da, db, ctx.p, ctx.basis, DigitAdd(ctx.p, (da + db) * ctx.e)):
+        for gs, rows, idx in blocks:
             w = x[xs[gs], None, None] * y.reshape(idx.shape[2], -1).T[rows]
             z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=size)
         return z.astype(np.int64)

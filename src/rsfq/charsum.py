@@ -8,13 +8,15 @@ it) irrelevant to the result bit for bit, and the only rounding is the
 final dot product against the q character values.
 
 The Gauss scan needs the histogram of x^T M x + L.x for all q^m linear
-parts L.  gauss_counts builds them with one staged transform over the
-add/mul index tables, trading one coordinate of x for one of L per stage:
-m q^(m+2) work and O(q^(m+1)) memory for every q, where pairing every x
-with every L costs q^(2m) of both.  scan_gauss_bound decides each form
-in integers from those histograms: |S|^2 = sum_d A_d psi(d) with
-A_d = sum_v c_v c_(v+d), so no character value enters the check.
-max_gauss_magnitude is its floating-point oracle.
+parts L.  gauss_counts builds them for a block of forms at once with one
+staged transform over the add/mul index tables, trading one coordinate of
+x for one of L per stage: m q^(m+2) work and O(q^(m+1)) memory per form
+for every q, where pairing every x with every L costs q^(2m) of both.
+scan_gauss_bound histograms each degree's forms in batches of about
+sieve.BLOCK entries and decides each form in integers from those
+histograms: |S|^2 = sum_d A_d psi(d) with A_d = sum_v c_v c_(v+d), so no
+character value enters the check.  max_gauss_magnitude is its
+floating-point oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from .errors import (
 )
 from .field import FieldCtx, field_tables
 from .poly import PolyRing, PolySet
-from .quadform import (
-    SymMatrix, form_ranks, matrix_rank, qa_forms, quad_eval, sym_matrix,
-)
+from .quadform import SymMatrix, form_ranks, qa_forms, quad_eval
 from .rudin import autocorrelation, rudin_shapiro
-from .vecenum import coeff_digits, int_dtype, sub_table
+from .sieve import BLOCK
+from .vecenum import int_dtype, sub_table
 
 
 @dataclass(frozen=True)
@@ -105,41 +106,42 @@ def quad_form_char_sum(
     return hist_to_sum(hist, char_values(chi))
 
 
-def gauss_bound_report(
-    mat: SymMatrix, linear, chi: CharSpec, tol: float = 1e-6, cap: int = 10**8
-) -> dict:
-    """One exponential sum against its rank bound q^(m - rank/2)."""
-    value = quad_form_char_sum(mat, linear, chi, cap)
-    rank = matrix_rank(mat)
-    bound = float(mat.ctx.q) ** (mat.dim - rank / 2)
-    return charsum_report(value, bound, tol)
+def gauss_counts(forms, ctx: FieldCtx | None = None) -> np.ndarray:
+    """counts[v, L] = #{x in F_q^m : x^T M x + L.x = v} as int64.
 
-
-def gauss_counts(mat: SymMatrix) -> np.ndarray:
-    """(q, q^m) int64 array: counts[v, L] = #{x in F_q^m : x^T M x + L.x = v}.
-
-    L has base-q digits L_0, L_1, ... (counting order).  From A[x, v] =
-    [x^T M x = v], stage j sets A'[..., L_j, ..., v] to the sum over x_j of
-    A[..., x_j, ..., v - L_j x_j]; after stage m - 1, A[L, v] = counts[v, L].
+    forms is one SymMatrix M, giving a (q, q^m) array, or a (B, m, m)
+    block of symmetric forms as element indices over ctx, giving one such
+    array per form, (B, q, q^m).  L has base-q digits L_0, L_1, ...
+    (counting order).  From A[x, v] = [x^T M x = v], stage j sets
+    A'[..., L_j, ..., v] to the sum over x_j of A[..., x_j, ..., v - L_j x_j];
+    after stage m - 1, A[L, v] = counts[v, L].
     """
-    q, m = mat.ctx.q, mat.dim
-    add, mul = field_tables(mat.ctx.key())
+    if isinstance(forms, SymMatrix):
+        block = np.array(forms.rows, dtype=np.int64)
+        return gauss_counts(block.reshape(1, forms.dim, forms.dim), forms.ctx)[0]
+    q, (size, m) = ctx.q, forms.shape[:2]
+    add, mul = field_tables(ctx.key())
     sub = sub_table(add)
-    xs = coeff_digits(q**m, q, m)
-    quad = np.zeros(q**m, dtype=add.dtype)
-    for i in range(m):
-        row = np.zeros_like(quad)
-        for j in range(m):
-            row = add[row, mul[mat.rows[i][j], xs[:, j]]]
-        quad = add[quad, mul[xs[:, i], row]]
-    hist = (quad[:, None] == np.arange(q)).astype(int_dtype(q**m))
+    # Q(x) over the first k coordinates, and rows[:, i - k] = sum over
+    # j < k of M_ij x_j for i >= k, gain x_k as the next base-q digit:
+    # Q' = Q + x_k (2 row_k + M_kk x_k) and row_i' = row_i + M_ik x_k.
+    xk = np.arange(q)[:, None]
+    quad = np.zeros((size, 1), dtype=add.dtype)
+    rows = np.zeros((size, m, 1), dtype=add.dtype)
+    for k in range(m):
+        step = mul[forms[:, k:, k, None, None], xk]
+        inner = add[add[rows[:, 0], rows[:, 0]][:, None], step[:, 0]]
+        quad = add[quad[:, None], mul[xk, inner]].reshape(size, -1)
+        rows = add[rows[:, 1:, None], step[:, 1:]].reshape(
+            size, m - k - 1, q ** (k + 1))
+    hist = (quad[..., None] == np.arange(q)).astype(int_dtype(q**m))
     for j in range(m):
-        # Axes: coordinates above x_j, x_j, coordinates below x_j, value v;
-        # sub[:, mul[:, x]].T is the shift table [L, v] -> v - L x.
-        cur = hist.reshape(q ** (m - 1 - j), q, q**j, q)
-        out = sum(cur[:, x][:, :, sub[:, mul[:, x]].T] for x in range(q))
-        hist = out.transpose(0, 2, 1, 3).reshape(q**m, q)
-    return np.ascontiguousarray(hist.T, dtype=np.int64)
+        # Axes: form, coordinates above x_j, x_j, coordinates below x_j,
+        # value v; sub[:, mul[:, x]].T is the shift table [L, v] -> v - L x.
+        cur = hist.reshape(size, q ** (m - 1 - j), q, q**j, q)
+        out = sum(cur[:, :, x][..., sub[:, mul[:, x]].T] for x in range(q))
+        hist = out.transpose(0, 1, 3, 2, 4).reshape(size, q**m, q)
+    return np.ascontiguousarray(hist.transpose(0, 2, 1), dtype=np.int64)
 
 
 def _check_all_pairs_cap(ctx: FieldCtx, m: int, cap: int) -> None:
@@ -168,8 +170,9 @@ def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
     """Exhaustive exact rank-bound check for every multiplier form at degree n.
 
     For every k < n/2 and every monic a of degree k, the form Q_a and its
-    rank r come from one qa_forms block and form_ranks, and gauss_counts
-    gives c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
+    rank r come from one qa_forms block and form_ranks, and gauss_counts,
+    over batches of about BLOCK histogram entries of that block, gives
+    c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
     A_d = sum_v c_v c_(v+d), |S_beta|^2 = sum_d A_d psi_beta(d) for every
     character psi_beta.  The form passes when, for every L, A_d is the same
     for every d != 0, so that |S_beta|^2 = A_0 - A_1 for every non-trivial
@@ -189,28 +192,31 @@ def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
         _check_all_pairs_cap(ctx, m, limit)
         forms = qa_forms(ring, n, k)
         ranks = form_ranks(ctx, forms)[0].tolist()
-        for name, form, rank in zip(names, forms, ranks):
-            counts = gauss_counts(sym_matrix(ctx, form.tolist()))
-            energy = np.stack([(counts * counts[add[:, d]]).sum(axis=0)
-                               for d in range(q)])
-            abs_sq = energy[0] - energy[1]
-            max_abs_sq = int(abs_sq.max())
-            top = q ** (2 * m - rank)
-            reports.append({
-                "q": q,
-                "n": n,
-                "k": k,
-                "a": name,
-                "dim": m,
-                "rank": rank,
-                "bound": float(q) ** (m - rank / 2),
-                "max_abs_sq": max_abs_sq,
-                "max_magnitude": math.sqrt(max_abs_sq),
-                "linear_forms": q**m,
-                "characters": q - 1,
-                "pass": bool((energy[1:] == energy[1]).all()
-                             and ((abs_sq == 0) | (abs_sq == top)).all()),
-            })
+        per = max(1, BLOCK // q ** (m + 1))
+        for start in range(0, len(forms), per):
+            counts = gauss_counts(forms[start:start + per], ctx)
+            energy = np.stack([(counts * counts[:, add[:, d]]).sum(axis=1)
+                               for d in range(q)], axis=1)
+            abs_sq = energy[:, 0] - energy[:, 1]
+            flat = (energy[:, 1:] == energy[:, 1:2]).all(axis=(1, 2))
+            for b, rank in enumerate(ranks[start:start + per]):
+                max_abs_sq = int(abs_sq[b].max())
+                top = q ** (2 * m - rank)
+                reports.append({
+                    "q": q,
+                    "n": n,
+                    "k": k,
+                    "a": names[start + b],
+                    "dim": m,
+                    "rank": rank,
+                    "bound": float(q) ** (m - rank / 2),
+                    "max_abs_sq": max_abs_sq,
+                    "max_magnitude": math.sqrt(max_abs_sq),
+                    "linear_forms": q**m,
+                    "characters": q - 1,
+                    "pass": bool(flat[b] and ((abs_sq[b] == 0)
+                                              | (abs_sq[b] == top)).all()),
+                })
     return reports
 
 
@@ -268,13 +274,3 @@ def rs_pair_char_sum(
         )
         hist[val] += 1
     return hist_to_sum(hist, char_values(chi))
-
-
-def charsum_report(value: complex, bound: float, tol: float = 1e-6) -> dict:
-    return {
-        "re": value.real,
-        "im": value.imag,
-        "magnitude": abs(value),
-        "bound": bound,
-        "pass": abs(value) <= bound + tol,
-    }

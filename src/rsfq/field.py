@@ -341,12 +341,6 @@ class FieldCtx:
         """All q elements in counting order."""
         return tuple(range(self.q))
 
-    def element_at(self, i: int):
-        return i
-
-    def element_index(self, x) -> int:
-        return x
-
     def element_str(self, x) -> str:
         return "+".join(str(c) for c in self.digits(x))
 

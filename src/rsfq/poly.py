@@ -190,12 +190,6 @@ class PolyRing:
             out.pop()
         return tuple(out)
 
-    def norm_exponent(self, f) -> int:
-        """deg f, so that |f| = q^deg f; errors on the zero polynomial."""
-        if not f:
-            raise ZeroPolynomialError("norm of the zero polynomial is undefined")
-        return len(f) - 1
-
     # -- irreducibility ---------------------------------------------------
 
     def is_irreducible(self, f) -> bool:
@@ -312,27 +306,6 @@ class PolyRing:
         if parts == [""]:
             raise ConfigError("empty polynomial string")
         return self.poly([self.ctx.parse_element(part) for part in parts])
-
-    def pretty(self, f) -> str:
-        """Human-readable form for logs only, e.g. 't^3+2t+1'."""
-        if not f:
-            return "0"
-        ctx = self.ctx
-        terms = []
-        for i in range(len(f) - 1, -1, -1):
-            c = f[i]
-            if c == 0:
-                continue
-            cs = ctx.element_str(c)
-            if ctx.e > 1 and i > 0:
-                cs = f"({cs})"
-            if i == 0:
-                terms.append(cs)
-            elif i == 1:
-                terms.append("t" if cs == "1" else f"{cs}t")
-            else:
-                terms.append(f"t^{i}" if cs == "1" else f"{cs}t^{i}")
-        return "+".join(terms)
 
 
 def _mobius_int(n: int) -> int:

@@ -24,7 +24,8 @@ s digits.
 composite_mask(ring, n) marks the product_indices blocks in a boolean array
 over the monic degree-n counting indices; count_irreducibles_sieve counts
 its unmarked entries and dist.distribution reads the irreducibles off it.
-arith.Dirichlet sums weights over the same blocks.  Memory is bounded: a
+arith.Dirichlet sums weights over the same blocks, or over the product
+tables it assembles from them and keeps.  Memory is bounded here: a
 digit-add table holds at most TABLE_BYTES and one image or gather block
 about BLOCK entries.  Digit-add tables are shared read-only through
 vecenum.digit_add_table, which keeps the 16 most recently used, so the

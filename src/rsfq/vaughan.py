@@ -16,9 +16,10 @@ the blocks of the cj once with rsfq.arith's convolution kernel and, for each
 S2 is grouped as (mu*Lambda)*1; s2_triple's mu*(Lambda*1) cross-checks it.
 
 sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
-read R(g h) off sieve.product_indices through rudin.rs_values and report
-their asymptotic-shape reference values (never asserted: the implied
-constants carry no numeric value).
+read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
+(the verify cell passes the context's kernel, whose tables are already
+built) and report their asymptotic-shape reference values (never asserted:
+the implied constants carry no numeric value).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
 from .field import field_tables
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
-from .sieve import DigitAdd, product_indices
 from .vecenum import int_dtype, sub_table
 
 
@@ -107,10 +107,11 @@ class VaughanReport:
 class VaughanContext:
     """Integer coefficient blocks at degree n, reused across cutoffs and weights.
 
-    Holds the monic degree-n list (counting order), Lambda_n (lambdas),
-    c1[da] = mu_da * (deg . 1) and blocks[da, db] = (mu_da * Lambda_db) * 1,
-    all int64 vectors at degree n.  A weight is tabulated once per run as a
-    vector over the monic list.
+    Holds Lambda_n (lambdas), c1[da] = mu_da * (deg . 1) and
+    blocks[da, db] = (mu_da * Lambda_db) * 1, all int64 vectors over the
+    monic polynomials of degree n in counting order, built by one kernel
+    whose product tables sigma1 and sigma2 can share.  A weight is
+    tabulated once per run as a vector in the same order.
     """
 
     def __init__(self, ring: PolyRing, n: int, cap: int | None = None):
@@ -119,7 +120,6 @@ class VaughanContext:
         ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
         self.ring = ring
         self.n = n
-        self.monics = list(ring.enumerate(PolySet.MONIC, n, cap))
         self.kernel = kernel = Dirichlet(ring)
         mu = kernel.mobius(n - 1)
         lam = kernel.von_mangoldt(n)
@@ -133,23 +133,25 @@ class VaughanContext:
             for da in range(n) for db in range(1, n - da + 1)}
 
     def tabulate(self, weight) -> np.ndarray:
-        """Evaluate a weight callable on the monic degree-n list."""
-        return np.array([complex(weight(f)) for f in self.monics])
+        """Evaluate a weight callable on the monic degree-n polynomials."""
+        monics = self.ring.monic_range(self.n, 0, self.ring.ctx.q**self.n)
+        return np.array([complex(weight(f)) for f in monics])
 
     def coefficients(self, u: int, v: int) -> tuple:
         """Integer vectors (c1, c2, c3) over monic degree n for cutoffs u, v."""
-        zero = np.zeros(len(self.monics), dtype=np.int64)
+        zero = np.zeros(len(self.lambdas), dtype=np.int64)
         blocks = self.blocks.items()
         return (sum(self.c1[:u + 1], zero),
                 sum((b for (da, db), b in blocks if da <= u and db <= v), zero),
                 sum((b for (da, db), b in blocks if da > u and db > v), zero))
 
     def triple_coefficients(self, u: int, v: int) -> np.ndarray:
-        """c2 evaluated as mu*(Lambda*1), independently of the blocks."""
-        n, kernel = self.n, self.kernel
-        mu, lam = kernel.mobius(u), kernel.von_mangoldt(v)
-        return sum(kernel.convolve(mu[da], da, sum(
-            kernel.convolve(lam[db], db, kernel.ones(n - da - db), n - da - db)
+        """c2 evaluated as mu*(Lambda*1), independently of the blocks and,
+        by a kernel that keeps no table, of the product tables."""
+        n, stream = self.n, Dirichlet(self.ring, tables=False)
+        mu, lam = self.kernel.mobius(u), self.kernel.von_mangoldt(v)
+        return sum(stream.convolve(mu[da], da, sum(
+            stream.convolve(lam[db], db, stream.ones(n - da - db), n - da - db)
             for db in range(1, min(v, n - da) + 1)), n - da)
             for da in range(u + 1))
 
@@ -167,7 +169,8 @@ class VaughanContext:
         c1, c2, c3 = self.coefficients(u, v)
         bad = np.flatnonzero(c1 - c2 + c3 != np.asarray(self.lambdas))
         if len(bad):
-            f = self.ring.to_str(self.monics[bad[0]])
+            i = int(bad[0])
+            f = self.ring.to_str(next(self.ring.monic_range(self.n, i, i + 1)))
             raise ExactIdentityError(f"c1 - c2 + c3 != Lambda at f = {f} for "
                                      f"n={self.n}, u={u}, v={v}")
         values = np.asarray(self.tabulate(weight) if callable(weight)
@@ -219,19 +222,15 @@ def random_weight_values(ring: PolyRing, n: int, seed: int,
 # -- sigma aggregates ---------------------------------------------------------
 
 
-def _rs_products(ring: PolyRing, d: int, m: int, cap: int | None) -> np.ndarray:
+def _rs_products(ring: PolyRing, d: int, m: int, cap: int | None,
+                 kernel: Dirichlet | None = None) -> np.ndarray:
     """(q^d, q^m) matrix of R(g h), monic g of degree d and h of degree m >= 1
-    in counting order, from sieve.product_indices (cap-checked per degree)."""
-    ctx = ring.ctx
+    in counting order, from the kernel's product table (cap-checked per
+    degree; a fresh kernel when none is given)."""
     for k in (d, m):
         ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
-    out = np.empty((ctx.q**d, ctx.q**m), dtype=int_dtype(ctx.q - 1))
-    for gs, rows, idx in product_indices(np.arange(ctx.q**d), d, m, ctx.p,
-                                         ctx.basis, DigitAdd(ctx.p, (d + m) * ctx.e)):
-        # idx[i, r, j] is g times the h of counting index r + j*la.
-        out.reshape(len(out), idx.shape[2], -1)[gs, :, rows] = (
-            rs_values(ring, d + m, idx).transpose(0, 2, 1))
-    return out
+    table = (kernel or Dirichlet(ring)).products(d, m)
+    return rs_values(ring, d + m, table).astype(int_dtype(ring.ctx.q - 1))
 
 
 def _abs_row_sums(r: np.ndarray, vals: list) -> float:
@@ -247,12 +246,12 @@ def _abs_row_sums(r: np.ndarray, vals: list) -> float:
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None) -> dict:
+           cap: int | None = None, kernel: Dirichlet | None = None) -> dict:
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
-    R(g h) matrix.  The reference shape q^((n + u + v + 2) / 2) is reported,
-    not asserted.
+    R(g h) matrix, read off kernel's product tables.  The reference shape
+    q^((n + u + v + 2) / 2) is reported, not asserted.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
@@ -262,7 +261,8 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     total = 0.0
     by_degree = []
     for dg in range(u + v + 1):
-        deg_total = _abs_row_sums(_rs_products(ring, dg, n - dg, cap), vals)
+        deg_total = _abs_row_sums(_rs_products(ring, dg, n - dg, cap, kernel),
+                                   vals)
         by_degree.append(deg_total)
         total += deg_total
     return {
@@ -277,7 +277,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
 
 def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None) -> dict:
+           cap: int | None = None, kernel: Dirichlet | None = None) -> dict:
     """Max over i in [v, n-u] and monic g1 of the pair-sum aggregate.
 
     For each i and monic g1 of degree n - i, sums over monic g2 of the same
@@ -286,7 +286,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     is reported, not asserted.
 
     Each pair sum is rs_pair_char_sum's histogram of R(h g1) - R(h g2),
-    read off two rows of the R(g h) matrix.
+    read off two rows of the R(g h) matrix from kernel's product tables.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
@@ -299,7 +299,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     best_g1 = None
     for i in range(v, n - u + 1):
         dg = n - i
-        r_vals = _rs_products(ring, dg, i, cap)
+        r_vals = _rs_products(ring, dg, i, cap, kernel)
         for k, r1 in enumerate(r_vals):
             total = _abs_row_sums(sub[r1, r_vals], vals)
             if total > best:

@@ -298,8 +298,8 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
     passed = not failures and int(vc.lambdas.sum()) == q**n
     du, dv = default_cutoffs(n)
-    s1 = sigma1(ring, n, du, dv, chi, cell["cap"])
-    s2 = sigma2(ring, n, du, dv, chi, cell["cap"])
+    s1 = sigma1(ring, n, du, dv, chi, cell["cap"], vc.kernel)
+    s2 = sigma2(ring, n, du, dv, chi, cell["cap"], vc.kernel)
     rep = vc.decompose(du, dv, char_rs)
     rep.sigma1, rep.sigma1_bound = s1["value"], s1["bound"]
     rep.sigma2, rep.sigma2_bound = s2["value"], s2["bound"]

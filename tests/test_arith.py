@@ -304,6 +304,52 @@ def test_kernel_refuses_vectors_above_the_cap(f3):
         kernel.convolve(kernel.ones(1), 1, kernel.ones(1), 15)
 
 
+def test_fresh_kernel_keeps_no_tables(f3):
+    assert Dirichlet(f3)._tables == {}
+
+
+@pytest.mark.parametrize("p, e, d, m", [(3, 1, 2, 1), (3, 1, 1, 3),
+                                        (5, 1, 2, 2), (3, 2, 1, 2)])
+def test_product_table_is_the_counting_index_of_each_product(p, e, d, m):
+    """products(d, m)[g, h] is the index of g*h; (m, d) reads the kept
+    transpose, and a kept table cannot be written."""
+    ring = PolyRing(FieldCtx(p, e))
+    kernel = Dirichlet(ring)
+    table = kernel.products(d, m)
+    want = [[ring.index_of(ring.mul(g, h)[:-1])
+             for h in ring.enumerate(PolySet.MONIC, m)]
+            for g in ring.enumerate(PolySet.MONIC, d)]
+    assert table.tolist() == want
+    assert list(kernel._tables) == [(d, m)]
+    swapped = kernel.products(m, d)
+    assert (swapped == table.T).all() and np.shares_memory(swapped, table)
+    assert not table.flags.writeable
+
+
+def test_convolution_above_block_keeps_no_table(f3):
+    """q^(1+11) = 531441 > BLOCK: both argument orders stream product
+    blocks, keep nothing, and agree."""
+    kernel = Dirichlet(f3)
+    rng = np.random.default_rng(11)
+    x, y = rng.integers(-4, 5, 3), rng.integers(-4, 5, 3**11)
+    z = kernel.convolve(x, 1, y, 11)
+    assert (z == kernel.convolve(y, 11, x, 1)).all()
+    assert kernel._tables == {}
+    assert int(z.sum()) == int(x.sum()) * int(y.sum())
+
+
+def test_streaming_kernel_matches_the_kept_tables(f3):
+    """A kernel without tables streams every convolution and gives the same
+    mu, Lambda and tau, without ever reading a product table."""
+    kept = Dirichlet(f3)
+    stream = Dirichlet(f3, tables=False)
+    stream.products = None      # any call to the accessor fails
+    for a, b in zip(kept.mobius(5) + kept.von_mangoldt(5) + [kept.tau(5)],
+                    stream.mobius(5) + stream.von_mangoldt(5) + [stream.tau(5)]):
+        assert (a == b).all()
+    assert kept._tables and stream._tables == {}
+
+
 # ---------------------------------------------------------------------------
 # the provable reversal-count bound N(f) <= 2 d_n(f)
 # ---------------------------------------------------------------------------

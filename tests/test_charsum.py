@@ -100,16 +100,6 @@ def test_quad_sum_frozen_cases(f3):
     assert abs(quad_form_char_sum(flat, (1, zero), chi)) < 1e-12
 
 
-def test_gauss_bound_report_schema(f3):
-    from rsfq.charsum import gauss_bound_report
-    ctx = f3.ctx
-    mat = sym_matrix(ctx, [[1]])
-    rep = gauss_bound_report(mat, (ctx.zero(),), CharSpec(ctx, 1))
-    assert set(rep) == {"re", "im", "magnitude", "bound", "pass"}
-    assert rep["pass"] and abs(rep["magnitude"] - math.sqrt(3)) < 1e-9
-    assert rep["bound"] == 3.0 ** 0.5
-
-
 def test_quad_sum_preconditions(f3):
     ctx = f3.ctx
     flat = sym_matrix(ctx, [[ctx.zero()]])
@@ -243,11 +233,12 @@ def test_gauss_scan_fails_on_a_wrong_count(monkeypatch, f3):
     check: every form of the scan fails."""
     real_counts = charsum.gauss_counts
 
-    def moved(mat):
-        counts = real_counts(mat).copy()
-        v = counts[:, 0].argmax()
-        counts[v, 0] -= 1
-        counts[(v + 1) % 3, 0] += 1
+    def moved(forms, ctx):
+        counts = real_counts(forms, ctx).copy()
+        each = np.arange(len(counts))
+        v = counts[:, :, 0].argmax(axis=1)
+        counts[each, v, 0] -= 1
+        counts[each, (v + 1) % 3, 0] += 1
         return counts
 
     monkeypatch.setattr(charsum, "gauss_counts", moved)

@@ -55,14 +55,7 @@ def test_gcd_frozen_and_properties(f3):
 def test_zero_polynomial_sentinels(f3):
     assert f3.degree(()) is None
     with pytest.raises(ZeroPolynomialError):
-        f3.norm_exponent(())
-    with pytest.raises(ZeroPolynomialError):
         f3.monic(())
-
-
-def test_norm_exponent(f3):
-    assert f3.norm_exponent(f3.from_ints([1, 0, 0, 1])) == 3
-    assert f3.norm_exponent(f3.from_ints([2])) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +177,3 @@ def test_str_round_trip(f3, f9):
     for ring in (f3, f9):
         for f in ring.enumerate(PolySet.DEGREE_AT_MOST, 2):
             assert ring.parse(ring.to_str(f)) == f
-
-
-def test_pretty(f3):
-    assert f3.pretty(f3.from_ints([1, 2, 0, 1])) == "t^3+2t+1"
-    assert f3.pretty(()) == "0"
-    assert f3.pretty(f3.from_ints([0, 1])) == "t"

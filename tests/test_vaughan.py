@@ -17,15 +17,19 @@ from rsfq import (
     VaughanContext,
     character_rs_weight,
     default_cutoffs,
+    divisors_monic,
+    quad_form_char_sum,
     random_weight_values,
     rs_char_sum_over_set,
     rs_pair_char_sum,
     rudin_shapiro,
     sigma1,
     sigma2,
+    sym_matrix,
     unit_weight,
     vaughan_decompose,
 )
+from rsfq import arith
 from rsfq.arith import FactorTable
 from rsfq.vaughan import _rs_products
 
@@ -275,6 +279,65 @@ def test_rs_products_checks_both_degrees_against_the_cap(f3):
     # g = t shifts h up one coefficient: R(t h) is R at index 3 * idx(h).
     assert np.array_equal(_rs_products(f3, 1, 3, 27)[0],
                           _rs_products(f3, 0, 4, 81)[0, ::3])
+
+
+def test_context_builds_each_product_table_once(f3, monkeypatch):
+    """mu, Lambda, c1 and every block of one context read one kept table
+    per unordered pair of degrees {d, m}, d + m <= n."""
+    calls = []
+    real = arith.product_indices
+
+    def counted(factors, d, m, *rest):
+        calls.append((d, m))
+        return real(factors, d, m, *rest)
+
+    monkeypatch.setattr(arith, "product_indices", counted)
+    VaughanContext(f3, 5)
+    pairs = sorted(tuple(sorted(c)) for c in calls)
+    assert pairs == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
+def test_sigma_through_the_shared_kernel(p, e, n, monkeypatch):
+    """sigma1 and sigma2 read R(g h) off the tables a context already
+    built, and equal a fresh-kernel call and the per-multiplier oracles."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, 1)
+    u, v = default_cutoffs(n)
+    fresh1, fresh2 = sigma1(ring, n, u, v, chi), sigma2(ring, n, u, v, chi)
+    kernel = VaughanContext(ring, n).kernel
+    monkeypatch.setattr(arith, "product_indices", None)   # no table is built
+    assert sigma1(ring, n, u, v, chi, kernel=kernel) == fresh1
+    assert sigma2(ring, n, u, v, chi, kernel=kernel) == fresh2
+    by_degree = [sum(abs(rs_char_sum_over_set(ring, PolySet.MONIC, n - dg, g,
+                                              chi))
+                     for g in ring.enumerate(PolySet.MONIC, dg))
+                 for dg in range(u + v + 1)]
+    assert fresh1["by_degree"] == by_degree
+    # The pair oracles on the argmax row give the reported maximum.
+    i, g1 = fresh2["argmax_i"], ring.parse(fresh2["argmax_g1"])
+    assert fresh2["value"] == sum(
+        abs(rs_pair_char_sum(ring, i, g1, g2, chi))
+        for g2 in ring.enumerate(PolySet.MONIC, n - i))
+
+
+def test_independent_routes_never_read_a_product_table(f3, monkeypatch):
+    """The cross-check routes share no product table with the kernel."""
+    vc = VaughanContext(f3, 5)
+    grouped = vc.coefficients(1, 2)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an independent route read a product table")
+
+    monkeypatch.setattr(Dirichlet, "products", refuse)
+    assert (vc.triple_coefficients(1, 2) == grouped).all()
+    f = f3.from_ints([1, 0, 2, 1])
+    assert len(divisors_monic(f3, f)) == FactorTable(f3).tau(f)
+    chi = CharSpec(f3.ctx, 1)
+    g = f3.from_ints([1, 1])
+    rs_char_sum_over_set(f3, PolySet.MONIC, 3, g, chi)
+    rs_pair_char_sum(f3, 2, g, f3.from_ints([2, 1]), chi)
+    quad_form_char_sum(sym_matrix(f3.ctx, [[1, 0], [0, 2]]), (0, 1), chi)
 
 
 def test_sigma1_monotone_in_cutoff_window(f3):
