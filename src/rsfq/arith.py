@@ -45,11 +45,12 @@ class Dirichlet:
         return np.ones(self.ctx.q**d, dtype=np.int64)
 
     def products(self, d: int, m: int) -> np.ndarray:
-        """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
-        degrees d and m in counting order.
+        """(q^d, q^m) counting indices of g*h, g and h monic of degrees d
+        and m in counting order.
 
-        Built from product_indices once per unordered {d, m}, (m, d) being
-        the transpose, and kept while q^(d+m) <= BLOCK.
+        For d, m >= 1 the table is built read-only from product_indices
+        once per unordered {d, m}, (m, d) being its transpose, and kept
+        while q^(d+m) <= BLOCK.
         """
         q = self.ctx.q
         if not d or not m:
