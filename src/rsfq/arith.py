@@ -45,16 +45,13 @@ class Dirichlet:
         return np.ones(self.ctx.q**d, dtype=np.int64)
 
     def products(self, d: int, m: int) -> np.ndarray:
-        """(q^d, q^m) counting indices of g*h, g and h monic of degrees d
-        and m in counting order.
+        """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
+        degrees d, m >= 1 in counting order.
 
-        For d, m >= 1 the table is built read-only from product_indices
-        once per unordered {d, m}, (m, d) being its transpose, and kept
-        while q^(d+m) <= BLOCK.
+        Built from product_indices once per unordered {d, m}, (m, d) being
+        the transpose, and kept while q^(d+m) <= BLOCK.
         """
         q = self.ctx.q
-        if not d or not m:
-            return np.arange(q ** (d + m)).reshape(q**d, q**m)
         if (d, m) in self._tables:
             return self._tables[d, m]
         if (m, d) in self._tables:

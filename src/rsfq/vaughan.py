@@ -41,6 +41,7 @@ from .errors import (
 from .field import field_tables
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
+from .sieve import BLOCK
 from .vecenum import int_dtype, sub_table
 
 
@@ -226,11 +227,20 @@ def _rs_products(ring: PolyRing, d: int, m: int, cap: int | None,
                  kernel: Dirichlet | None = None) -> np.ndarray:
     """(q^d, q^m) matrix of R(g h), monic g of degree d and h of degree m >= 1
     in counting order, from the kernel's product table (cap-checked per
-    degree; a fresh kernel when none is given)."""
+    degree; a fresh kernel when none is given).  R is evaluated on BLOCK
+    entries at a time, which bounds its temporaries."""
     for k in (d, m):
         ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
-    table = (kernel or Dirichlet(ring)).products(d, m)
-    return rs_values(ring, d + m, table).astype(int_dtype(ring.ctx.q - 1))
+    q = ring.ctx.q
+    out = np.empty(q ** (d + m), dtype=int_dtype(q - 1))
+    if d:
+        flat = (kernel or Dirichlet(ring)).products(d, m).reshape(-1)
+    else:   # g = 1: g h is h, in the dtype of a product table of its size
+        flat = np.arange(len(out), dtype=np.int32 if len(out) <= np.iinfo(
+            np.int32).max else np.int64)
+    for lo in range(0, len(out), BLOCK):
+        out[lo:lo + BLOCK] = rs_values(ring, d + m, flat[lo:lo + BLOCK])
+    return out.reshape(q**d, q**m)
 
 
 def _abs_row_sums(r: np.ndarray, vals: list) -> float:
