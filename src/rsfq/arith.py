@@ -51,12 +51,12 @@ class Dirichlet:
         Built from product_indices once per unordered {d, m}, (m, d) being
         the transpose, and kept while q^(d+m) <= BLOCK.
         """
-        q = self.ctx.q
         if (d, m) in self._tables:
             return self._tables[d, m]
         if (m, d) in self._tables:
             return self._tables[m, d].T
         ctx = self.ctx
+        q = ctx.q
         table = None
         for gs, rows, idx in product_indices(
                 np.arange(q**d), d, m, ctx.p, ctx.basis,
