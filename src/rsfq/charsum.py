@@ -14,9 +14,16 @@ x for one of L per stage: m q^(m+2) work and O(q^(m+1)) memory per form
 for every q, where pairing every x with every L costs q^(2m) of both.
 scan_gauss_bound histograms each degree's forms in batches of about
 sieve.BLOCK entries and decides each form in integers from those
-histograms: |S|^2 = sum_d A_d psi(d) with A_d = sum_v c_v c_(v+d), so no
-character value enters the check.  max_gauss_magnitude is its
-floating-point oracle.
+histograms.
+
+energy_abs_sq is the one exact |S|^2 route: for a value histogram c,
+|S|^2 = sum_d A_d psi(d) with A_d = sum_v c_v c_(v+d), so when A_d is the
+same for every d != 0, |S|^2 = A_0 - A_1 for every non-trivial character
+and no character value enters.  scan_gauss_bound calls it over F_q, and
+vaughan.sigma1/sigma2 over F_p on the histograms of Tr(beta R(g h))
+(char_traces).  hist_to_sum, quad_form_char_sum, max_gauss_magnitude,
+rs_char_sum_over_set and rs_pair_char_sum are the floating-point oracles
+and never call it.
 """
 
 from __future__ import annotations
@@ -68,6 +75,31 @@ def char_values(chi: CharSpec) -> list:
     ctx = chi.ctx
     roots = roots_of_unity(ctx.p)
     return [roots[ctx.trace(ctx.mul(chi.beta, x))] for x in ctx.elements()]
+
+
+def char_traces(chi: CharSpec) -> np.ndarray:
+    """Tr(beta x) in F_p for every field element, indexed by element index:
+    psi(x) is the char_traces(chi)[x]-th power of exp(2 pi i / p)."""
+    ctx = chi.ctx
+    return np.array([ctx.trace(ctx.mul(chi.beta, x)) for x in ctx.elements()],
+                    dtype=int_dtype(ctx.p - 1))
+
+
+def energy_abs_sq(hist: np.ndarray, add: np.ndarray) -> tuple:
+    """(A_0 - A_1, flat) for every integer value histogram c along the last
+    axis, values indexed by the rows of the value group's addition table.
+
+    A_d = sum_v c_v c_(v+d) gives |S|^2 = sum_d A_d psi(d) for every
+    character psi of the group; flat says A_d is the same for every
+    d != 0, which is when |S|^2 = A_0 - A_1 for every non-trivial psi.
+    A_(-d) = A_d always, so only d up to its negation -d is formed.
+    """
+    energy = [np.einsum("...v,...v->...", hist, hist[..., add[:, d]])
+              for d, row in enumerate(add.tolist()) if d <= row.index(0)]
+    flat = np.ones(energy[0].shape, dtype=bool)
+    for other in energy[2:]:
+        flat &= other == energy[1]
+    return energy[0] - energy[1], flat
 
 
 def hist_to_sum(hist, vals) -> complex:
@@ -154,15 +186,15 @@ def _check_all_pairs_cap(ctx: FieldCtx, m: int, cap: int) -> None:
 
 def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
     """Worst |sum psi(x^T M x + L(x))| over every linear part L (the zero
-    form included) and every non-trivial character: per character,
-    gauss_counts(mat).T @ (character values) holds the sum of every L."""
+    form included) and every non-trivial character: per character, row L
+    of gauss_counts(mat).T dotted with the character values is the sum."""
     ctx = mat.ctx
     _check_all_pairs_cap(ctx, mat.dim, cap)
     counts = gauss_counts(mat)
     worst = 0.0
     for beta in range(1, ctx.q):
         vals = np.array(char_values(CharSpec(ctx, beta)), dtype=np.complex128)
-        worst = max(worst, float(np.abs(counts.T @ vals).max()))
+        worst = max(worst, float(np.abs((counts.T * vals).sum(axis=1)).max()))
     return worst
 
 
@@ -175,11 +207,12 @@ def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
     c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
     A_d = sum_v c_v c_(v+d), |S_beta|^2 = sum_d A_d psi_beta(d) for every
     character psi_beta.  The form passes when, for every L, A_d is the same
-    for every d != 0, so that |S_beta|^2 = A_0 - A_1 for every non-trivial
-    character, and A_0 - A_1 is 0 or q^(2m - r): the quadratic-form
-    dichotomy (Lidl & Niederreiter, Finite Fields, ch. 5-6), all in
-    integers.  Returns one report per (k, a) with the largest A_0 - A_1 as
-    max_abs_sq, its square root as max_magnitude and the bound q^(m - r/2).
+    for every d != 0 (energy_abs_sq over F_q), so that
+    |S_beta|^2 = A_0 - A_1 for every non-trivial character, and A_0 - A_1
+    is 0 or q^(2m - r): the quadratic-form dichotomy (Lidl & Niederreiter,
+    Finite Fields, ch. 5-6), all in integers.  Returns one report per
+    (k, a) with the largest A_0 - A_1 as max_abs_sq, its square root as
+    max_magnitude and the bound q^(m - r/2).
     """
     ctx = ring.ctx
     q = ctx.q
@@ -195,10 +228,8 @@ def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
         per = max(1, BLOCK // q ** (m + 1))
         for start in range(0, len(forms), per):
             counts = gauss_counts(forms[start:start + per], ctx)
-            energy = np.stack([(counts * counts[:, add[:, d]]).sum(axis=1)
-                               for d in range(q)], axis=1)
-            abs_sq = energy[:, 0] - energy[:, 1]
-            flat = (energy[:, 1:] == energy[:, 1:2]).all(axis=(1, 2))
+            abs_sq, flat = energy_abs_sq(counts.transpose(0, 2, 1), add)
+            flat = flat.all(axis=1)
             for b, rank in enumerate(ranks[start:start + per]):
                 max_abs_sq = int(abs_sq[b].max())
                 top = q ** (2 * m - rank)

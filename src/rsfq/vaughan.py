@@ -19,7 +19,11 @@ sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
 read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
 (the verify cell passes the context's kernel, whose tables are already
 built) and report their asymptotic-shape reference values (never asserted:
-the implied constants carry no numeric value).
+the implied constants carry no numeric value).  Every inner sum S is a
+quadratic Gauss sum, so |S|^2 is 0 or a power p^k: both aggregates take
+|S|^2 from the F_p histograms of Tr(beta R(g h)) through
+charsum.energy_abs_sq, the one exact |S|^2 route, check that dichotomy and
+sum |S| = p^(k/2) exactly as a pair [A, B] meaning A + B sqrt(p).
 """
 
 from __future__ import annotations
@@ -32,17 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import Dirichlet
-from .charsum import CharSpec, char_eval, char_values, hist_to_sum
+from .charsum import CharSpec, char_eval, char_traces, energy_abs_sq
 from .errors import (
     ExactIdentityError,
     InvalidCutoffsError,
     TrivialCharacterError,
 )
-from .field import field_tables
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
 from .sieve import BLOCK
-from .vecenum import int_dtype, sub_table
+from .vecenum import int_dtype
 
 
 def validate_cutoffs(n: int, u: int, v: int) -> None:
@@ -83,8 +86,10 @@ class VaughanReport:
     s3: complex
     residual: float
     sigma1: float | None = None
+    sigma1_exact: list | None = None
     sigma1_bound: float | None = None
     sigma2: float | None = None
+    sigma2_exact: list | None = None
     sigma2_bound: float | None = None
 
     def as_dict(self) -> dict:
@@ -99,8 +104,10 @@ class VaughanReport:
             "s3": {"re": self.s3.real, "im": self.s3.imag},
             "residual": self.residual,
             "sigma1": self.sigma1,
+            "sigma1_exact": self.sigma1_exact,
             "sigma1_bound": self.sigma1_bound,
             "sigma2": self.sigma2,
+            "sigma2_exact": self.sigma2_exact,
             "sigma2_bound": self.sigma2_bound,
         }
 
@@ -223,36 +230,70 @@ def random_weight_values(ring: PolyRing, n: int, seed: int,
 # -- sigma aggregates ---------------------------------------------------------
 
 
-def _rs_products(ring: PolyRing, d: int, m: int, cap: int | None,
-                 kernel: Dirichlet | None = None) -> np.ndarray:
-    """(q^d, q^m) matrix of R(g h), monic g of degree d and h of degree m >= 1
-    in counting order, from the kernel's product table (cap-checked per
-    degree; a fresh kernel when none is given).  R is evaluated on BLOCK
-    entries at a time, which bounds its temporaries."""
-    for k in (d, m):
-        ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
+def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
+    """R of every monic polynomial of degree n >= 2 in counting order,
+    evaluated on BLOCK entries at a time, which bounds rs_values'
+    temporaries.  R(g h) for monic g of degree d is then this table read
+    through the kernel's product table of degrees (d, n - d)."""
     q = ring.ctx.q
-    out = np.empty(q ** (d + m), dtype=int_dtype(q - 1))
-    if d:
-        flat = (kernel or Dirichlet(ring)).products(d, m).reshape(-1)
-    else:   # g = 1: g h is h, in the dtype of a product table of its size
-        flat = np.arange(len(out), dtype=np.int32 if len(out) <= np.iinfo(
-            np.int32).max else np.int64)
+    out = np.empty(q**n, dtype=int_dtype(q - 1))
     for lo in range(0, len(out), BLOCK):
-        out[lo:lo + BLOCK] = rs_values(ring, d + m, flat[lo:lo + BLOCK])
-    return out.reshape(q**d, q**m)
+        out[lo:lo + BLOCK] = rs_values(
+            ring, n, np.arange(lo, min(lo + BLOCK, len(out))))
+    return out
 
 
-def _abs_row_sums(r: np.ndarray, vals: list) -> float:
-    """Sum over the rows of r, in order, of |hist_to_sum| of each row's
-    histogram, all histograms from one offset bincount."""
-    q = len(vals)
-    hists = np.bincount((np.arange(len(r))[:, None] * q + r).ravel(),
-                        minlength=len(r) * q)
-    total = 0.0
-    for hist in hists.reshape(-1, q).tolist():
-        total += abs(hist_to_sum(hist, vals))
-    return total
+def _products(kernel: Dirichlet, d: int, m: int) -> np.ndarray:
+    """(q^d, q^m) counting indices of g h, g = 1 when d = 0."""
+    if d:
+        return kernel.products(d, m)
+    return np.arange(kernel.ctx.q**m).reshape(1, -1)
+
+
+def _magnitudes(hist: np.ndarray, p: int, where) -> np.ndarray:
+    """Exact |S| of every F_p value histogram (rows of hist) as an int64
+    row [A, B] with |S| = A + B sqrt(p).
+
+    |S|^2 = A_0 - A_1 from charsum.energy_abs_sq must be 0 or a power p^k,
+    so |S| is p^(k/2) or p^((k-1)/2) sqrt(p); otherwise ExactIdentityError
+    names where(row) of the first row that is not.
+    """
+    r = np.arange(p)
+    abs_sq, flat = energy_abs_sq(hist, (r[:, None] + r) % p)
+    # |S| for |S|^2 = 0, 1, p, p^2, ...: each power multiplies |S| by
+    # sqrt(p), taking A + B sqrt(p) to B p + A sqrt(p).
+    top = abs_sq.max(initial=0)
+    squares, exact = [0, 1], [(0, 0), (1, 0)]
+    while squares[-1] < top:
+        squares.append(squares[-1] * p)
+        exact.append((exact[-1][1] * p, exact[-1][0]))
+    squares = np.array(squares, dtype=np.int64)
+    k = np.searchsorted(squares, abs_sq)
+    bad = np.flatnonzero(~flat | (squares.take(k, mode="clip") != abs_sq))
+    if len(bad):
+        row = int(bad[0])
+        fault = (f"|S|^2 = {abs_sq[row]} is not 0 or a power of {p}"
+                 if flat[row] else "A_d is not the same for every d != 0")
+        raise ExactIdentityError(f"{fault} at {where(row)}")
+    return np.array(exact, dtype=np.int64)[k]
+
+
+def _monic_name(ring: PolyRing, d: int, k: int) -> str:
+    """The k-th monic polynomial of degree d in counting order."""
+    return ring.to_str(next(ring.monic_range(d, k, k + 1)))
+
+
+def _value(exact: list, p: int) -> float:
+    """The float of [A, B], A + B sqrt(p)."""
+    return exact[0] + exact[1] * math.sqrt(p)
+
+
+def _exceeds(x: list, y: list, p: int) -> bool:
+    """x[0] + x[1] sqrt(p) > y[0] + y[1] sqrt(p), decided in integers: with
+    a, b the differences, a + b sqrt(p) has the sign of a when a^2 > p b^2
+    and of b otherwise (p is not a square, so a^2 = p b^2 only at 0)."""
+    a, b = x[0] - y[0], x[1] - y[1]
+    return (a if a * a > p * b * b else b) > 0
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
@@ -260,29 +301,43 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
-    R(g h) matrix, read off kernel's product tables.  The reference shape
+    R(g h) matrix, read off kernel's product tables; each row's histogram
+    of Tr(beta R(g h)) over F_p gives |S| exactly (_magnitudes), so value
+    and by_degree are floats of the exact pairs value_exact and
+    by_degree_exact, [A, B] meaning A + B sqrt(p).  The reference shape
     q^((n + u + v + 2) / 2) is reported, not asserted.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError("sigma1 needs a non-trivial character")
-    q = ring.ctx.q
-    vals = char_values(chi)
-    total = 0.0
-    by_degree = []
+    q, p = ring.ctx.q, ring.ctx.p
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
+    kernel = kernel or Dirichlet(ring)
+    traces = char_traces(chi)[_rs_table(ring, n)]
+    hists, starts = [], [0]
     for dg in range(u + v + 1):
-        deg_total = _abs_row_sums(_rs_products(ring, dg, n - dg, cap, kernel),
-                                   vals)
-        by_degree.append(deg_total)
-        total += deg_total
+        t = traces[_products(kernel, dg, n - dg)]
+        hists.append(np.bincount((np.arange(q**dg)[:, None] * p + t).ravel(),
+                                 minlength=q**dg * p))
+        starts.append(starts[-1] + q**dg)
+
+    def where(row):
+        dg = next(d for d in range(u + v + 1) if row < starts[d + 1])
+        return f"g = {_monic_name(ring, dg, row - starts[dg])}"
+
+    exact = _magnitudes(np.concatenate(hists).reshape(-1, p), p, where)
+    by_degree_exact = np.add.reduceat(exact, starts[:-1]).tolist()
+    total = exact.sum(axis=0).tolist()
     return {
         "q": q,
         "n": n,
         "u": u,
         "v": v,
-        "value": total,
+        "value": _value(total, p),
+        "value_exact": total,
         "bound": float(q) ** ((n + u + v + 2) / 2),
-        "by_degree": by_degree,
+        "by_degree": [_value(pair, p) for pair in by_degree_exact],
+        "by_degree_exact": by_degree_exact,
     }
 
 
@@ -295,34 +350,56 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     monic of degree i.  The reference shape q^(15n/14 - u) + q^(3n/2 - v + 1)
     is reported, not asserted.
 
-    Each pair sum is rs_pair_char_sum's histogram of R(h g1) - R(h g2),
-    read off two rows of the R(g h) matrix from kernel's product tables.
+    Each pair sum's |S| comes exactly from the F_p histogram of
+    Tr(beta (R(h g1) - R(h g2))) (_magnitudes), two rows of the R(g h)
+    matrix read off kernel's product tables.  The histograms of a block of
+    g1 rows against every g2, about BLOCK (pair, h) entries, come from one
+    bincount.  value_exact [A, B] means A + B sqrt(p), and the argmax is
+    the first (i, g1) in counting order that attains it, decided exactly.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError("sigma2 needs a non-trivial character")
-    q = ring.ctx.q
-    vals = char_values(chi)
-    sub = sub_table(field_tables(ring.ctx.key())[0])
-    best = -1.0
-    best_i = None
-    best_g1 = None
+    q, p = ring.ctx.q, ring.ctx.p
     for i in range(v, n - u + 1):
-        dg = n - i
-        r_vals = _rs_products(ring, dg, i, cap, kernel)
-        for k, r1 in enumerate(r_vals):
-            total = _abs_row_sums(sub[r1, r_vals], vals)
-            if total > best:
-                best = total
-                best_i = i
-                best_g1 = ring.to_str(next(ring.monic_range(dg, k, k + 1)))
+        for k in (n - i, i):
+            ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
+    kernel = kernel or Dirichlet(ring)
+    traces = char_traces(chi)[_rs_table(ring, n)]
+    width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
+    best, best_i, best_k = None, None, None
+    for i in range(v, n - u + 1):
+        t = traces[_products(kernel, n - i, i)]
+        rows, cols = t.shape
+        right = np.arange(rows)[:, None] * width + (-t) % p
+        per = max(1, BLOCK // (rows * cols))
+        sums = []
+        for lo in range(0, rows, per):
+            block = t[lo:lo + per]
+            left = block + np.arange(len(block))[:, None] * (rows * width)
+            raw = np.bincount((left[:, None, :] + right).ravel(),
+                              minlength=len(block) * rows * width)
+            raw = raw.reshape(-1, width)
+            hist = raw[:, :p].copy()
+            hist[:, :p - 1] += raw[:, p:]
+
+            def where(row, lo=lo, i=i):
+                g1 = _monic_name(ring, n - i, lo + row // rows)
+                return f"i = {i}, g1 = {g1}"
+
+            sums.append(_magnitudes(hist, p, where).reshape(
+                len(block), rows, 2).sum(axis=1))
+        for k, pair in enumerate(np.concatenate(sums).tolist()):
+            if best is None or _exceeds(pair, best, p):
+                best, best_i, best_k = pair, i, k
     return {
         "q": q,
         "n": n,
         "u": u,
         "v": v,
-        "value": best,
+        "value": _value(best, p),
+        "value_exact": best,
         "bound": float(q) ** (15 * n / 14 - u) + float(q) ** (3 * n / 2 - v + 1),
         "argmax_i": best_i,
-        "argmax_g1": best_g1,
+        "argmax_g1": _monic_name(ring, n - best_i, best_k),
     }

@@ -45,7 +45,6 @@ from .vaughan import (
     random_weight_values,
     sigma1,
     sigma2,
-    unit_weight,
 )
 from .vecenum import digits
 
@@ -271,7 +270,7 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     vc = VaughanContext(ring, n, cap=cell["cap"])
     chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
     char_rs = np.array(char_values(chi))[rs_values(ring, n, np.arange(q**n))]
-    weights = [("unit", vc.tabulate(unit_weight)), ("char-rs", char_rs)]
+    weights = [("unit", np.ones(q**n, dtype=complex)), ("char-rs", char_rs)]
     for j in range(cell["weights"]):
         weights.append(
             (f"random-{j}",
@@ -301,8 +300,10 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     s1 = sigma1(ring, n, du, dv, chi, cell["cap"], vc.kernel)
     s2 = sigma2(ring, n, du, dv, chi, cell["cap"], vc.kernel)
     rep = vc.decompose(du, dv, char_rs)
-    rep.sigma1, rep.sigma1_bound = s1["value"], s1["bound"]
-    rep.sigma2, rep.sigma2_bound = s2["value"], s2["bound"]
+    rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
+        s1["value"], s1["value_exact"], s1["bound"])
+    rep.sigma2, rep.sigma2_exact, rep.sigma2_bound = (
+        s2["value"], s2["value_exact"], s2["bound"])
     return passed, {
         "combos": combos,
         "worst_residual": worst_residual,

@@ -278,7 +278,7 @@ def _worst_magnitude_all_pairs(ctx, mat):
     worst = 0.0
     for beta in range(1, p):
         omega = roots[(beta * np.arange(p)) % p]
-        worst = max(worst, float(np.abs(counts.T @ omega).max()))
+        worst = max(worst, float(np.abs((counts.T * omega).sum(axis=1)).max()))
     return worst
 
 

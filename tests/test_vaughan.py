@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,20 +19,22 @@ from rsfq import (
     character_rs_weight,
     default_cutoffs,
     divisors_monic,
+    max_gauss_magnitude,
     quad_form_char_sum,
     random_weight_values,
     rs_char_sum_over_set,
     rs_pair_char_sum,
     rudin_shapiro,
+    scan_gauss_bound,
     sigma1,
     sigma2,
     sym_matrix,
     unit_weight,
     vaughan_decompose,
 )
-from rsfq import arith
+from rsfq import arith, charsum, vaughan
 from rsfq.arith import FactorTable
-from rsfq.vaughan import _rs_products
+from rsfq.vaughan import _products, _rs_table
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +209,53 @@ def test_sigma2_against_direct_loop(f3):
     assert abs(best - report["value"]) < 1e-9
 
 
+def exact_abs(s: complex, p: int) -> tuple:
+    """(A, B) with |s| = A + B sqrt(p), after asserting that round(|s|^2)
+    is 0 or a power of p, as it is for every quadratic Gauss sum."""
+    sq = round(abs(s) ** 2)
+    if sq == 0:
+        return 0, 0
+    k = round(math.log(sq, p))
+    assert p**k == sq, f"|S|^2 = {sq} is not a power of {p}"
+    return (p ** (k // 2), 0) if k % 2 == 0 else (0, p ** (k // 2))
+
+
+def add_exact(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def as_decimal(x: tuple, p: int) -> Decimal:
+    """A + B sqrt(p) to 60 digits: two distinct values below 10^12 differ
+    by more than 10^-13, so comparing these decides exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return x[0] + x[1] * Decimal(p).sqrt()
+
+
 @pytest.mark.parametrize("p, e, n, u, v", [
     (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
     (5, 1, 4, 1, 2), (5, 1, 4, 2, 1), (3, 2, 3, 1, 1),
 ])
 def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
-    """The cached sigma2 equals, bit for bit, the aggregate of one
-    rs_pair_char_sum call per pair (g1, g2)."""
+    """Every rs_pair_char_sum oracle has |S|^2 equal to 0 or a power of p,
+    and their exact row sums [A, B] and first exact maximum in (i, g1)
+    counting order are sigma2's value_exact and argmax."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
-    best, best_i, best_g1 = -1.0, None, None
+    best, best_i, best_g1 = None, None, None
     for i in range(v, n - u + 1):
         monics = list(ring.enumerate(PolySet.MONIC, n - i))
         for g1 in monics:
-            total = 0.0
+            total = (0, 0)
             for g2 in monics:
-                total += abs(rs_pair_char_sum(ring, i, g1, g2, chi))
-            if total > best:
+                total = add_exact(total, exact_abs(
+                    rs_pair_char_sum(ring, i, g1, g2, chi), p))
+            if best is None or as_decimal(total, p) > as_decimal(best, p):
                 best, best_i, best_g1 = total, i, ring.to_str(g1)
     report = sigma2(ring, n, u, v, chi)
-    assert (report["value"], report["argmax_i"], report["argmax_g1"]) == (
-        best, best_i, best_g1)
+    assert (report["value_exact"], report["argmax_i"], report["argmax_g1"]) == (
+        list(best), best_i, best_g1)
+    assert report["value"] == best[0] + best[1] * math.sqrt(p)
 
 
 # The grid of test_sigma2_equals_sum_of_pair_oracles.
@@ -238,20 +267,24 @@ SIGMA_GRID = [
 
 @pytest.mark.parametrize("p, e, n, u, v", SIGMA_GRID)
 def test_sigma1_equals_sum_of_set_oracles(p, e, n, u, v):
-    """sigma1 equals, bit for bit, the in-order sum of one
-    rs_char_sum_over_set call per multiplier g."""
+    """Every rs_char_sum_over_set oracle, one per multiplier g, has |S|^2
+    equal to 0 or a power of p, and their exact sums per degree and in
+    total are sigma1's by_degree_exact and value_exact."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
-    total, by_degree = 0.0, []
+    total, by_degree = (0, 0), []
     for dg in range(u + v + 1):
-        deg_total = 0.0
+        deg_total = (0, 0)
         for g in ring.enumerate(PolySet.MONIC, dg):
-            deg_total += abs(rs_char_sum_over_set(
-                ring, PolySet.MONIC, n - dg, g, chi, "R"))
-        by_degree.append(deg_total)
-        total += deg_total
+            deg_total = add_exact(deg_total, exact_abs(rs_char_sum_over_set(
+                ring, PolySet.MONIC, n - dg, g, chi, "R"), p))
+        by_degree.append(list(deg_total))
+        total = add_exact(total, deg_total)
     report = sigma1(ring, n, u, v, chi)
-    assert (report["value"], report["by_degree"]) == (total, by_degree)
+    assert (report["value_exact"], report["by_degree_exact"]) == (
+        list(total), by_degree)
+    assert report["value"] == total[0] + total[1] * math.sqrt(p)
+    assert report["by_degree"] == [a + b * math.sqrt(p) for a, b in by_degree]
 
 
 @pytest.mark.parametrize("p, e, d, m", [
@@ -260,25 +293,30 @@ def test_sigma1_equals_sum_of_set_oracles(p, e, n, u, v):
     (3, 2, 2, 1), (5, 2, 1, 1), (3, 3, 1, 2),
 ])
 def test_rs_products_matches_polynomial_products(p, e, d, m):
-    """Row g, column h of the R(g h) matrix is rudin_shapiro(g * h), with
-    g and h in counting order; d = 0 is the single row g = 1."""
+    """Row g, column h of the R(g h) matrix, R over monic degree d + m
+    read through the product indices, is rudin_shapiro(g * h), with g and
+    h in counting order; d = 0 is the single row g = 1."""
     ring = PolyRing(FieldCtx(p, e))
     want = [[rudin_shapiro(ring, ring.mul(g, h))
              for h in ring.enumerate(PolySet.MONIC, m)]
             for g in ring.enumerate(PolySet.MONIC, d)]
-    got = _rs_products(ring, d, m, None)
+    got = _rs_table(ring, d + m)[_products(Dirichlet(ring), d, m)]
     assert got.shape == (ring.ctx.q**d, ring.ctx.q**m)
     assert got.tolist() == want
 
 
 def test_rs_products_checks_both_degrees_against_the_cap(f3):
+    """sigma2 checks q^deg g1 and q^i of every i against the cap before it
+    evaluates R; sigma1's largest set is the q^n monics of g = 1."""
+    chi = CharSpec(f3.ctx, 1)
     with pytest.raises(EnumerationCapError, match="enumeration of 9 elements"):
-        _rs_products(f3, 2, 1, 8)
+        sigma2(f3, 3, 1, 1, chi, 8)
     with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
-        _rs_products(f3, 1, 3, 26)
-    # g = t shifts h up one coefficient: R(t h) is R at index 3 * idx(h).
-    assert np.array_equal(_rs_products(f3, 1, 3, 27)[0],
-                          _rs_products(f3, 0, 4, 81)[0, ::3])
+        sigma2(f3, 4, 1, 1, chi, 26)
+    with pytest.raises(EnumerationCapError, match="enumeration of 81 elements"):
+        sigma1(f3, 4, 1, 2, chi, 80)
+    # g = t shifts h up one coefficient: t h has counting index 3 * idx(h).
+    assert np.array_equal(_products(Dirichlet(f3), 1, 3)[0], 3 * np.arange(27))
 
 
 def test_context_builds_each_product_table_once(f3, monkeypatch):
@@ -309,16 +347,21 @@ def test_sigma_through_the_shared_kernel(p, e, n, monkeypatch):
     monkeypatch.setattr(arith, "product_indices", None)   # no table is built
     assert sigma1(ring, n, u, v, chi, kernel=kernel) == fresh1
     assert sigma2(ring, n, u, v, chi, kernel=kernel) == fresh2
-    by_degree = [sum(abs(rs_char_sum_over_set(ring, PolySet.MONIC, n - dg, g,
-                                              chi))
-                     for g in ring.enumerate(PolySet.MONIC, dg))
-                 for dg in range(u + v + 1)]
-    assert fresh1["by_degree"] == by_degree
+    by_degree = []
+    for dg in range(u + v + 1):
+        deg_total = (0, 0)
+        for g in ring.enumerate(PolySet.MONIC, dg):
+            deg_total = add_exact(deg_total, exact_abs(rs_char_sum_over_set(
+                ring, PolySet.MONIC, n - dg, g, chi), p))
+        by_degree.append(list(deg_total))
+    assert fresh1["by_degree_exact"] == by_degree
     # The pair oracles on the argmax row give the reported maximum.
     i, g1 = fresh2["argmax_i"], ring.parse(fresh2["argmax_g1"])
-    assert fresh2["value"] == sum(
-        abs(rs_pair_char_sum(ring, i, g1, g2, chi))
-        for g2 in ring.enumerate(PolySet.MONIC, n - i))
+    row = (0, 0)
+    for g2 in ring.enumerate(PolySet.MONIC, n - i):
+        row = add_exact(row, exact_abs(rs_pair_char_sum(ring, i, g1, g2, chi),
+                                       p))
+    assert fresh2["value_exact"] == list(row)
 
 
 def test_independent_routes_never_read_a_product_table(f3, monkeypatch):
@@ -335,9 +378,81 @@ def test_independent_routes_never_read_a_product_table(f3, monkeypatch):
     assert len(divisors_monic(f3, f)) == FactorTable(f3).tau(f)
     chi = CharSpec(f3.ctx, 1)
     g = f3.from_ints([1, 1])
+    # Nor do the floating-point oracles take |S|^2 from the exact route.
+    monkeypatch.setattr(charsum, "energy_abs_sq", refuse)
     rs_char_sum_over_set(f3, PolySet.MONIC, 3, g, chi)
     rs_pair_char_sum(f3, 2, g, f3.from_ints([2, 1]), chi)
-    quad_form_char_sum(sym_matrix(f3.ctx, [[1, 0], [0, 2]]), (0, 1), chi)
+    mat = sym_matrix(f3.ctx, [[1, 0], [0, 2]])
+    quad_form_char_sum(mat, (0, 1), chi)
+    max_gauss_magnitude(mat)
+
+
+def test_exact_routes_never_read_character_values(monkeypatch):
+    """sigma1, sigma2 and scan_gauss_bound take every |S|^2 from integer
+    histograms: no character value and no hist_to_sum enters."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact route read a character value")
+
+    for module in (charsum, vaughan):
+        for name in ("hist_to_sum", "char_values"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for p, e, n in ((3, 1, 5), (3, 2, 3)):
+        ring = PolyRing(FieldCtx(p, e))
+        chi = CharSpec(ring.ctx, 1)
+        u, v = default_cutoffs(n)
+        sigma1(ring, n, u, v, chi)
+        sigma2(ring, n, u, v, chi)
+        assert all(rep["pass"] for rep in scan_gauss_bound(ring, n))
+
+
+def test_sigma1_is_exact_where_the_float_sum_drifted():
+    """by_degree[0] at q=3, n=10, u=2, v=7 is 243 = 3^5 exactly; a float
+    sum of |S| per row gave 242.99999999999454."""
+    ring = PolyRing(FieldCtx(3))
+    report = sigma1(ring, 10, 2, 7, CharSpec(ring.ctx, 1))
+    assert report["by_degree"][0] == 243.0
+    assert report["by_degree_exact"][0] == [243, 0]
+
+
+@pytest.mark.parametrize("p, e, n, u, v", [(5, 1, 4, 1, 2), (3, 2, 3, 1, 1)])
+def test_sigma_is_the_same_for_every_nonzero_beta(p, e, n, u, v):
+    """|S|^2 depends only on the rank and the linear part of the quadratic
+    form, not on beta != 0, so every non-trivial character gives the same
+    exact sigma1 and sigma2."""
+    ring = PolyRing(FieldCtx(p, e))
+    reports = [(sigma1(ring, n, u, v, chi)["value_exact"],
+                sigma2(ring, n, u, v, chi)["value_exact"])
+               for chi in (CharSpec(ring.ctx, beta) for beta in range(1, p**e))]
+    assert reports == [reports[0]] * (p**e - 1)
+
+
+def test_energy_flags_a_histogram_that_is_not_flat():
+    """Over F_5, c = (1, 1, 0, 0, 0) has A_1 = A_4 = 1 but A_2 = A_3 = 0,
+    so no single |S|^2 serves every non-trivial character."""
+    r = np.arange(5)
+    add = (r[:, None] + r) % 5
+    hist = np.array([[1, 1, 0, 0, 0], [3, 1, 1, 1, 1], [7, 0, 0, 0, 0]])
+    abs_sq, flat = charsum.energy_abs_sq(hist, add)
+    assert abs_sq.tolist() == [1, 4, 49]
+    assert flat.tolist() == [False, True, True]
+
+
+def test_sigma_rejects_a_magnitude_that_is_not_a_power_of_p(f3, monkeypatch):
+    """With R replaced by (1, 1, 1, 1, 0, ...) over the monics of degree n,
+    the row g = 1 has |S|^2 = H^2 - 12 H + 48 for its H = 3^n values of h,
+    453 at n = 3: not a power of 3, and sigma2 meets such a pair too."""
+    def corrupted(ring, n):
+        out = np.zeros(ring.ctx.q**n, dtype=np.int8)
+        out[:4] = 1
+        return out
+
+    monkeypatch.setattr(vaughan, "_rs_table", corrupted)
+    chi = CharSpec(f3.ctx, 1)
+    with pytest.raises(ExactIdentityError, match=r"\|S\|\^2 = 453 .* at g = 1$"):
+        sigma1(f3, 3, 1, 1, chi)
+    with pytest.raises(ExactIdentityError, match="is not 0 or a power of 3"
+                       " at i = 2, g1 = 0,0,1$"):
+        sigma2(f3, 4, 1, 2, chi)
 
 
 def test_sigma1_monotone_in_cutoff_window(f3):
