@@ -311,6 +311,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     if chi.is_trivial():
         raise TrivialCharacterError("sigma1 needs a non-trivial character")
     q, p = ring.ctx.q, ring.ctx.p
+    # The q^n monics h of the row g = 1 bound every other degree's sets.
     ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
     kernel = kernel or Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n)]
@@ -361,7 +362,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     if chi.is_trivial():
         raise TrivialCharacterError("sigma2 needs a non-trivial character")
     q, p = ring.ctx.q, ring.ctx.p
-    for i in range(v, n - u + 1):
+    for i in range(v, n - u + 1):     # every degree, before R is evaluated
         for k in (n - i, i):
             ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
     kernel = kernel or Dirichlet(ring)
