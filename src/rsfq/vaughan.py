@@ -243,13 +243,6 @@ def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
     return out
 
 
-def _products(kernel: Dirichlet, d: int, m: int) -> np.ndarray:
-    """(q^d, q^m) counting indices of g h, g = 1 when d = 0."""
-    if d:
-        return kernel.products(d, m)
-    return np.arange(kernel.ctx.q**m).reshape(1, -1)
-
-
 def _magnitudes(hist: np.ndarray, p: int, where) -> np.ndarray:
     """Exact |S| of every F_p value histogram (rows of hist) as an int64
     row [A, B] with |S| = A + B sqrt(p).
@@ -315,18 +308,24 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
     kernel = kernel or Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n)]
-    hists, starts = [], [0]
+    # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
+    # array, so that one _magnitudes call serves every degree.
+    starts = np.cumsum([0] + [q**dg for dg in range(u + v + 1)])
+    hist = np.empty((starts[-1], p), dtype=np.int64)
     for dg in range(u + v + 1):
-        t = traces[_products(kernel, dg, n - dg)]
-        hists.append(np.bincount((np.arange(q**dg)[:, None] * p + t).ravel(),
-                                 minlength=q**dg * p))
-        starts.append(starts[-1] + q**dg)
+        # Key g p + Tr(beta R(g h)) for row g (g = 1, the one row of degree
+        # 0, pairs with every h).  The gathered traces and keys are bound to
+        # no name, so each is freed as soon as it is read.
+        hist[starts[dg]:starts[dg + 1]] = np.bincount((
+            np.arange(q**dg)[:, None] * p
+            + (traces[kernel.products(dg, n - dg)] if dg else traces)).ravel(),
+            minlength=q**dg * p).reshape(-1, p)
 
     def where(row):
-        dg = next(d for d in range(u + v + 1) if row < starts[d + 1])
+        dg = int(np.searchsorted(starts, row, side="right")) - 1
         return f"g = {_monic_name(ring, dg, row - starts[dg])}"
 
-    exact = _magnitudes(np.concatenate(hists).reshape(-1, p), p, where)
+    exact = _magnitudes(hist, p, where)
     by_degree_exact = np.add.reduceat(exact, starts[:-1]).tolist()
     total = exact.sum(axis=0).tolist()
     return {
@@ -370,7 +369,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
     best, best_i, best_k = None, None, None
     for i in range(v, n - u + 1):
-        t = traces[_products(kernel, n - i, i)]
+        t = traces[kernel.products(n - i, i)]
         rows, cols = t.shape
         right = np.arange(rows)[:, None] * width + (-t) % p
         per = max(1, BLOCK // (rows * cols))

@@ -34,7 +34,7 @@ from rsfq import (
 )
 from rsfq import arith, charsum, vaughan
 from rsfq.arith import FactorTable
-from rsfq.vaughan import _products, _rs_table
+from rsfq.vaughan import _rs_table
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,8 @@ def test_rs_products_matches_polynomial_products(p, e, d, m):
     want = [[rudin_shapiro(ring, ring.mul(g, h))
              for h in ring.enumerate(PolySet.MONIC, m)]
             for g in ring.enumerate(PolySet.MONIC, d)]
-    got = _rs_table(ring, d + m)[_products(Dirichlet(ring), d, m)]
+    table = _rs_table(ring, d + m)
+    got = table[Dirichlet(ring).products(d, m)] if d else table[None, :]
     assert got.shape == (ring.ctx.q**d, ring.ctx.q**m)
     assert got.tolist() == want
 
@@ -313,10 +314,13 @@ def test_rs_products_checks_both_degrees_against_the_cap(f3):
         sigma2(f3, 3, 1, 1, chi, 8)
     with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
         sigma2(f3, 4, 1, 1, chi, 26)
+    # i in [2, 3]: only q^i = 27 at i = 3 exceeds the cap, deg g1 being 1.
+    with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
+        sigma2(f3, 4, 1, 2, chi, 26)
     with pytest.raises(EnumerationCapError, match="enumeration of 81 elements"):
         sigma1(f3, 4, 1, 2, chi, 80)
     # g = t shifts h up one coefficient: t h has counting index 3 * idx(h).
-    assert np.array_equal(_products(Dirichlet(f3), 1, 3)[0], 3 * np.arange(27))
+    assert np.array_equal(Dirichlet(f3).products(1, 3)[0], 3 * np.arange(27))
 
 
 def test_context_builds_each_product_table_once(f3, monkeypatch):
