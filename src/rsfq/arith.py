@@ -3,11 +3,13 @@
 Dirichlet.convolve sums x[a]*y[b] exactly at the index of a*b; degree by
 degree it gives mu from mu*1 = delta, Lambda from Lambda*1 = deg and
 tau = 1*1 (Rosen, Number Theory in Function Fields, ch. 2).  The indices
-come from sieve.product_indices: Dirichlet.products builds the table of
-g*h over all monic g, h of degrees d, m once per kernel and unordered
-{d, m}, and keeps it while it has at most sieve.BLOCK entries, so each
-convolution of that size is one bincount over it; a larger one streams
-the blocks and keeps nothing.  vaughan's sigma1 and sigma2 read R(g h)
+come from sieve.product_indices, which adds the images of the two halves
+of h carry-free only in the window of digits where both can be nonzero
+and builds that window's adder itself.  Dirichlet.products builds the
+table of g*h over all monic g, h of degrees d, m once per kernel and
+unordered {d, m}, and keeps it while it has at most sieve.BLOCK entries,
+so each convolution of that size is one bincount over it; a larger one
+streams the blocks and keeps nothing.  vaughan's sigma1 and sigma2 read R(g h)
 off the same tables.  FactorTable (trial division) and divisors_monic are
 the independent routes it is tested against, and
 count_reversal_solutions, the scan's per-f oracle, uses FactorTable.
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DegreeBoundError, EnumerationCapError, ZeroPolynomialError
 from .poly import PolyRing, PolySet
-from .sieve import BLOCK, SIEVE_CAP, DigitAdd, product_indices
+from .sieve import BLOCK, SIEVE_CAP, product_indices
 
 
 class Dirichlet:
@@ -58,9 +60,8 @@ class Dirichlet:
         ctx = self.ctx
         q = ctx.q
         table = None
-        for gs, rows, idx in product_indices(
-                np.arange(q**d), d, m, ctx.p, ctx.basis,
-                DigitAdd(ctx.p, (d + m) * ctx.e)):
+        for gs, rows, idx in product_indices(np.arange(q**d), d, m, ctx.p,
+                                             ctx.basis):
             if table is None:
                 table = np.empty((q**d, q**m), dtype=idx.dtype)
             # idx[i, r, j] is g times the h of counting index r + j*la.
@@ -92,8 +93,7 @@ class Dirichlet:
             blocks = [(slice(None), slice(None),
                        self.products(da, db)[xs, :, None])]
         else:
-            blocks = product_indices(xs, da, db, ctx.p, ctx.basis,
-                                     DigitAdd(ctx.p, (da + db) * ctx.e))
+            blocks = product_indices(xs, da, db, ctx.p, ctx.basis)
         z = np.zeros(size)
         for gs, rows, idx in blocks:
             w = x[xs[gs], None, None] * y.reshape(idx.shape[2], -1).T[rows]

@@ -290,7 +290,8 @@ def _exceeds(x: list, y: list, p: int) -> bool:
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None, kernel: Dirichlet | None = None) -> dict:
+           cap: int | None = None, kernel: Dirichlet | None = None,
+           rs: np.ndarray | None = None) -> dict:
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
@@ -298,7 +299,8 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     of Tr(beta R(g h)) over F_p gives |S| exactly (_magnitudes), so value
     and by_degree are floats of the exact pairs value_exact and
     by_degree_exact, [A, B] meaning A + B sqrt(p).  The reference shape
-    q^((n + u + v + 2) / 2) is reported, not asserted.
+    q^((n + u + v + 2) / 2) is reported, not asserted.  rs, R of every
+    monic of degree n in counting order, is evaluated when not given.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
@@ -307,7 +309,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     # The q^n monics h of the row g = 1 bound every other degree's sets.
     ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
     kernel = kernel or Dirichlet(ring)
-    traces = char_traces(chi)[_rs_table(ring, n)]
+    traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
     # array, so that one _magnitudes call serves every degree.
     starts = np.cumsum([0] + [q**dg for dg in range(u + v + 1)])
@@ -342,7 +344,8 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
 
 def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None, kernel: Dirichlet | None = None) -> dict:
+           cap: int | None = None, kernel: Dirichlet | None = None,
+           rs: np.ndarray | None = None) -> dict:
     """Max over i in [v, n-u] and monic g1 of the pair-sum aggregate.
 
     For each i and monic g1 of degree n - i, sums over monic g2 of the same
@@ -356,6 +359,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     g1 rows against every g2, about BLOCK (pair, h) entries, come from one
     bincount.  value_exact [A, B] means A + B sqrt(p), and the argmax is
     the first (i, g1) in counting order that attains it, decided exactly.
+    rs is as in sigma1.
     """
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
@@ -365,7 +369,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         for k in (n - i, i):
             ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
     kernel = kernel or Dirichlet(ring)
-    traces = char_traces(chi)[_rs_table(ring, n)]
+    traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
     best, best_i, best_k = None, None, None
     for i in range(v, n - u + 1):

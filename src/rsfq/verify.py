@@ -269,7 +269,10 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     q = ring.ctx.q
     vc = VaughanContext(ring, n, cap=cell["cap"])
     chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
-    char_rs = np.array(char_values(chi))[rs_values(ring, n, np.arange(q**n))]
+    # R over the q^n monics, evaluated once for the char-rs weight and both
+    # sigma aggregates.
+    rs = rs_values(ring, n, np.arange(q**n))
+    char_rs = np.array(char_values(chi))[rs]
     weights = [("unit", np.ones(q**n, dtype=complex)), ("char-rs", char_rs)]
     for j in range(cell["weights"]):
         weights.append(
@@ -297,8 +300,8 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
     passed = not failures and int(vc.lambdas.sum()) == q**n
     du, dv = default_cutoffs(n)
-    s1 = sigma1(ring, n, du, dv, chi, cell["cap"], vc.kernel)
-    s2 = sigma2(ring, n, du, dv, chi, cell["cap"], vc.kernel)
+    s1 = sigma1(ring, n, du, dv, chi, cell["cap"], vc.kernel, rs)
+    s2 = sigma2(ring, n, du, dv, chi, cell["cap"], vc.kernel, rs)
     rep = vc.decompose(du, dv, char_rs)
     rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
         s1["value"], s1["value_exact"], s1["bound"])

@@ -23,7 +23,7 @@ from rsfq import CharSpec, field, qa_matrix
 from rsfq.arith import Dirichlet
 from rsfq.charsum import gauss_counts
 from rsfq.rudin import rs_values
-from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask
+from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, product_indices
 from rsfq.vaughan import sigma2
 from rsfq.vecenum import digit_add_table, index_tables
 
@@ -152,6 +152,50 @@ def test_digit_add_bounded_and_exact():
         assert got.tolist() == want, (p, width)
 
 
+@pytest.mark.parametrize("p, e, n, d, sample", [
+    (3, 1, 2, 1, None),     # a = 0: no low half, the window is g's digits
+    (5, 1, 2, 1, None),
+    (3, 1, 7, 3, None),     # digits outside the window on both sides
+    (3, 1, 9, 2, None),
+    (3, 2, 4, 1, None),     # e = 2, odd m: the split is inside a coefficient
+    (3, 2, 5, 2, None),
+    (3, 3, 3, 1, None),     # e = 3
+    (3, 3, 2, 1, None),
+    (5, 2, 3, 1, None),
+    (1031, 1, 2, 1, 3),     # p^2 entries overflow the table: s = 0
+    (4093, 1, 3, 1, 2),     # p^3 > 2^31: int64 indices, first blocks only
+    (4093, 1, 3, 2, 2),
+])
+def test_product_indices_match_polynomial_products(p, e, n, d, sample):
+    """Every index product_indices yields is that of ring.mul(g, h), read
+    off its coefficients with no digit arithmetic, and each (g, h) is
+    yielded once.  sample limits a case to its first blocks and checks a
+    sample of their entries."""
+    ring = PolyRing(FieldCtx(p, e))
+    q, m = ring.ctx.q, n - d
+    rng = np.random.default_rng(p + e + n + d)
+    factors = np.arange(q**d) if sample is None else rng.choice(q**d, 3)
+    dtype = np.int32 if p ** (n * e) < 2**31 else np.int64
+    seen = np.zeros((len(factors), q**m), dtype=np.int64)
+    blocks = product_indices(factors, d, m, p, ring.ctx.basis)
+    for _, (gs, rows, idx) in zip(range(sample or len(seen) * q**m), blocks):
+        assert idx.dtype == dtype
+        la = q**m // idx.shape[2]
+        cells = np.argwhere(np.ones(idx.shape, dtype=bool))
+        if sample:
+            cells = cells[rng.choice(len(cells), 300)]
+        for i, r, j in cells.tolist():
+            k = gs.start + i
+            h_idx = rows.start + r + j * la
+            seen[k, h_idx] += 1
+            g = next(ring.monic_range(d, int(factors[k]), int(factors[k]) + 1))
+            h = next(ring.monic_range(m, h_idx, h_idx + 1))
+            want = ring.index_of(ring.mul(g, h)[:-1])    # drop the leading 1
+            assert idx[i, r, j] == want, (k, h_idx)
+    if sample is None:
+        assert (seen == 1).all()
+
+
 def test_digit_add_table_is_built_once_and_read_only(f9):
     """Every DigitAdd of one (p, s) shares one read-only table, and masks
     and convolutions through the shared table equal those built fresh."""
@@ -168,7 +212,9 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
     assert (composite_mask(f9, 4) == fresh_mask).all()
     assert (Dirichlet(f9).convolve(x, 1, y, 2) == fresh_conv).all()
     info = digit_add_table.cache_info()
-    assert info.misses == 2 and info.maxsize == 16      # (3, 4) and (3, 6)
+    # Windows of 4 digits for the mask's (d, m) = (1, 1), (1, 3), (2, 2):
+    # (3, 4); of 2 digits for the convolution's (1, 2) table: (3, 2).
+    assert info.misses == 2 and info.maxsize == 16
 
 
 def test_index_tables_are_built_once_per_field(monkeypatch, f9):

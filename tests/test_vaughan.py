@@ -32,7 +32,7 @@ from rsfq import (
     unit_weight,
     vaughan_decompose,
 )
-from rsfq import arith, charsum, vaughan
+from rsfq import arith, charsum, vaughan, verify
 from rsfq.arith import FactorTable
 from rsfq.vaughan import _rs_table
 
@@ -366,6 +366,34 @@ def test_sigma_through_the_shared_kernel(p, e, n, monkeypatch):
         row = add_exact(row, exact_abs(rs_pair_char_sum(ring, i, g1, g2, chi),
                                        p))
     assert fresh2["value_exact"] == list(row)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 5), (5, 1, 4), (3, 2, 4)])
+def test_vaughan_cell_evaluates_r_once(p, e, n, monkeypatch):
+    """One verify vaughan cell evaluates R over its q^n monics once, for
+    the char-rs weight and both sigma aggregates, and reports the sigma
+    values of calls that evaluate R themselves."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
+    u, v = default_cutoffs(n)
+    want1, want2 = sigma1(ring, n, u, v, chi), sigma2(ring, n, u, v, chi)
+    calls = []
+    real = vaughan.rs_values
+
+    def counted(ring, deg, idx):
+        calls.append((deg, len(idx)))
+        return real(ring, deg, idx)
+
+    monkeypatch.setattr(verify, "rs_values", counted)
+    monkeypatch.setattr(vaughan, "rs_values", counted)
+    cell = {"p": p, "e": e, "modulus": None, "cap": 10**8, "seed": 1,
+            "weights": 1, "check": "vaughan", "n": n}
+    report = verify.run_cell(cell)["detail"]["char_rs_report"]
+    assert calls == [(n, ring.ctx.q**n)]
+    assert report["sigma1_exact"] == want1["value_exact"]
+    assert report["sigma2_exact"] == want2["value_exact"]
+    assert report["sigma1"] == want1["value"]
+    assert report["sigma2"] == want2["value"]
 
 
 def test_independent_routes_never_read_a_product_table(f3, monkeypatch):
