@@ -1,13 +1,18 @@
 """Distribution of the Rudin-Shapiro value over monic irreducibles.
 
 distribution(ring, n) reads every monic irreducible of degree n off the
-composite-marking sieve (sieve.composite_mask), evaluates the statistic
+sieve's composite mask (sieve.composite_mask: the residue join for the
+small factors, product marking for the rest), evaluates the statistic
 R(f) = sum f_i f_(i-1) at their counting indices with rudin.rs_values, and
-tallies the exact count per field value.  The table carries the
-exact expected value total/q and two construction-time invariants, both
-checked in exact integer arithmetic (violations raise ExactIdentityError):
-the prime-polynomial bracket (q^n - 2 q^(n/2)) / n <= total <= q^n / n, and
-total equal to the divisor-sum formula, which shares no code with the sieve.
+tallies the exact count per field value.  The table carries the exact
+expected value total/q and four construction-time invariants, all checked
+in exact integer arithmetic (violations raise ExactIdentityError): the
+prime-polynomial bracket (q^n - 2 q^(n/2)) / n <= total <= q^n / n; total
+equal to the divisor-sum formula, which shares no code with the sieve;
+count(gamma) = count(-gamma), since f -> (-1)^n f(-t) permutes the monic
+irreducibles and takes R to -R; and count(gamma) = count(gamma^p), since
+coefficientwise Frobenius permutes them and takes R to R^p.  The last two
+see faults that keep the total, at q comparisons each.
 """
 
 from __future__ import annotations
@@ -107,6 +112,17 @@ def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
             f"irreducible count {total} differs from the divisor-sum "
             f"formula {formula} for q={q}, n={n}"
         )
+    images = {"-gamma": [ctx.neg(x) for x in range(q)]}
+    if ctx.e > 1:       # over a prime field gamma^p = gamma
+        images["gamma^p"] = [ctx.power(x, ctx.p) for x in range(q)]
+    for name, image in images.items():
+        for x, y in enumerate(image):
+            if hist[x] != hist[y]:
+                raise ExactIdentityError(
+                    f"count {hist[x]} at gamma = {ctx.element_str(x)} differs "
+                    f"from count {hist[y]} at {name} = {ctx.element_str(y)} "
+                    f"for q={q}, n={n}"
+                )
     lower, upper = pnt_bracket_floats(q, n)
     return DistTable(
         q=q, n=n, counts=counts, total=total, expected=expected,

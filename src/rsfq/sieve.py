@@ -1,43 +1,61 @@
 """Composite marking over the monic polynomials of one degree.
 
 Every composite monic polynomial of degree n has a monic irreducible factor
-g of degree d <= n/2, so marking the products g*h, h ranging over the monic
-polynomials of degree m = n - d, covers the composites exactly; the unmarked
-remainder are the irreducibles (the sieve of Eratosthenes in F_q[t]).  The
-degree-d factor candidates are the unmarked entries of the degree-d mask,
-computed by the same marking; at d = 1 that is all q linears.
-
-The marking is F_p-linear.  An element index of F_q = F_p^e is its base-p
+g of degree d <= n/2, so marking the multiples of every such g covers the
+composites exactly; the unmarked remainder are the irreducibles (the sieve
+of Eratosthenes in F_q[t]).  The degree-d factor candidates are the
+unmarked entries of the degree-d mask, computed the same way; at d = 1
+that is all q linears.  An element index of F_q = F_p^e is its base-p
 coordinate vector in the power basis of the modulus, so the counting index
-of a monic polynomial of degree n is an N = n*e digit base-p number.  With
-h = t^m + h_low, g*h = t^m*g + g*h_low: the map from the m*e digits of h_low
-to the N digits of g*h_low is F_p-linear, a block band of e x e
-multiplication matrices of g's coefficients, and t^m*g adds the digits of
-g's own index shifted up by m coefficients (its leading 1 is t^n, which
-the index leaves out).  The digits of h_low are split after the first
-a = m*e // 2 into a low and a high half; for a block of candidates at
-once, PA holds the integer images of every low half and PB those of every
-high half plus the t^m*g offset.  Coefficient k of h lands on
-coefficients k..k+d of g*h, so PA has no digit from hi = (ceil(a/e) + d)*e
-up and PB none below lo = floor(a/e)*e: the two overlap only in the window
-of digits [lo, hi), at most (d + 1)*e wide.  Each product index is the
-carry-free base-p sum of the window digits of one entry of PA and one of
-PB, gathered from a digit-add table over chunks of s digits (one chunk
-when the window is narrow), scaled by p^lo, plus their digits outside the
-window in plain integer addition, which is exact there.
+of a monic polynomial of degree n is an N = n*e digit base-p number.  Each
+degree takes one of two routes, fixed by q^d alone.
 
-composite_mask(ring, n) marks the product_indices blocks in a boolean array
-over the monic degree-n counting indices; count_irreducibles_sieve counts
-its unmarked entries and dist.distribution reads the irreducibles off it.
-arith.Dirichlet sums weights over the same blocks, or over the product
-tables it assembles from them and keeps.  Memory is bounded here: a
-digit-add table holds at most TABLE_BYTES and one image or gather block
-about BLOCK entries.  Digit-add tables are shared read-only through
-vecenum.digit_add_table, which keeps the 16 most recently used, so the
-tables kept between calls add up across (p, s) to at most 16 of them; the
-digit arrays of the 32 most recent (p, e, d, m) splits, each smaller than
-one candidate's images, are kept the same way; nothing else is kept.  All
-arithmetic is in integers sized so that nothing wraps around.
+Residue join, q^d <= JOIN_MAX.  Split f = L + t^a H at a = n // 2: L holds
+f's a low coefficients and H the rest, with f's leading 1.  g divides f
+exactly when L = -t^a H mod g.  Reduction mod g is F_p-linear on digits:
+the matrix of x -> x t^k mod g on the e digits of x in F_q is a power of
+the companion map of multiplication by t mod g.  So the residue indices,
+in [0, q^d), of all q^a low halves and all q^(n-a) high halves come from
+two integer matrix products per batch of candidates, every join degree of
+one n in one batch.  Viewing the mask as a (q^(n-a), q^a) grid, g marks
+the cells where the high half's residue equals the low half's: q^n byte
+compares per candidate, in row slabs of about BLOCK (candidate, f)
+entries, with no index arithmetic and no scatter.  g = t needs no special
+case: its high halves all have residue 0 and the join does not care.
+
+Product marking, q^d > JOIN_MAX.  With h = t^m + h_low, m = n - d,
+g*h = t^m*g + g*h_low: the map from the m*e digits of h_low to the N digits
+of g*h_low is F_p-linear, a block band of e x e multiplication matrices of
+g's coefficients, and t^m*g adds the digits of g's own index shifted up by
+m coefficients (its leading 1 is t^n, which the index leaves out).  The
+digits of h_low are split after the first a = m*e // 2 into a low and a
+high half; for a block of candidates at once, PA holds the integer images
+of every low half and PB those of every high half plus the t^m*g offset.
+Coefficient k of h lands on coefficients k..k+d of g*h, so PA has no digit
+from hi = (ceil(a/e) + d)*e up and PB none below lo = floor(a/e)*e: the two
+overlap only in the window of digits [lo, hi), at most (d + 1)*e wide.
+Each product index is the carry-free base-p sum of the window digits of one
+entry of PA and one of PB, scaled by p^lo, plus their digits outside the
+window in plain integer addition, which is exact there.  The window digits
+are held at the place values of base 2p - 1, where a digit sum never
+carries, so the window sum is the plain sum reduced by one lookup per chunk
+of s digits in a (2p - 1)^s digit-add table (one chunk when the window is
+narrow).  product_indices yields those indices block by block.
+
+composite_mask(ring, n) joins or marks in a boolean array over the monic
+degree-n counting indices; count_irreducibles_sieve counts its unmarked
+entries and dist.distribution reads the irreducibles off it.
+arith.Dirichlet sums weights over the product_indices blocks, or over the
+product tables it assembles from them and keeps.  Memory is bounded here:
+a digit-add table holds at most TABLE_BYTES, one image or gather block
+about BLOCK entries and one compare slab about BLOCK bytes.  Digit-add
+tables are shared read-only through vecenum.digit_add_table, which keeps
+the 16 most recently used, so the tables kept between calls add up across
+(p, s) to at most 16 of them; the digit arrays of the 32 most recent
+(p, e, d, m) splits, each smaller than one candidate's images, and of the
+halves of the 32 most recent (p, e, n) joins, q^a + q^(n-a) rows, are kept
+the same way; nothing else is kept.  All arithmetic is in integers sized
+so that nothing wraps around.
 """
 
 from __future__ import annotations
@@ -48,26 +66,39 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .poly import PolyRing
-from .vecenum import digit_add_table, digits, mul_matrices
+from .vecenum import digit_add_table, digits, int_dtype, mul_matrices, wide_places
 
 SIEVE_CAP = 2 * 10**7
-TABLE_BYTES = 4 * 2**20
+TABLE_BYTES = 2**20
 BLOCK = 2**18
+# One candidate g of degree d costs the residue join q^n byte compares and
+# the product marking q^(n-d) products, each a gather and a scatter.  Per
+# degree, on a 2-CPU host, the join took 0.1-1.0 times the marking's time
+# at q^d <= 27 (q = 3 up to d = 3, q = 5 up to d = 2, q <= 27 at d = 1;
+# about 1.0 at q = 5, d = 2 and q = 25, d = 1) and 1.4-3.7 times it at
+# q^d = 49, 81 and 125 (q = 9 at d = 2: 2.3 times).
+JOIN_MAX = 27
 
 
 class DigitAdd:
-    """Carry-free base-p addition of numbers with up to `width` digits.
+    """Carry-free base-p addition of numbers with up to `width` digits,
+    each summand holding its base-p digits at the place values of base
+    b = 2p - 1 (vecenum.wide_places).
 
-    Digits are added mod p in chunks of s digits by gathers from a
-    (p^s, p^s) int32 table.  The widest chunk whose table fits in
+    The plain sum of two summands keeps every digit sum apart; chunks of
+    s of them are reduced mod p by one lookup each in the (b^s,) table of
+    vecenum.digit_add_table.  The widest chunk whose table fits in
     TABLE_BYTES fixes the number of chunks, and s is the narrowest width
-    that needs no more, so small widths keep small tables.  When even p^2
-    entries do not fit, s = 0 and each digit is added in plain arithmetic.
+    that needs no more, so small widths keep small tables.  When not even
+    b entries fit, s = 0 and each digit sum is reduced in plain arithmetic.
     """
 
     def __init__(self, p: int, width: int):
+        def table_bytes(s):
+            return (2 * p - 1) ** s * int_dtype(p**s - 1).itemsize
+
         s = 0
-        while s < width and 4 * p ** (2 * s + 2) <= TABLE_BYTES:
+        while s < width and table_bytes(s + 1) <= TABLE_BYTES:
             s += 1
         if s:
             chunks = -(-width // s)
@@ -77,22 +108,21 @@ class DigitAdd:
         self.table = digit_add_table(p, s) if s else None
 
     def __call__(self, x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
-        """Digit-wise sum mod p of broadcastable non-negative int arrays."""
-        p = self.p
+        """Digit-wise sum mod p, as a base-p number, of broadcastable
+        non-negative int arrays in the wide encoding."""
+        p, b = self.p, 2 * self.p - 1
         step = self.s or 1
         dtype = np.int32 if p**width <= np.iinfo(np.int32).max else np.int64
+        z = x + y
         out = None
         for lo in range(0, width, step):
-            place = p**lo
-            span = p ** min(step, width - lo)
-            xs = x // place % span
-            ys = y // place % span
-            part = self.table[xs, ys] if self.s else (xs + ys) % p
+            chunk = z if step >= width else z // b**lo % b ** min(step, width - lo)
+            part = self.table[chunk] if self.s else chunk % p
             part = part.astype(dtype, copy=False)
             if out is None:
                 out = part
             else:
-                part *= place
+                part *= p**lo
                 out += part
         return out
 
@@ -109,9 +139,10 @@ def _split(p: int, e: int, d: int, m: int) -> tuple:
     low = digits(np.arange(p**a), p, a)
     high = digits(np.arange(p ** (m * e - a)), p, m * e - a)
     place = p ** np.arange((d + m) * e, dtype=np.int64)
-    for array in (low, high, place):
+    wide = wide_places(p, hi - lo)
+    for array in (low, high, place, wide):
         array.setflags(write=False)
-    return a, lo, hi, low, high, place, DigitAdd(p, hi - lo)
+    return a, lo, hi, low, high, place, wide, DigitAdd(p, hi - lo)
 
 
 def _images(g: np.ndarray, d: int, m: int, p: int, basis: np.ndarray,
@@ -119,7 +150,7 @@ def _images(g: np.ndarray, d: int, m: int, p: int, basis: np.ndarray,
     """(xa, pa, xb, pb) of the candidates with digits g: the window digits
     (lo <= k < hi) and the digits outside it of every low-half image and
     of every high-half image plus the t^m*g offset, as integers."""
-    a, lo, hi, low, high, place, _ = split
+    a, lo, hi, low, high, place, wide, _ = split
     c, e = len(g), basis.shape[0]
     mats = mul_matrices(basis, g.reshape(c, d, e), p)
     band = np.concatenate(
@@ -132,12 +163,12 @@ def _images(g: np.ndarray, d: int, m: int, p: int, basis: np.ndarray,
     # half's images have no digit from hi up and the high half's none
     # below lo.
     images = low @ maps[:, :a, :hi] % p
-    xa = images[:, :, lo:] @ place[:hi - lo]
+    xa = images[:, :, lo:] @ wide
     pa = (images[:, :, :lo] @ place[:lo]).astype(dtype)
     images = high @ maps[:, a:, lo:]
     images[:, :, m * e - lo:] += g[:, None, :]
     images %= p
-    xb = images[:, :, :hi - lo] @ place[:hi - lo]
+    xb = images[:, :, :hi - lo] @ wide
     pb = (images[:, :, hi - lo:] @ place[hi:]).astype(dtype)
     return xa, pa, xb, pb
 
@@ -150,7 +181,7 @@ def product_indices(factors: np.ndarray, d: int, m: int, p: int,
     e = basis.shape[0]
     width = (d + m) * e
     split = _split(p, e, d, m)
-    _, lo, hi, low, high, _, window = split
+    _, lo, hi, low, high, _, _, window = split
     dtype = np.int32 if p**width <= np.iinfo(np.int32).max else np.int64
     per = max(1, BLOCK // ((len(low) + len(high)) * width))
     for start in range(0, len(factors), per):
@@ -180,14 +211,95 @@ def product_indices(factors: np.ndarray, d: int, m: int, p: int,
                 yield gs, rs, idx
 
 
+@lru_cache(maxsize=32)
+def _halves(p: int, e: int, n: int) -> tuple:
+    """The digits of every low half L (a = n // 2 coefficients) and every
+    high half H (the other n - a, monic) of f = L + t^a H, shared
+    read-only, in a dtype that holds any sum of n*e digit products."""
+    a = n // 2
+    dtype = int_dtype(n * e * (p - 1) ** 2 + p - 1)
+    halves = (digits(np.arange(p ** (a * e)), p, a * e).astype(dtype),
+              digits(np.arange(p ** ((n - a) * e)), p, (n - a) * e).astype(dtype))
+    for array in halves:
+        array.setflags(write=False)
+    return halves
+
+
+def _residues(half: np.ndarray, maps: np.ndarray, p: int,
+              offset: np.ndarray | None = None) -> np.ndarray:
+    """(c, len(half)) residue indices: row i holds, for every half, the
+    index of its digits times maps[i] (plus offset[i]), reduced mod p."""
+    c, width, de = maps.shape
+    x = half @ maps.transpose(1, 0, 2).reshape(width, c * de).astype(half.dtype)
+    if offset is not None:
+        x += offset.reshape(-1).astype(x.dtype)
+    x %= p
+    place = p ** np.arange(de, dtype=int_dtype(p**de - 1))
+    return np.ascontiguousarray((x.reshape(-1, c, de) @ place).T)
+
+
+def _join(composite: np.ndarray, groups: list, n: int, p: int,
+          basis: np.ndarray) -> None:
+    """Mark in composite every multiple of the factors of the (d, factors)
+    groups, d ascending: with f = L + t^a H, g divides f exactly when
+    L = -t^a H mod g, so each g marks where the residue of f's high half
+    meets that of its low half.  Residues of every degree are padded to
+    the digits of the last, so that all candidates go in one batch."""
+    e = basis.shape[0]
+    a, width = n // 2, groups[-1][0] * e
+    low, high = _halves(p, e, n)
+    # Multiplication by t mod g on the digits of a residue: coefficient i
+    # moves up to i + 1, and t^d = -(g_0 + ... + g_(d-1) t^(d-1)).
+    steps = []
+    for d, factors in groups:
+        c, de = len(factors), d * e
+        neg_g = -digits(factors, p, de) % p
+        step = np.zeros((c, width, width), dtype=np.int64)
+        step[:, :de - e, e:de] = np.eye(de - e, dtype=np.int64)
+        step[:, de - e:de, :de] = mul_matrices(
+            basis, neg_g.reshape(c, d, e), p).transpose(0, 2, 1, 3).reshape(c, e, de)
+        steps.append(step)
+    step = np.concatenate(steps)
+    c = len(step)
+    # powers[:, k] maps the e digits of x in F_q to those of x t^k mod g.
+    powers = np.zeros((c, n + 1, e, width), dtype=np.int64)
+    powers[:, 0, :, :e] = np.eye(e, dtype=np.int64)
+    for k in range(n):
+        np.matmul(powers[:, k], step, out=powers[:, k + 1])
+        powers[:, k + 1] %= p
+    left = _residues(low, powers[:, :a].reshape(c, a * e, width), p)
+    # The residue of -t^a H: the high digits land at t^a.. and t^n is H's
+    # leading 1.
+    neg = -powers[:, a:] % p
+    right = _residues(high, neg[:, :n - a].reshape(c, (n - a) * e, width), p,
+                      neg[:, n - a, 0])
+    # Compare in row slabs of about BLOCK (candidate, f) entries.
+    grid = composite.reshape(len(high), len(low))
+    rows = min(len(grid), max(1, BLOCK // (c * len(low))))
+    equal = np.empty((c, rows, len(low)), dtype=bool)
+    hit = np.empty((rows, len(low)), dtype=bool)
+    for r0 in range(0, len(grid), rows):
+        slab = grid[r0:r0 + rows]
+        eq, any_eq = equal[:, :len(slab)], hit[:len(slab)]
+        np.equal(right[:, r0:r0 + rows, None], left[:, None, :], out=eq)
+        np.logical_or.reduce(eq, axis=0, out=any_eq)
+        np.logical_or(slab, any_eq, out=slab)
+
+
 def _composite(n: int, p: int, basis: np.ndarray) -> np.ndarray:
     e = basis.shape[0]
     composite = np.zeros(p ** (n * e), dtype=bool)
+    joined = []
     for d in range(1, n // 2 + 1):
         factors = np.flatnonzero(~_composite(d, p, basis))
+        if p ** (d * e) <= JOIN_MAX:
+            joined.append((d, factors))
+            continue
         for _, _, idx in product_indices(factors, d, n - d, p, basis):
             composite[idx] = True
             del idx     # free the block before the next one is gathered
+    if joined:
+        _join(composite, joined, n, p, basis)
     return composite
 
 

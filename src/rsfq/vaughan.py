@@ -355,9 +355,12 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
     Each pair sum's |S| comes exactly from the F_p histogram of
     Tr(beta (R(h g1) - R(h g2))) (_magnitudes), two rows of the R(g h)
-    matrix read off kernel's product tables.  The histograms of a block of
-    g1 rows against every g2, about BLOCK (pair, h) entries, come from one
-    bincount.  value_exact [A, B] means A + B sqrt(p), and the argmax is
+    matrix read off kernel's product tables.  The pair (g2, g1) has the
+    mirrored histogram and the same |S|, so each unordered pair is
+    histogrammed once and its |S| added to both rows.  The histograms of a
+    block of g1 rows against every g2 from the block's first row on, about
+    BLOCK (pair, h) entries, come from one bincount.  value_exact [A, B]
+    means A + B sqrt(p), and the argmax is
     the first (i, g1) in counting order that attains it, decided exactly.
     rs is as in sigma1.
     """
@@ -375,25 +378,37 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     for i in range(v, n - u + 1):
         t = traces[kernel.products(n - i, i)]
         rows, cols = t.shape
-        right = np.arange(rows)[:, None] * width + (-t) % p
-        per = max(1, BLOCK // (rows * cols))
-        sums = []
-        for lo in range(0, rows, per):
-            block = t[lo:lo + per]
-            left = block + np.arange(len(block))[:, None] * (rows * width)
+        neg = (-t) % p
+        sums = np.zeros((rows, 2), dtype=np.int64)
+        lo = 0
+        while lo < rows:
+            # Rows g1 in [lo, hi) against every g2 >= lo.  The histogram of
+            # (g2, g1) is that of (g1, g2) mirrored, with the same |S|, so
+            # each pair g1 <= g2 adds its |S| to row g1 and, off the
+            # diagonal, to row g2; the pairs g2 < g1 inside the block were
+            # already counted that way.
+            span = rows - lo
+            hi = min(rows, lo + max(1, BLOCK // (span * cols)))
+            right = np.arange(span)[:, None] * width + neg[lo:]
+            left = t[lo:hi] + np.arange(hi - lo)[:, None] * (span * width)
             raw = np.bincount((left[:, None, :] + right).ravel(),
-                              minlength=len(block) * rows * width)
+                              minlength=(hi - lo) * span * width)
             raw = raw.reshape(-1, width)
-            hist = raw[:, :p].copy()
+            hist = raw[:, :p]
             hist[:, :p - 1] += raw[:, p:]
 
-            def where(row, lo=lo, i=i):
-                g1 = _monic_name(ring, n - i, lo + row // rows)
+            def where(row, lo=lo, span=span, i=i):
+                g1 = _monic_name(ring, n - i, lo + row // span)
                 return f"i = {i}, g1 = {g1}"
 
-            sums.append(_magnitudes(hist, p, where).reshape(
-                len(block), rows, 2).sum(axis=1))
-        for k, pair in enumerate(np.concatenate(sums).tolist()):
+            exact = _magnitudes(hist, p, where).reshape(hi - lo, span, 2)
+            inner = np.triu(exact[:, :hi - lo].transpose(2, 0, 1))
+            outer = exact[:, hi - lo:]
+            sums[lo:hi] += inner.sum(axis=2).T + outer.sum(axis=1)
+            sums[lo:hi] += inner.sum(axis=1).T - inner.diagonal(axis1=1, axis2=2).T
+            sums[hi:] += outer.sum(axis=0)
+            lo = hi
+        for k, pair in enumerate(sums.tolist()):
             if best is None or _exceeds(pair, best, p):
                 best, best_i, best_k = pair, i, k
     return {

@@ -59,22 +59,29 @@ def digits(values, p: int, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def digit_add_table(p: int, s: int) -> np.ndarray:
-    """(p^s, p^s) int32 table whose [u, v] is the digit-wise sum mod p of u, v.
+    """Carry-free base-p addition of s digits by one lookup.
 
-    Built one digit at a time: appending a top digit with place value p^k
-    turns the k-digit table T into D * p^k (+) T, D the one-digit table.
-    The 16 most recently used (p, s) are kept, read-only, and shared;
-    one verify run over F_3 and F_5 uses 9.
+    Each summand holds its base-p digits at the place values of base
+    b = 2p - 1.  A digit sum is at most 2p - 2 < b, so the plain integer sum
+    z of two summands keeps every digit sum apart, and entry z of this
+    (b^s,) table is the base-p number of those digit sums mod p, in the
+    narrowest dtype that holds it.  Built one digit at a time: appending a
+    top digit of place value b^k turns the k-digit table T into
+    (D * p^k)[:, None] + T, D the digit sums mod p.  The 16 most recently
+    used (p, s) are kept, read-only, and shared.
     """
-    digit = np.arange(p, dtype=np.int32)
-    one = (digit[:, None] + digit[None, :]) % p
-    table = one
-    for k in range(1, s):
-        size = p ** (k + 1)
-        table = ((one * p**k)[:, None, :, None]
-                 + table[None, :, None, :]).reshape(size, size)
+    dtype = int_dtype(p**s - 1)
+    digit = (np.arange(2 * p - 1) % p).astype(dtype)
+    table = np.zeros(1, dtype=dtype)
+    for k in range(s):
+        table = ((digit * p**k)[:, None] + table[None, :]).reshape(-1)
     table.setflags(write=False)
     return table
+
+
+def wide_places(p: int, width: int) -> np.ndarray:
+    """The place values (2p - 1)^k, k < width, that digit_add_table reads."""
+    return (2 * p - 1) ** np.arange(width, dtype=np.int64)
 
 
 def basis_products(w_powers) -> np.ndarray:
@@ -101,8 +108,9 @@ def index_tables(p: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = basis.shape[0]
     q = p**e
     dtype = int_dtype(q - 1)
-    add = digit_add_table(p, e).astype(dtype)
     x = digits(np.arange(q), p, e)
+    wide = x @ wide_places(p, e)
+    add = digit_add_table(p, e)[wide[:, None] + wide].astype(dtype)
     mats = mul_matrices(basis, x, p)
     mul = np.zeros((q, q), dtype=np.int64)
     for k in range(e):

@@ -2,6 +2,7 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rsfq import (
@@ -14,7 +15,9 @@ from rsfq import (
     distribution,
     rudin_shapiro,
 )
+import rsfq.dist
 from rsfq.dist import table_from_csv, table_from_json
+from rsfq.rudin import rs_values
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -103,6 +106,47 @@ def test_corrupted_mask_raises(f3, dropped_irreducible):
     prime-polynomial bracket but breaks the divisor-sum count."""
     with pytest.raises(ExactIdentityError, match="divisor-sum formula"):
         distribution(f3, 5)
+
+
+def _swap_mask(monkeypatch, drop, add):
+    """Make distribution's mask lose, for each value in drop, its first
+    irreducible with that R and gain, for each value in add, its first
+    reducible with that R: the total and both count checks are unchanged."""
+    real_mask = rsfq.dist.composite_mask
+
+    def swapped(ring, n):
+        mask = real_mask(ring, n)
+        rs = rs_values(ring, n, np.arange(ring.ctx.q**n))
+        for value in drop:
+            mask[np.flatnonzero(~mask & (rs == value))[0]] = True
+        for value in add:
+            mask[np.flatnonzero(mask & (rs == value))[0]] = False
+        return mask
+
+    monkeypatch.setattr(rsfq.dist, "composite_mask", swapped)
+
+
+def test_negation_asymmetric_mask_raises(f3, monkeypatch):
+    """An irreducible with R = 1 traded for a reducible with R = 0 keeps
+    the total but not count(gamma) = count(-gamma)."""
+    _swap_mask(monkeypatch, drop=[1], add=[0])
+    with pytest.raises(ExactIdentityError, match="at -gamma = 2 for q=3, n=5"):
+        distribution(f3, 5)
+
+
+def test_frobenius_asymmetric_mask_raises(f9, monkeypatch):
+    """Over F_9 = F_3(w), w^2 = -1 (element "a+b" is a + b w), trading
+    irreducibles with R = 1 + w and its negative 2 + 2w for reducibles with
+    R = 1 and 2 keeps the total and count(gamma) = count(-gamma), but
+    (1 + w)^3 = 1 + 2w is neither 1 + w nor its negative, so
+    count(gamma) = count(gamma^3) fails."""
+    ctx = f9.ctx
+    gamma = ctx.parse_element("1+1")
+    assert ctx.element_str(ctx.power(gamma, 3)) == "1+2"
+    _swap_mask(monkeypatch, drop=[gamma, ctx.neg(gamma)], add=[1, 2])
+    with pytest.raises(ExactIdentityError,
+                       match=r"at gamma = 1\+1 .* at gamma\^p = 1\+2 "):
+        distribution(f9, 3)
 
 
 def test_extension_field_table():

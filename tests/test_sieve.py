@@ -19,13 +19,13 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
-from rsfq import CharSpec, field, qa_matrix
+from rsfq import CharSpec, field, qa_matrix, sieve
 from rsfq.arith import Dirichlet
 from rsfq.charsum import gauss_counts
 from rsfq.rudin import rs_values
 from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, product_indices
 from rsfq.vaughan import sigma2
-from rsfq.vecenum import digit_add_table, index_tables
+from rsfq.vecenum import digit_add_table, digits, index_tables, wide_places
 
 LIMIT = 10**7
 
@@ -130,22 +130,26 @@ def _digit_add_reference(x, y, p, width):
 
 
 def test_digit_add_bounded_and_exact():
-    """Chunked carry-free addition keeps its table within TABLE_BYTES (a
-    half-width chunk at 3^15 would need 3^16 int32 entries, 172 MB) and falls
-    back to plain digit arithmetic when p^2 entries do not fit."""
+    """Chunked carry-free addition keeps its table within TABLE_BYTES (the
+    15-digit window at p=3 takes two 8-digit chunks, 5^8 int16 entries; one
+    chunk would need 5^15) and falls back to plain digit arithmetic when
+    not even 2p - 1 entries fit.  Summands are in the wide encoding, their
+    base-p digits at base 2p - 1 place values."""
     rng = np.random.default_rng(11)
-    for p, width, s in ((3, 15, 5), (3, 12, 6), (3, 8, 4), (4093, 2, 0),
-                        (5, 3, 3), (1031, 2, 0)):
+    for p, width, s in ((3, 15, 8), (3, 12, 6), (3, 8, 8), (4093, 2, 1),
+                        (5, 3, 3), (1031, 2, 1), (1000003, 2, 0)):
         digit_add = DigitAdd(p, width)
         assert digit_add.s == s
         if s:
-            assert digit_add.table.shape == (p**s, p**s)
+            assert digit_add.table.shape == ((2 * p - 1) ** s,)
             assert digit_add.table.nbytes <= TABLE_BYTES
         else:
             assert digit_add.table is None
         x = rng.integers(0, p**width, 40)
         y = rng.integers(0, p**width, 50)
-        got = digit_add(x[:, None], y[None, :], width)
+        wide = wide_places(p, width)
+        got = digit_add((digits(x, p, width) @ wide)[:, None],
+                        (digits(y, p, width) @ wide)[None, :], width)
         assert got.shape == (40, 50)
         want = [[_digit_add_reference(int(a), int(b), p, width) for b in y]
                 for a in x]
@@ -196,6 +200,49 @@ def test_product_indices_match_polynomial_products(p, e, n, d, sample):
         assert (seen == 1).all()
 
 
+@pytest.mark.parametrize("p, e, n, join_max, block", [
+    (3, 1, 2, 27, None),     # n = 2 and 3: degree 1 only, g = t included
+    (3, 1, 3, 27, None),
+    (3, 1, 7, 27, None),     # q = 3 up to d = 3, the default crossover
+    (3, 1, 8, 81, None),     # d = 4 joined, past the crossover
+    (3, 1, 12, 27, None),    # 729 high halves in slabs of 25 rows
+    (3, 1, 7, 27, 1000),     # slabs of 2 rows over 81 high halves
+    (5, 1, 5, 27, None),     # q = 5 at d = 2
+    (5, 1, 6, 125, 5000),    # d = 3 joined, past the crossover
+    (3, 2, 4, 27, None),     # e = 2: q = 9 at d = 1, d = 2 marked
+    (3, 2, 5, 81, None),     # e = 2, d = 2 joined
+    (3, 3, 2, 27, None),     # e = 3: q = 27 at d = 1
+    (3, 3, 3, 27, None),
+])
+def test_residue_join_matches_marking(monkeypatch, p, e, n, join_max, block):
+    """The mask that joins every degree d with q^d <= join_max equals the
+    mask marked by product_indices alone, with the multiples of t (index
+    0 mod q) marked; block, when given, shrinks the compare slabs so that
+    the last one is partial."""
+    ring = PolyRing(FieldCtx(p, e))
+    monkeypatch.setattr(sieve, "JOIN_MAX", 0)
+    marked = composite_mask(ring, n)
+    monkeypatch.setattr(sieve, "JOIN_MAX", join_max)
+    if block:
+        monkeypatch.setattr(sieve, "BLOCK", block)
+    joined = composite_mask(ring, n)
+    assert (joined == marked).all()
+    assert joined[::ring.ctx.q].all()
+    q = ring.ctx.q
+    assert q**n - np.count_nonzero(joined) == irreducible_count_formula(q, n)
+
+
+@pytest.mark.parametrize("p, e", [(131, 1), (4093, 1)])
+def test_large_q_stays_on_the_marking_path(monkeypatch, p, e):
+    """Above the crossover even degree 1 is marked by product_indices."""
+    def no_join(*args):
+        raise AssertionError("the residue join ran")
+
+    monkeypatch.setattr(sieve, "_join", no_join)
+    ring = PolyRing(FieldCtx(p, e))
+    assert count_irreducibles_sieve(ring, 2) == irreducible_count_formula(p, 2)
+
+
 def test_digit_add_table_is_built_once_and_read_only(f9):
     """Every DigitAdd of one (p, s) shares one read-only table, and masks
     and convolutions through the shared table equal those built fresh."""
@@ -205,15 +252,16 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
     fresh_mask = composite_mask(f9, 4)
     fresh_conv = Dirichlet(f9).convolve(x, 1, y, 2)
     table = digit_add_table(3, 4)
-    assert DigitAdd(3, 8).table is table and digit_add_table(3, 4) is table
+    assert DigitAdd(3, 4).table is table and digit_add_table(3, 4) is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
     assert (composite_mask(f9, 4) == fresh_mask).all()
     assert (Dirichlet(f9).convolve(x, 1, y, 2) == fresh_conv).all()
     info = digit_add_table.cache_info()
-    # Windows of 4 digits for the mask's (d, m) = (1, 1), (1, 3), (2, 2):
-    # (3, 4); of 2 digits for the convolution's (1, 2) table: (3, 2).
+    # A window of 4 digits for the mask's (d, m) = (2, 2), degree 1 going
+    # through the residue join: (3, 4); of 2 digits for the convolution's
+    # (1, 2) table: (3, 2).
     assert info.misses == 2 and info.maxsize == 16
 
 

@@ -258,6 +258,40 @@ def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
     assert report["value"] == best[0] + best[1] * math.sqrt(p)
 
 
+@pytest.mark.parametrize("p, e, n, u, v, block", [
+    (3, 1, 5, 1, 1, 7), (3, 1, 5, 1, 2, 100), (5, 1, 4, 1, 1, 2000),
+    (3, 2, 3, 1, 1, 30),
+])
+def test_sigma2_rows_in_small_blocks_equal_pair_oracles(
+        monkeypatch, p, e, n, u, v, block):
+    """With blocks of a few g1 rows, so that pairs (g1, g2) with g2 past
+    the block add their |S| to row g2 too, every row's exact sum equals
+    the sum of its rs_pair_char_sum oracles over all g2.  sigma2 hands
+    every row after the first to _exceeds, in (i, g1) order."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, 1)
+    want = []
+    for i in range(v, n - u + 1):
+        monics = list(ring.enumerate(PolySet.MONIC, n - i))
+        for g1 in monics:
+            total = (0, 0)
+            for g2 in monics:
+                total = add_exact(total, exact_abs(
+                    rs_pair_char_sum(ring, i, g1, g2, chi), p))
+            want.append(list(total))
+    seen = []
+    real_exceeds = vaughan._exceeds
+
+    def recorded(x, y, p):
+        seen.append(x)
+        return real_exceeds(x, y, p)
+
+    monkeypatch.setattr(vaughan, "BLOCK", block)
+    monkeypatch.setattr(vaughan, "_exceeds", recorded)
+    sigma2(ring, n, u, v, chi)
+    assert seen == want[1:]
+
+
 # The grid of test_sigma2_equals_sum_of_pair_oracles.
 SIGMA_GRID = [
     (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
