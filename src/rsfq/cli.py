@@ -106,6 +106,13 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+# Each random weight of the vaughan check is q^n complex values, all held
+# at once, and one more decomposition per (u, v) pair of every vaughan
+# cell (about 1.5 ms per weight at q = 3 on a 2-CPU host): MAX_WEIGHTS
+# bounds --weights, so that no flag asks for an unbounded run.
+MAX_WEIGHTS = 1000
+
+
 def _usable_cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is not None:
@@ -144,6 +151,25 @@ def _resolve_jobs(args, file_cfg: dict) -> int:
     return 1
 
 
+def _resolve_count(args, file_cfg: dict, name: str, default, top=None):
+    """A count from its flag, else the config file, else default.
+
+    Like _resolve_jobs, non-integers and values below 0 (or above top)
+    are rejected with an error naming their source.
+    """
+    flag = "--" + name.replace("_", "-")
+    for source, raw in ((flag, getattr(args, name, None)),
+                        (f"config {name}", file_cfg.get(name))):
+        if raw is not None:
+            value = _parse_int(source, raw)
+            if value < 0:
+                raise ConfigError(f"{source} must be >= 0, got {value}")
+            if top is not None and value > top:
+                raise ConfigError(f"{source} must be <= {top}, got {value}")
+            return value
+    return default
+
+
 def resolve_config(args) -> RunConfig:
     """Merge defaults, config file, environment and flags (flags win)."""
     config_path = getattr(args, "config", None)
@@ -169,8 +195,8 @@ def resolve_config(args) -> RunConfig:
         jobs=_resolve_jobs(args, file_cfg),
         cap=pick("cap", int, DEFAULT_CAP),
         seed=pick("seed", int, 1),
-        weights=pick("weights", int, 3),
-        n_max=pick("n_max", int, None),
+        weights=_resolve_count(args, file_cfg, "weights", 3, MAX_WEIGHTS),
+        n_max=_resolve_count(args, file_cfg, "n_max", None),
     )
 
 

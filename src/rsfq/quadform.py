@@ -338,7 +338,7 @@ def _diagonals(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ctx = ring.ctx
     p, q, m = ctx.p, ctx.q, n - k + 1
     # In degree <= k counting order the monics of degree k follow q^k.
-    lags = lag_sums(ring, k, np.arange(q**k, 2 * q**k)).T
+    lags = lag_sums(ring, k, q**k, 2 * q**k).T
     s = digits(lags, p, ctx.e)
     s = np.concatenate([s, np.zeros((len(s), m - k, ctx.e), s.dtype)], axis=1)
     d = np.arange(m)

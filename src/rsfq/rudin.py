@@ -6,13 +6,20 @@ zero) are handled without ambiguity.  The lag-1 value of a monic polynomial
 minus its second-highest coefficient is the Rudin-Shapiro value R, which
 rs_values reads off counting indices in bulk (rudin_shapiro is its oracle).
 lag_sums and reversal_products read every autocorrelation and the product
-reverse(a, n) * a off the counting indices of the polynomials a of degree
-<= n in bulk, by two routes that share no field arithmetic: lag_sums
-contracts integer sums of digit products with the powers of the field
-generator w, reversal_products multiplies coefficients by Horner's rule
-through the modulus.  The star cell compares them; autocorrelation and
-reversal_product_correlations are their oracles, and neither bulk route
-builds a q x q table.  quadform reads every multiplier form of one degree
+reverse(a, n) * a off a range of counting indices of the polynomials a of
+degree <= n in bulk, by two routes that share no field arithmetic:
+lag_sums contracts integer sums of digit products with the powers of the
+field generator w, reversal_products multiplies coefficients by Horner's
+rule through the modulus.  Both cut the range into pieces in which each
+coefficient is fixed or runs over a range of elements on an axis of its
+own, form each product a_x * a_y once on the subgrid of its two
+coefficients, and sum those digit arrays over the piece by broadcasting.
+Besides the output, no array exceeds about BLOCK entries: a piece holds
+at most BLOCK digits of sums, and over F_(p^e) the products are formed on
+the whole q x q grid only when q^2 fits in BLOCK, else on the rows a piece
+needs.  The star and lin-red cells compare them; autocorrelation and
+reversal_product_correlations are their oracles, and neither route reads
+the field's tables.  quadform reads every multiplier form of one degree
 off lag_sums.
 """
 
@@ -23,6 +30,7 @@ import numpy as np
 from .errors import DegreeBoundError, NotMonicError
 from .field import field_tables
 from .poly import PolyRing
+from .sieve import BLOCK
 from .vecenum import digits, int_dtype
 
 
@@ -80,40 +88,18 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _sum_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element indices of sum_k x_k * y_k from (K, e, ...) base-p digit arrays.
+    """Base-p digits of x * y for broadcastable (e, ...) digit arrays.
 
-    The e x e integer sums of x_l * y_j are contracted with the digits of
-    w^(l+j) and reduced mod p once; at e = 1 that is sum x_k y_k mod p.
+    The integer sums of x_l * y_j over l + j = m are contracted with the
+    digits of w^m, read off ctx.basis, and reduced mod p once.
     """
     e = ctx.e
-    # Row l of the e x e integer sums holds sum_k x_kl * y_kj over j, and
-    # basis[l, j] is w^(l+j): each row is added into the antidiagonals,
-    # which are contracted with w^0, ..., w^(2e-2).
-    diagonals = np.zeros((2 * e - 1,) + x.shape[2:], dtype=np.int64)
+    shape = np.broadcast_shapes(x.shape[1:], y.shape[1:])
+    diagonals = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
     for l in range(e):
-        diagonals[l:l + e] += np.einsum("k...,kj...->j...", x[:, l], y)
+        diagonals[l:l + e] += x[l] * y
     powers = np.concatenate([ctx.basis[0], ctx.basis[-1, 1:]])
-    coords = np.einsum("mc,m...->c...", powers, diagonals) % ctx.p
-    return np.einsum("c,c...->...", ctx.p ** np.arange(e), coords)
-
-
-def _coefficient_digits(ctx, n: int, idx: np.ndarray) -> np.ndarray:
-    """(n+1, e, *idx.shape) base-p digits of a_0, ..., a_n at counting
-    indices idx, which hold the coefficients as base-q digits."""
-    cols = digits(idx, ctx.p, (n + 1) * ctx.e)
-    cols = cols.reshape(cols.shape[:-1] + (n + 1, ctx.e))
-    return np.ascontiguousarray(np.moveaxis(cols, (-2, -1), (0, 1)))
-
-
-def lag_sums(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
-    """(n+1, *idx.shape) array whose row lag is autocorrelation(a, lag, n).
-
-    a ranges over the polynomials of degree <= n at counting indices idx
-    (the DEGREE_AT_MOST order).
-    """
-    a = _coefficient_digits(ring.ctx, n, idx)
-    return np.stack([_sum_products(ring.ctx, a[lag:], a[:n + 1 - lag])
-                     for lag in range(n + 1)])
+    return np.einsum("mc,m...->c...", powers, diagonals) % ctx.p
 
 
 def _field_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -139,27 +125,151 @@ def _field_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack(acc) % p
 
 
-def reversal_products(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
-    """(2n+1, *idx.shape) coefficients of reverse(a, n) * a, t^0 first.
+def _pieces(q: int, n: int, start: int, stop: int, size: int):
+    """Cut the counting range [start, stop) of degree <= n into pieces.
+
+    A piece (offset, j, top, lo, hi) is the polynomials whose coefficients
+    above a_j are the base-q digits of top, whose a_j runs over [lo, hi)
+    and whose a_0, ..., a_(j-1) are free: the counting indices from
+    start + offset on, in the C order of an (hi - lo, q, ..., q) array
+    whose last axis is a_0.  A piece holds at most max(size, 1)
+    polynomials.
+    """
+    pos = start
+    while pos < stop:
+        j = 0
+        while (j < n and pos % q ** (j + 1) == 0
+               and pos + q ** (j + 1) <= stop and q ** (j + 1) <= size):
+            j += 1
+        step = q**j
+        lo = pos // step % q
+        hi = min(q, lo + (stop - pos) // step, lo + max(1, size // step))
+        yield pos - start, j, pos // step // q, lo, hi
+        pos += (hi - lo) * step
+
+
+def _subgrids(ctx, route, digit):
+    """product(x, y): base-p digits of the products of two broadcastable
+    arrays of element indices.
+
+    Over F_p the indices are the elements, and product is a plain
+    broadcast multiply mod p in their dtype.  Over F_(p^e) it is an
+    (e, *shape) array in dtype digit, formed by route once on the whole
+    q x q grid, which is then indexed, when q^2 fits in BLOCK, else on
+    each subgrid.
+    """
+    p, q, e = ctx.p, ctx.q, ctx.e
+    if e == 1:
+        return lambda x, y: x * y % p
+
+    places = p ** np.arange(e)
+
+    def spread(x):
+        # In the narrowest dtype that holds every entry of either route.
+        digit_of = x // places.reshape((e,) + (1,) * x.ndim) % p
+        return digit_of.astype(int_dtype(2 * e * p * p))
+
+    if q * q <= BLOCK:
+        whole = spread(np.arange(q))
+        grid = route(ctx, whole[:, :, None], whole[:, None]).astype(digit)
+        return lambda x, y: grid[:, x, y]
+    return lambda x, y: route(ctx, spread(x), spread(y)).astype(digit)
+
+
+def _reduce(x: np.ndarray, p: int, bound: int) -> None:
+    """Reduce an unsigned array with entries below bound mod p, in place.
+
+    For c = 2^k p < bound, k descending, x becomes min(x, x - c): where
+    x < c the difference wraps around above x.  Each step costs 1/20 to
+    1/6 of numpy's integer remainder, from uint8 to uint32.
+    """
+    c = p
+    while 2 * c < bound:
+        c *= 2
+    spare = np.empty_like(x)
+    while p <= c < bound:
+        np.subtract(x, c, out=spare)
+        np.minimum(x, spare, out=x)
+        c //= 2
+
+
+def _correlate(ctx, n: int, start: int, stop: int, route, rows) -> np.ndarray:
+    """(len(rows), stop - start) element indices of sums of coefficient
+    products over the counting range [start, stop) of degree <= n.
+
+    Row r sums a_x * a_y over the ordered pairs (x, y) of rows[r].  The
+    range is cut into pieces (_pieces) of about BLOCK digits of row sums.
+    In a piece each a_i is fixed or runs over a range of elements on an
+    axis of its own, so the product a_x * a_y is formed once per pair on
+    its subgrid (_subgrids), never more entries than the piece has, and
+    each row is a broadcast sum of those digit arrays over the piece,
+    reduced mod p once.
+    """
+    p, q, e = ctx.p, ctx.q, ctx.e
+    out = np.empty((len(rows), stop - start), dtype=int_dtype(q - 1))
+    # Row sums of at most n + 1 product digits below p.
+    bound = (n + 1) * (p - 1) + 1
+    digit = np.min_scalar_type(bound - 1)
+    # Element indices; over F_p they are multiplied before reduction.
+    index = np.min_scalar_type(max(q - 1, (p - 1) ** 2, bound - 1))
+    product = _subgrids(ctx, route, digit)
+    size = BLOCK // (len(rows) * e)
+    for offset, j, top, lo, hi in _pieces(q, n, start, stop, size):
+        shape = (hi - lo,) + (q,) * j
+        # a_i on piece axis j - i; a fixed a_i (i > j) on no axis.
+        coeffs = [np.arange(q, dtype=index).reshape(
+            (1,) * (j - i) + (q,) + (1,) * i) for i in range(j)]
+        coeffs.append(np.arange(lo, hi, dtype=index).reshape((-1,) + (1,) * j))
+        coeffs += [np.full((1,) * (j + 1), c, dtype=index)
+                   for c in digits(top, q, n - j).tolist()]
+        terms = {}
+        sums = np.empty((len(rows), e) + shape, dtype=digit)
+        for r, pairs in enumerate(rows):
+            for x, y in pairs:
+                if (x, y) not in terms:
+                    terms[x, y] = product(coeffs[x], coeffs[y])
+            # Lowest coefficients last, so the partial sums stay small.
+            total = terms[pairs[0]]
+            for pair in pairs[1:-1]:
+                total = total + terms[pair]
+            if len(pairs) > 1:
+                np.add(total, terms[pairs[-1]], out=sums[r])
+            else:
+                sums[r] = total
+        _reduce(sums, p, bound)
+        view = out[:, offset:offset + sums[0, 0].size].reshape(
+            (len(rows),) + shape)
+        view[...] = sums[:, e - 1]
+        for c in range(e - 2, -1, -1):
+            view *= p
+            view += sums[:, c]
+    return out
+
+
+def lag_sums(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
+    """(n+1, stop - start) array whose row lag is autocorrelation(a, lag, n).
+
+    a ranges over the polynomials of degree <= n at the counting indices
+    [start, stop) (the DEGREE_AT_MOST order).  Each product a_x a_(x-lag)
+    comes from _sum_products.
+    """
+    rows = [[(x, x - lag) for x in range(n, lag - 1, -1)]
+            for lag in range(n + 1)]
+    return _correlate(ring.ctx, n, start, stop, _sum_products, rows)
+
+
+def reversal_products(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
+    """(2n+1, stop - start) coefficients of reverse(a, n) * a, t^0 first.
 
     Coefficient k sums r_i * a_(k-i) over every i with 0 <= i, k-i <= n,
-    r_i = a_(n-i), for the polynomials a of degree <= n at counting indices
-    idx.  Each product of two coefficients is formed by _field_products and
-    the sums are digit-wise mod p, so this route and lag_sums share no
-    field arithmetic.
+    r_i = a_(n-i), for the polynomials a of degree <= n at the counting
+    indices [start, stop).  Each product is formed by _field_products with
+    r_i as x, and the sums are digit-wise mod p, so this route and
+    lag_sums share no field arithmetic.
     """
-    ctx = ring.ctx
-    # The narrowest dtype that holds every entry of _field_products.
-    a = np.moveaxis(_coefficient_digits(ctx, n, idx), 1, 0).astype(
-        int_dtype(2 * ctx.e * ctx.p**2))
-    pairs = _field_products(ctx, a[:, :, None], a[:, None])  # [:, i, j]: a_i a_j
-    place = ctx.p ** np.arange(ctx.e)
-    out = []
-    for k in range(2 * n + 1):
-        i = np.arange(max(0, k - n), min(k, n) + 1)
-        coeff = pairs[:, n - i, k - i].sum(axis=1) % ctx.p
-        out.append(np.tensordot(place, coeff, axes=1))
-    return np.stack(out)
+    rows = [[(n - i, k - i) for i in range(max(0, k - n), min(k, n) + 1)]
+            for k in range(2 * n + 1)]
+    return _correlate(ring.ctx, n, start, stop, _field_products, rows)
 
 
 def reversal_product_correlations(ring: PolyRing, a, n: int) -> list:

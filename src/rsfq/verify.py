@@ -12,15 +12,21 @@ is a violated desk-scale instance of a stated bound and turns into exit
 code 1 at the CLI; the rank-qa scan is known to contain such instances at
 boundary degrees (see the scan reports for the inventory).
 
-The star cell walks the q^(n+1) polynomials a of degree <= n as blocks of
-counting indices: rudin.reversal_products gives the coefficients of
-reverse(a, n) * a and rudin.lag_sums every autocorrelation of a, by two
-routes that share no field arithmetic (Horner's rule through the modulus
-against digit sums contracted with the powers of w).  A product that is
-not palindromic raises AssertionError naming a; a coefficient t^(n-lag)
-that differs from the lag sum is a failure {"a", "lag"}, listed by a and
-then by lag.  verify_all cap-checks every scheduled star cell before any
-cell runs.
+The star cell walks the q^(n+1) polynomials a of degree <= n as blocks,
+ranges of counting indices: rudin.reversal_products gives the
+coefficients of reverse(a, n) * a and rudin.lag_sums every
+autocorrelation of a, by two routes that share no field arithmetic
+(Horner's rule through the modulus against digit sums contracted with the
+powers of w).  Each forms the products of two coefficients once on the
+subgrid of their values in a piece of the range, not once per
+polynomial, and holds about BLOCK entries at most besides its output.
+A product that is not palindromic
+raises AssertionError naming a; a coefficient t^(n-lag) that differs from
+the lag sum is a failure {"a", "lag"}, listed by a and then by lag.
+verify_all cap-checks every scheduled star cell before any cell runs.
+The lin-red cell compares rudin.rs_values of the q^n monics f of degree n
+with their lag-1 sums minus f_(n-1), digit-wise mod p, and lists each
+failing f by ring.to_str in counting order.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .dist import distribution
 from .errors import ConfigError, ExactIdentityError
 from .field import FieldCtx
 from .poly import DEFAULT_CAP, PolyRing, PolySet
-from .rudin import autocorrelation, lag_sums, reversal_products, rs_values
+from .rudin import lag_sums, reversal_products, rs_values
 from .sieve import BLOCK
 from .vaughan import (
     VaughanContext,
@@ -167,21 +173,27 @@ def _star_count(ring: PolyRing, cell: dict) -> int:
 def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
     count = _star_count(ring, cell)
-    # Each block holds about BLOCK digits of coefficient products.
-    per = max(1, BLOCK // ((n + 1) ** 2 * ring.ctx.e))
+    # Each block holds about BLOCK coefficients and lag sums and is a
+    # multiple of a power of q, so the kernels cut it into few pieces.
+    per = max(1, BLOCK // (3 * n + 2))
+    step = 1
+    while step * ring.ctx.q <= per:
+        step *= ring.ctx.q
+    per -= per % step
     failures = []
     for start in range(0, count, per):
-        idx = np.arange(start, min(start + per, count))
-        prod = reversal_products(ring, n, idx)
+        stop = min(start + per, count)
+        prod = reversal_products(ring, n, start, stop)
         corr = prod[n::-1]                  # t^(n-lag), lag = 0..n
         skew = corr != prod[n:]             # against t^(n+lag)
         if skew.any():
             k, lag = np.argwhere(skew.T)[0]
             raise AssertionError(
-                f"reversal product of {_poly_str(ring, n, idx[k])} is not "
+                f"reversal product of {_poly_str(ring, n, start + k)} is not "
                 f"palindromic at lag {lag}")
-        for k, lag in np.argwhere((corr != lag_sums(ring, n, idx)).T):
-            failures.append({"a": _poly_str(ring, n, idx[k]), "lag": int(lag)})
+        for k, lag in np.argwhere((corr != lag_sums(ring, n, start, stop)).T):
+            failures.append({"a": _poly_str(ring, n, start + k),
+                             "lag": int(lag)})
     return not failures, {"checked": count, "failures": failures}
 
 
@@ -193,13 +205,16 @@ def _poly_str(ring: PolyRing, n: int, index) -> str:
 def _run_lin_red(ring: PolyRing, cell: dict):
     n = cell["n"]
     ctx = ring.ctx
-    failures = []
-    values = rs_values(ring, n, np.arange(ctx.q**n)).tolist()
-    for f, value in zip(ring.enumerate(PolySet.MONIC, n, cell["cap"]), values):
-        want = ctx.sub(autocorrelation(ring, f, 1, n), ring.coeff(f, n - 1))
-        if value != want:
-            failures.append(ring.to_str(f))
-    return not failures, {"checked": len(values), "failures": failures}
+    p, q = ctx.p, ctx.q
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cell["cap"])
+    # In degree <= n counting order the monics of degree n follow q^n.
+    low = np.arange(q**n)
+    lag1 = digits(lag_sums(ring, n, q**n, 2 * q**n)[1], p, ctx.e)
+    second = digits(low // q ** (n - 1) % q, p, ctx.e)     # f_(n-1)
+    want = (lag1 - second) % p @ p ** np.arange(ctx.e)
+    failures = [_poly_str(ring, n, q**n + k)
+                for k in np.flatnonzero(rs_values(ring, n, low) != want)]
+    return not failures, {"checked": q**n, "failures": failures}
 
 
 def _run_tau(ring: PolyRing, cell: dict):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from rsfq import ConfigError
-from rsfq.cli import build_parser, main, resolve_config
+from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
 def run_cli(*args, env_extra=None):
@@ -241,6 +241,40 @@ def test_jobs_clamped_to_usable_cpus(monkeypatch):
     monkeypatch.setenv("RSFQ_JOBS", str(10**9))
     assert _resolve().jobs == cpus
     assert _resolve("--jobs", "1").jobs == 1      # flag wins over the env
+
+
+@pytest.mark.parametrize("name, flag", [("weights", "--weights"),
+                                        ("n_max", "--n-max")])
+def test_negative_counts_rejected_naming_their_source(tmp_path, capsys,
+                                                      name, flag):
+    """--weights -1 used to print "weights": -1 and --n-max -1 an empty
+    run reported as passed; both now exit 2, flag or config file."""
+    with pytest.raises(ConfigError, match=f"{flag} must be >= 0, got -1"):
+        _resolve(flag, "-1")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name}=-1\n")
+    with pytest.raises(ConfigError, match=f"config {name} must be >= 0"):
+        _resolve("--config", str(cfg))
+    cfg.write_text(f"{name}=2.5\n")
+    with pytest.raises(ConfigError,
+                       match=f"config {name} must be an integer, got '2.5'"):
+        _resolve("--config", str(cfg))
+    assert main([flag, "-1", "verify", "vaughan"]) == 2
+    assert f"{flag} must be >= 0, got -1" in capsys.readouterr().err
+    assert _resolve(flag, "0", "--config", str(cfg)).public_dict()[name] == 0
+
+
+def test_weights_bounded_by_max_weights(tmp_path):
+    assert _resolve("--weights", str(MAX_WEIGHTS)).weights == MAX_WEIGHTS
+    with pytest.raises(ConfigError, match=(
+            f"--weights must be <= {MAX_WEIGHTS}, got 100000000")):
+        _resolve("--weights", "100000000")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"weights={MAX_WEIGHTS + 1}\n")
+    with pytest.raises(ConfigError, match="config weights must be <="):
+        _resolve("--config", str(cfg))
+    result = run_cli("--weights", "100000000", "verify", "vaughan")
+    assert result.returncode == 2 and result.stdout == ""
 
 
 def test_distribution_identity_fault_exits_1(dropped_irreducible, capsys):

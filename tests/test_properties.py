@@ -23,6 +23,7 @@ from rsfq import (
 from rsfq.field import TABLE_Q
 from rsfq.quadform import form_ranks
 from rsfq.rudin import lag_sums, reversal_products, rs_values
+from rsfq.vecenum import digits
 
 TABLE_FIELD = FieldCtx(5, 3)
 VIEW_FIELD = FieldCtx(3, 6)
@@ -114,18 +115,18 @@ def test_rs_values_matches_rudin_shapiro(ring, n, data):
 @given(st.sampled_from(RINGS + [PolyRing(VIEW_FIELD)]), st.integers(0, 5),
        st.data())
 def test_bulk_correlations_match_oracles(ring, n, data):
-    """Every lag sum and both halves of the reversal product read off
-    counting indices equal the per-polynomial values."""
-    element = st.integers(0, ring.ctx.q - 1)
-    vecs = data.draw(st.lists(st.tuples(*[element] * (n + 1)), min_size=1,
-                              max_size=8))
-    idx = np.array([ring.index_of(vec) for vec in vecs])
-    polys = [ring.poly(vec) for vec in vecs]
+    """Every lag sum and both halves of the reversal product over a random
+    counting range equal the per-polynomial values."""
+    q = ring.ctx.q
+    start = data.draw(st.integers(0, q ** (n + 1) - 1))
+    stop = data.draw(st.integers(start, min(q ** (n + 1), start + 30)))
+    polys = [ring.poly(digits(k, q, n + 1).tolist())
+             for k in range(start, stop)]
     corr = [reversal_product_correlations(ring, a, n) for a in polys]
-    assert lag_sums(ring, n, idx).T.tolist() == [
+    assert lag_sums(ring, n, start, stop).T.tolist() == [
         [autocorrelation(ring, a, lag, n) for lag in range(n + 1)]
         for a in polys]
-    prod = reversal_products(ring, n, idx)
+    prod = reversal_products(ring, n, start, stop)
     assert prod[n::-1].T.tolist() == corr
     assert prod[n:].T.tolist() == corr
 

@@ -15,7 +15,7 @@ from rsfq import (
     reversal_product_correlations,
     rudin_shapiro,
 )
-from rsfq import verify
+from rsfq import field, rudin, verify
 from rsfq.rudin import lag_sums, reversal_products, rs_values
 from rsfq.vecenum import digits
 
@@ -175,16 +175,19 @@ def test_reconstruction_from_correlations(f3):
 # against the per-polynomial oracles
 # ---------------------------------------------------------------------------
 
-def check_bulk_correlations(ring, n, idx, polys):
-    """lag_sums and both halves of reversal_products against the oracles."""
-    lags = lag_sums(ring, n, idx)
-    prod = reversal_products(ring, n, idx)
-    assert lags.shape == (n + 1, len(idx))
-    assert prod.shape == (2 * n + 1, len(idx))
+def check_bulk_correlations(ring, n, start, stop):
+    """lag_sums and both halves of reversal_products over the counting
+    range [start, stop) against the oracles."""
+    lags = lag_sums(ring, n, start, stop)
+    prod = reversal_products(ring, n, start, stop)
+    assert lags.shape == (n + 1, stop - start)
+    assert prod.shape == (2 * n + 1, stop - start)
+    polys = [ring.poly(digits(k, ring.ctx.q, n + 1).tolist())
+             for k in range(start, stop)]
     want_lags = [[autocorrelation(ring, a, lag, n) for a in polys]
                  for lag in range(n + 1)]
     want_corr = np.array([reversal_product_correlations(ring, a, n)
-                          for a in polys]).T
+                          for a in polys]).reshape(-1, n + 1).T
     assert lags.tolist() == want_lags
     assert (prod[n::-1] == want_corr).all()      # t^(n-lag)
     assert (prod[n:] == want_corr).all()         # t^(n+lag)
@@ -197,22 +200,84 @@ STAR_CASES = [(p, e, n) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3,
 @pytest.mark.parametrize("p, e, n", STAR_CASES)
 def test_bulk_correlations_match_oracles_on_every_polynomial(p, e, n):
     ring = PolyRing(FieldCtx(p, e))
-    idx = np.arange(ring.ctx.q ** (n + 1))
-    check_bulk_correlations(ring, n, idx,
-                            list(ring.enumerate(PolySet.DEGREE_AT_MOST, n)))
-    assert idx.tolist() == list(range(ring.ctx.q ** (n + 1)))
+    count = ring.ctx.q ** (n + 1)
+    assert [ring.poly(digits(k, ring.ctx.q, n + 1).tolist())
+            for k in range(count)] == list(
+        ring.enumerate(PolySet.DEGREE_AT_MOST, n))
+    check_bulk_correlations(ring, n, 0, count)
+
+
+def ranges_across_rows(q, n, rng, count=3, width=60):
+    """Random ranges of at most width counting indices, plus one across
+    the edge of two values of a_1 (of a_0 at n = 0), mid-coordinate."""
+    total = q ** (n + 1)
+    edge = q if n else q // 2
+    out = [(max(0, edge - width // 2), min(total, edge + width // 2))]
+    for start in rng.integers(0, total, size=count):
+        out.append((int(start), int(min(total, start + rng.integers(1, width)))))
+    return out
 
 
 @pytest.mark.parametrize("p, e", [(257, 1), (3, 6), (4093, 1)])
 def test_bulk_correlations_match_oracles_above_table_q(p, e):
     """q > TABLE_Q: the oracles compute every entry from base-p digits."""
     ring = PolyRing(FieldCtx(p, e))
-    q = ring.ctx.q
     rng = np.random.default_rng(9)
     for n in (0, 1, 2):
-        idx = rng.integers(0, q ** (n + 1), size=60)
-        polys = [ring.poly(digits(k, q, n + 1).tolist()) for k in idx]
-        check_bulk_correlations(ring, n, idx, polys)
+        for start, stop in ranges_across_rows(ring.ctx.q, n, rng):
+            check_bulk_correlations(ring, n, start, stop)
+
+
+@pytest.mark.parametrize("p, e, block", [
+    (257, 1, 40), (3, 6, 40), (4093, 1, 40),   # pieces of a few a_0
+    (3, 1, 40), (5, 1, 150), (3, 2, 40), (3, 2, 600), (3, 3, 150),
+])
+def test_bulk_correlations_on_pieces_inside_one_coefficient(
+        monkeypatch, p, e, block):
+    """With BLOCK shrunk, a piece spans part of the values of one
+    coefficient, and ranges start and stop mid-coefficient; over F_9 a
+    BLOCK of 600 keeps the product grid whole and 40 makes it rows."""
+    monkeypatch.setattr(rudin, "BLOCK", block)
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    rng = np.random.default_rng(15)
+    for n in range(4 if q < 100 else 3):
+        if q ** (n + 1) <= 5000:
+            check_bulk_correlations(ring, n, 0, q ** (n + 1))
+            check_bulk_correlations(ring, n, q // 2, q ** (n + 1) - q // 2)
+        for start, stop in ranges_across_rows(q, n, rng, width=90):
+            check_bulk_correlations(ring, n, start, stop)
+    check_bulk_correlations(ring, 1, 5, 5)                 # empty range
+
+
+def test_bulk_kernels_never_read_the_field_tables(monkeypatch):
+    """lag_sums and reversal_products run on the digits of the elements
+    alone: with field_tables and every FieldCtx table raising, they still
+    match the oracles over F_9 and F_27, while rs_values over F_(p^e)
+    reads the tables and raises."""
+    rings = [PolyRing(FieldCtx(3, 2)), PolyRing(FieldCtx(3, 3))]
+    cases = [(ring, n, start, stop) for ring in rings
+             for n, start, stop in ((1, 0, ring.ctx.q ** 2), (2, 40, 700),
+                                    (3, 100, 5000))]
+    want = [(lag_sums(*case), reversal_products(*case)) for case in cases]
+
+    class Forbidden:
+        def __getitem__(self, key):
+            raise AssertionError("a field table was read")
+
+    def forbidden(key):
+        raise AssertionError("field_tables was called")
+
+    monkeypatch.setattr(rudin, "field_tables", forbidden)
+    monkeypatch.setattr(field, "field_tables", forbidden)
+    for ring in rings:
+        for name in ("add_table", "mul_table", "neg_table", "inv_table"):
+            monkeypatch.setattr(ring.ctx, name, Forbidden())
+    for case, (lags, prod) in zip(cases, want):
+        assert (lag_sums(*case) == lags).all()
+        assert (reversal_products(*case) == prod).all()
+    with pytest.raises(AssertionError, match="field_tables was called"):
+        rs_values(rings[0], 2, np.arange(9))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +299,12 @@ def per_polynomial_failures(ring, n, bad):
 
 def corrupt(route, bad, row_of=lambda lag, n: lag):
     """route with the entry of counting index k at row_of(lag) shifted by 1."""
-    def wrapped(ring, n, idx):
-        out = route(ring, n, idx).copy()
+    def wrapped(ring, n, start, stop):
+        out = route(ring, n, start, stop).copy()
         for k, lag in bad:
-            hit = idx == k
-            out[row_of(lag, n), hit] = (out[row_of(lag, n), hit] + 1) % ring.ctx.q
+            if start <= k < stop:
+                row = row_of(lag, n)
+                out[row, k - start] = (out[row, k - start] + 1) % ring.ctx.q
         return out
     return wrapped
 
@@ -252,7 +318,7 @@ def test_star_reports_each_corrupted_lag_in_order(monkeypatch, p, e, n, bad):
     """Corrupted lag sums surface as exactly the (a, lag) failures of the
     per-polynomial loop, by a and then by lag, also across block edges."""
     ring = PolyRing(FieldCtx(p, e))
-    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) ** 2 * e)   # 7 per block
+    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) ** 2 * e)   # 3-10 per block
     monkeypatch.setattr(verify, "lag_sums", corrupt(lag_sums, bad))
     result = verify.run_cell(star_cell(p, e, n))
     assert not result["pass"]
@@ -324,3 +390,47 @@ def test_star_cell_memory_is_bounded():
             tracemalloc.stop()
         assert result["pass"] and result["detail"]["checked"] == 3**(e * (n + 1))
         assert peak < 64 * 2**20, (e, n, peak)
+
+
+# ---------------------------------------------------------------------------
+# the lin-red cell
+# ---------------------------------------------------------------------------
+
+def lin_red_cell(p, e, n, cap=10**8):
+    return dict(star_cell(p, e, n, cap), check="lin-red")
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 2), (3, 1, 6), (5, 1, 4),
+                                     (3, 2, 3), (3, 3, 2), (257, 1, 2)])
+def test_lin_red_cell_passes(p, e, n):
+    result = verify.run_cell(lin_red_cell(p, e, n))
+    assert result["pass"]
+    assert result["detail"] == {"checked": (p**e) ** n, "failures": []}
+
+
+@pytest.mark.parametrize("p, e, n, bad", [
+    (3, 1, 3, {26, 0, 5, 13}),
+    (3, 2, 2, {80, 9, 40}),
+])
+def test_lin_red_reports_each_corrupted_monic_in_order(monkeypatch, p, e, n,
+                                                       bad):
+    """A wrong lag-1 sum for the monics at positions bad (counting indices
+    q^n + k in degree <= n order) fails exactly those f, named by
+    ring.to_str, in counting order."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    monkeypatch.setattr(verify, "lag_sums", corrupt(
+        lag_sums, {(q**n + k, 1) for k in bad}))
+    result = verify.run_cell(lin_red_cell(p, e, n))
+    assert not result["pass"]
+    assert result["detail"]["checked"] == q**n
+    assert result["detail"]["failures"] == [
+        ring.to_str(f) for k, f in enumerate(ring.enumerate(PolySet.MONIC, n))
+        if k in bad]
+
+
+def test_lin_red_cell_keeps_the_enumeration_cap():
+    with pytest.raises(EnumerationCapError,
+                       match="enumeration of 27 elements exceeds the cap 26"):
+        verify.run_cell(lin_red_cell(3, 1, 3, cap=26))
+    assert verify.run_cell(lin_red_cell(3, 1, 3, cap=27))["pass"]
