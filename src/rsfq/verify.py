@@ -25,8 +25,8 @@ raises AssertionError naming a; a coefficient t^(n-lag) that differs from
 the lag sum is a failure {"a", "lag"}, listed by a and then by lag.
 verify_all cap-checks every scheduled star cell before any cell runs.
 The lin-red cell compares rudin.rs_values of the q^n monics f of degree n
-with their lag-1 sums minus f_(n-1), digit-wise mod p, and lists each
-failing f by ring.to_str in counting order.
+with their lag-1 sums minus f_(n-1), digit-wise mod p, in blocks of about
+BLOCK monics, and lists each failing f by ring.to_str in counting order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .dist import distribution
 from .errors import ConfigError, ExactIdentityError
 from .field import FieldCtx
 from .poly import DEFAULT_CAP, PolyRing, PolySet
-from .rudin import lag_sums, reversal_products, rs_values
+from .rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from .sieve import BLOCK
 from .vaughan import (
     VaughanContext,
@@ -136,9 +136,9 @@ def build_cells(cfg: RunConfig, checks) -> list:
             limit = min(limit, nm)
         add("gauss", range(2, limit + 1))
     if "rank-qa" in wanted:
-        add("rank-qa", range(2, (min(8, nm) if nm else 8) + 1))
+        add("rank-qa", range(2, (min(8, nm) if nm is not None else 8) + 1))
     if "rank-bab" in wanted:
-        add("rank-bab", range(2, (min(7, nm) if nm else 7) + 1))
+        add("rank-bab", range(2, (min(7, nm) if nm is not None else 7) + 1))
     if "vaughan" in wanted:
         top = _n_limit(q, 1000, 6, nm)
         add("vaughan", range(4, top + 1))
@@ -170,19 +170,25 @@ def _star_count(ring: PolyRing, cell: dict) -> int:
     return count
 
 
+def _blocks(q: int, count: int, per: int):
+    """The ranges [start, stop) that cut [0, count) into blocks of at most
+    max(per, 1) counting indices, each a multiple of the largest power of
+    q that fits, so the kernels cut a block into few pieces."""
+    per = max(per, 1)
+    step = 1
+    while step * q <= per:
+        step *= q
+    per -= per % step
+    for start in range(0, count, per):
+        yield start, min(start + per, count)
+
+
 def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
     count = _star_count(ring, cell)
-    # Each block holds about BLOCK coefficients and lag sums and is a
-    # multiple of a power of q, so the kernels cut it into few pieces.
-    per = max(1, BLOCK // (3 * n + 2))
-    step = 1
-    while step * ring.ctx.q <= per:
-        step *= ring.ctx.q
-    per -= per % step
     failures = []
-    for start in range(0, count, per):
-        stop = min(start + per, count)
+    # Each block holds about BLOCK coefficients and lag sums.
+    for start, stop in _blocks(ring.ctx.q, count, BLOCK // (3 * n + 2)):
         prod = reversal_products(ring, n, start, stop)
         corr = prod[n::-1]                  # t^(n-lag), lag = 0..n
         skew = corr != prod[n:]             # against t^(n+lag)
@@ -205,15 +211,18 @@ def _poly_str(ring: PolyRing, n: int, index) -> str:
 def _run_lin_red(ring: PolyRing, cell: dict):
     n = cell["n"]
     ctx = ring.ctx
-    p, q = ctx.p, ctx.q
+    p, q, e = ctx.p, ctx.q, ctx.e
     ring.check_cap(ring.cardinality(PolySet.MONIC, n), cell["cap"])
-    # In degree <= n counting order the monics of degree n follow q^n.
-    low = np.arange(q**n)
-    lag1 = digits(lag_sums(ring, n, q**n, 2 * q**n)[1], p, ctx.e)
-    second = digits(low // q ** (n - 1) % q, p, ctx.e)     # f_(n-1)
-    want = (lag1 - second) % p @ p ** np.arange(ctx.e)
-    failures = [_poly_str(ring, n, q**n + k)
-                for k in np.flatnonzero(rs_values(ring, n, low) != want)]
+    failures = []
+    # Blocks of about BLOCK digits of lag-1 sums.  In degree <= n
+    # counting order the monics of degree n follow q^n.
+    for start, stop in _blocks(q, q**n, BLOCK // e):
+        low = np.arange(start, stop)
+        lag1 = digits(_lag1_sums(ring, n, q**n + start, q**n + stop), p, e)
+        second = digits(low // q ** (n - 1) % q, p, e)     # f_(n-1)
+        want = (lag1 - second) % p @ p ** np.arange(e)
+        failures += [_poly_str(ring, n, q**n + start + k)
+                     for k in np.flatnonzero(rs_values(ring, n, low) != want)]
     return not failures, {"checked": q**n, "failures": failures}
 
 

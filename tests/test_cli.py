@@ -264,6 +264,16 @@ def test_negative_counts_rejected_naming_their_source(tmp_path, capsys,
     assert _resolve(flag, "0", "--config", str(cfg)).public_dict()[name] == 0
 
 
+def test_n_max_zero_cuts_every_check():
+    """--n-max 0 bounds every check, the rank scans too: only the star
+    cell at n = 0 is left."""
+    result = run_cli("--n-max", "0", "verify", "all")
+    assert result.returncode == 0
+    data = json.loads(result.stdout)
+    assert [(cell["check"], cell["n"]) for cell in data["cells"]] == [
+        ("star", 0)]
+
+
 def test_weights_bounded_by_max_weights(tmp_path):
     assert _resolve("--weights", str(MAX_WEIGHTS)).weights == MAX_WEIGHTS
     with pytest.raises(ConfigError, match=(

@@ -16,7 +16,7 @@ from rsfq import (
     rudin_shapiro,
 )
 from rsfq import field, rudin, verify
-from rsfq.rudin import lag_sums, reversal_products, rs_values
+from rsfq.rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from rsfq.vecenum import digits
 
 
@@ -189,6 +189,8 @@ def check_bulk_correlations(ring, n, start, stop):
     want_corr = np.array([reversal_product_correlations(ring, a, n)
                           for a in polys]).reshape(-1, n + 1).T
     assert lags.tolist() == want_lags
+    if n:
+        assert _lag1_sums(ring, n, start, stop).tolist() == want_lags[1]
     assert (prod[n::-1] == want_corr).all()      # t^(n-lag)
     assert (prod[n:] == want_corr).all()         # t^(n+lag)
 
@@ -416,17 +418,34 @@ def test_lin_red_reports_each_corrupted_monic_in_order(monkeypatch, p, e, n,
                                                        bad):
     """A wrong lag-1 sum for the monics at positions bad (counting indices
     q^n + k in degree <= n order) fails exactly those f, named by
-    ring.to_str, in counting order."""
+    ring.to_str, in counting order, also across block edges."""
     ring = PolyRing(FieldCtx(p, e))
     q = ring.ctx.q
-    monkeypatch.setattr(verify, "lag_sums", corrupt(
-        lag_sums, {(q**n + k, 1) for k in bad}))
+    monkeypatch.setattr(verify, "BLOCK", 5 * e)   # blocks of 3 (q=3), 5 (q=9)
+    row = corrupt(lambda *case: _lag1_sums(*case)[None],
+                  {(q**n + k, 0) for k in bad})
+    monkeypatch.setattr(verify, "_lag1_sums", lambda *case: row(*case)[0])
     result = verify.run_cell(lin_red_cell(p, e, n))
     assert not result["pass"]
     assert result["detail"]["checked"] == q**n
     assert result["detail"]["failures"] == [
         ring.to_str(f) for k, f in enumerate(ring.enumerate(PolySet.MONIC, n))
         if k in bad]
+
+
+def test_lin_red_cell_memory_is_bounded():
+    """The cell walks the q^n = 531441 monics of F_3, n = 12, and of F_9,
+    n = 6, in blocks: lag sums, digits and R values of one block at a
+    time stay under a fixed traced peak (about 10 MB)."""
+    for e, n in ((1, 12), (2, 6)):
+        tracemalloc.start()
+        try:
+            result = verify.run_cell(lin_red_cell(3, e, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["detail"] == {"checked": 3**12, "failures": []}
+        assert peak < 16 * 2**20, (e, n, peak)
 
 
 def test_lin_red_cell_keeps_the_enumeration_cap():
