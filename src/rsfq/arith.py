@@ -235,8 +235,7 @@ def tau(ring: PolyRing, f, table: FactorTable | None = None) -> int:
     return (table or FactorTable(ring)).tau(f)
 
 
-def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5,
-                    cap: int | None = None) -> dict:
+def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5) -> dict:
     """Scan M(n) for the hard divisor bound tau(f) <= 2^deg f.
 
     The argmax is the first maximum in counting order.  The soft branch
@@ -245,7 +244,7 @@ def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5,
     """
     if n < 1:
         raise DegreeBoundError("tau scan needs degree >= 1")
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     q = ring.ctx.q
     taus = Dirichlet(ring).tau(n)
     arg = int(np.argmax(taus))
@@ -264,12 +263,11 @@ def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5,
     }
 
 
-def check_tau_second_moment(ring: PolyRing, n: int,
-                            cap: int | None = None) -> dict:
+def check_tau_second_moment(ring: PolyRing, n: int) -> dict:
     """Exact second moment of tau over M(n) against 4 n^3 q^n."""
     if n < 1:
         raise DegreeBoundError("moment scan needs degree >= 1")
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     q = ring.ctx.q
     taus = Dirichlet(ring).tau(n)
     total = int(np.dot(taus, taus))
@@ -290,7 +288,6 @@ def count_reversal_solutions(
     f,
     n: int,
     table: FactorTable | None = None,
-    cap: int | None = None,
 ) -> dict:
     """Count polynomials a of degree exactly n with reverse(a, n) * a = f.
 
@@ -304,9 +301,8 @@ def count_reversal_solutions(
     if deg is not None and deg > 2 * n:
         raise DegreeBoundError(f"deg f = {deg} exceeds 2n = {2 * n}")
     table = table or FactorTable(ring)
-    ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n), cap)
     solutions = []
-    for a in ring.enumerate(PolySet.DEGREE_EXACT, n, cap):
+    for a in ring.enumerate(PolySet.DEGREE_EXACT, n):
         if ring.mul(ring.reverse(a, n), a) == f:
             solutions.append(a)
     classes = {min(ring.index_of(a), ring.index_of(ring.neg(a))) for a in solutions}
@@ -334,7 +330,7 @@ def count_reversal_solutions(
     }
 
 
-def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict:
+def scan_reversal_counts(ring: PolyRing, n: int) -> dict:
     """Exhaustive reversal-equation counts over every f of degree 2n.
 
     Groups the products reverse(a, n) * a over all a of degree n and reads
@@ -344,10 +340,10 @@ def scan_reversal_counts(ring: PolyRing, n: int, cap: int | None = None) -> dict
     it fails from q = 5 on, and every f above it is listed with N(f) and
     the provable 2 d_n(f), d_n = (1_n * 1_n)[monic f], which is checked.
     """
-    ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n), cap)
-    ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, 2 * n), cap)
+    ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n))
+    ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, 2 * n))
     products: dict = {}
-    for a in ring.enumerate(PolySet.DEGREE_EXACT, n, cap):
+    for a in ring.enumerate(PolySet.DEGREE_EXACT, n):
         prod = ring.mul(ring.reverse(a, n), a)
         products.setdefault(prod, []).append(a)
     kernel = Dirichlet(ring)

@@ -42,7 +42,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .field import FieldCtx, field_tables
-from .poly import PolyRing, PolySet
+from .poly import DEFAULT_CAP, PolyRing, PolySet
 from .quadform import SymMatrix, form_ranks, qa_forms, quad_eval
 from .rudin import autocorrelation, rudin_shapiro
 from .sieve import BLOCK
@@ -118,7 +118,7 @@ def _require_nontrivial(chi: CharSpec) -> None:
 
 
 def quad_form_char_sum(
-    mat: SymMatrix, linear, chi: CharSpec, cap: int = 10**8
+    mat: SymMatrix, linear, chi: CharSpec, cap: int = DEFAULT_CAP
 ) -> complex:
     """Sum of psi(x^T M x + L . x) over all of F_q^m by direct enumeration."""
     _require_nontrivial(chi)
@@ -176,20 +176,16 @@ def gauss_counts(forms, ctx: FieldCtx | None = None) -> np.ndarray:
     return np.ascontiguousarray(hist.transpose(0, 2, 1), dtype=np.int64)
 
 
-def _check_all_pairs_cap(ctx: FieldCtx, m: int, cap: int) -> None:
-    if ctx.q ** (2 * m) > cap:
-        raise EnumerationCapError(
-            f"all-linear-parts scan needs q^{2 * m} pair evaluations, "
-            f"over the cap {cap}"
-        )
-
-
-def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
+def max_gauss_magnitude(mat: SymMatrix, cap: int = DEFAULT_CAP) -> float:
     """Worst |sum psi(x^T M x + L(x))| over every linear part L (the zero
     form included) and every non-trivial character: per character, row L
-    of gauss_counts(mat).T dotted with the character values is the sum."""
+    of gauss_counts(mat).T dotted with the character values is the sum.
+    The q^(m+1) counts of gauss_counts are charged against cap."""
     ctx = mat.ctx
-    _check_all_pairs_cap(ctx, mat.dim, cap)
+    m = mat.dim
+    if ctx.q ** (m + 1) > cap:
+        raise EnumerationCapError(
+            f"q^{m + 1} = {ctx.q ** (m + 1)} exceeds cap {cap}")
     counts = gauss_counts(mat)
     worst = 0.0
     for beta in range(1, ctx.q):
@@ -198,7 +194,7 @@ def max_gauss_magnitude(mat: SymMatrix, cap: int = 10**8) -> float:
     return worst
 
 
-def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
+def scan_gauss_bound(ring: PolyRing, n: int) -> list:
     """Exhaustive exact rank-bound check for every multiplier form at degree n.
 
     For every k < n/2 and every monic a of degree k, the form Q_a and its
@@ -212,17 +208,17 @@ def scan_gauss_bound(ring: PolyRing, n: int, cap: int | None = None) -> list:
     is 0 or q^(2m - r): the quadratic-form dichotomy (Lidl & Niederreiter,
     Finite Fields, ch. 5-6), all in integers.  Returns one report per
     (k, a) with the largest A_0 - A_1 as max_abs_sq, its square root as
-    max_magnitude and the bound q^(m - r/2).
+    max_magnitude and the bound q^(m - r/2).  Each degree charges its
+    q^(m+1) counts per form to ring.check_cap.
     """
     ctx = ring.ctx
     q = ctx.q
     add = field_tables(ctx.key())[0]
     reports = []
-    limit = ring.cap if cap is None else cap
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
-        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k, cap)]
-        _check_all_pairs_cap(ctx, m, limit)
+        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
+        ring.check_cap(q ** (m + 1))
         forms = qa_forms(ring, n, k)
         ranks = form_ranks(ctx, forms)[0].tolist()
         per = max(1, BLOCK // q ** (m + 1))
@@ -258,7 +254,6 @@ def rs_char_sum_over_set(
     g,
     chi: CharSpec,
     weight: str = "R",
-    cap: int | None = None,
 ) -> complex:
     """Sum of psi(R(g h)) (or psi(S(g h))) over the chosen polynomial set.
 
@@ -272,10 +267,9 @@ def rs_char_sum_over_set(
     if weight not in ("R", "S"):
         raise DegreeBoundError(f"unknown weight {weight!r}")
     ctx = ring.ctx
-    ring.check_cap(ring.cardinality(kind, n), cap)
     bound = n + len(g) - 1
     hist = [0] * ctx.q
-    for h in ring.enumerate(kind, n, cap):
+    for h in ring.enumerate(kind, n):
         f = ring.mul(g, h)
         if weight == "R":
             val = rudin_shapiro(ring, f)
@@ -286,7 +280,7 @@ def rs_char_sum_over_set(
 
 
 def rs_pair_char_sum(
-    ring: PolyRing, i: int, g1, g2, chi: CharSpec, cap: int | None = None
+    ring: PolyRing, i: int, g1, g2, chi: CharSpec
 ) -> complex:
     """Sum over monic h of degree i of psi(R(h g1) - R(h g2)).
 
@@ -296,9 +290,8 @@ def rs_pair_char_sum(
     """
     _require_nontrivial(chi)
     ctx = ring.ctx
-    ring.check_cap(ring.cardinality(PolySet.MONIC, i), cap)
     hist = [0] * ctx.q
-    for h in ring.enumerate(PolySet.MONIC, i, cap):
+    for h in ring.enumerate(PolySet.MONIC, i):
         val = ctx.sub(
             rudin_shapiro(ring, ring.mul(h, g1)),
             rudin_shapiro(ring, ring.mul(h, g2)),

@@ -193,7 +193,7 @@ def resolve_config(args) -> RunConfig:
         modulus=modulus_tuple,
         fmt=pick("format", str, "json"),
         jobs=_resolve_jobs(args, file_cfg),
-        cap=pick("cap", int, DEFAULT_CAP),
+        cap=_resolve_count(args, file_cfg, "cap", DEFAULT_CAP, DEFAULT_CAP),
         seed=pick("seed", int, 1),
         weights=_resolve_count(args, file_cfg, "weights", 3, MAX_WEIGHTS),
         n_max=_resolve_count(args, file_cfg, "n_max", None),
@@ -218,7 +218,7 @@ def _emit_kv_csv(obj: dict) -> None:
 
 
 def _cmd_distribution(cfg: RunConfig, args) -> int:
-    table = distribution(cfg.ring(), args.n, cfg.cap)
+    table = distribution(cfg.ring(), args.n)
     if cfg.fmt == "csv":
         sys.stdout.write(table.to_csv())
     else:
@@ -233,7 +233,7 @@ def _cmd_trend(cfg: RunConfig, args) -> int:
         top = 2
         while q ** (top + 1) <= 2400:
             top += 1
-    rows = deviation_trend(cfg.ring(), top, cfg.cap)
+    rows = deviation_trend(cfg.ring(), top)
     if cfg.fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -270,7 +270,7 @@ def _cmd_sigma(cfg: RunConfig, args) -> int:
         beta = ring.ctx.parse_element(args.beta)
     chi = CharSpec(ring.ctx, beta)
     fn = sigma1 if args.which == "sigma1" else sigma2
-    report = fn(ring, args.n, args.u, args.v, chi, cfg.cap)
+    report = fn(ring, args.n, args.u, args.v, chi)
     if cfg.fmt == "csv":
         _emit_kv_csv(report)
     else:
@@ -282,9 +282,9 @@ def _cmd_nf_count(cfg: RunConfig, args) -> int:
     ring = cfg.ring()
     if args.poly is not None:
         f = ring.parse(args.poly)
-        report = count_reversal_solutions(ring, f, args.n, cap=cfg.cap)
+        report = count_reversal_solutions(ring, f, args.n)
     else:
-        report = scan_reversal_counts(ring, args.n, cap=cfg.cap)
+        report = scan_reversal_counts(ring, args.n)
     if cfg.fmt == "csv":
         _emit_kv_csv(report)
     else:

@@ -87,14 +87,13 @@ class DistTable:
         return out.getvalue()
 
 
-def distribution(ring: PolyRing, n: int, cap: int | None = None) -> DistTable:
+def distribution(ring: PolyRing, n: int) -> DistTable:
     """Exact distribution table for degree n (requires n >= 2)."""
     if n < 2:
         raise DegreeBoundError("distribution needs degree >= 2")
     ctx = ring.ctx
     q = ctx.q
-    size = ring.cardinality(PolySet.MONIC, n)
-    ring.check_cap(size, cap)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     irreducibles = np.flatnonzero(~composite_mask(ring, n))
     hist = np.bincount(rs_values(ring, n, irreducibles), minlength=q).tolist()
     total = sum(hist)
@@ -150,11 +149,11 @@ def table_from_csv(text: str) -> dict:
     return {"counts": counts, "total": sum(counts.values())}
 
 
-def deviation_trend(ring: PolyRing, n_max: int, cap: int | None = None) -> list:
+def deviation_trend(ring: PolyRing, n_max: int) -> list:
     """Relative deviation per degree, for inspection (nothing asymptotic)."""
     rows = []
     for n in range(2, n_max + 1):
-        table = distribution(ring, n, cap)
+        table = distribution(ring, n)
         rel = float(table.max_abs_dev / table.expected) if table.total else 0.0
         rows.append({
             "n": n,

@@ -11,6 +11,10 @@ as base-q integers with the constant term as the least significant digit,
 so the constant term varies fastest.  Enumeration supports contiguous
 index-range partitioning, which slices the set by coefficient prefix so
 scans can be mapped across workers and merged associatively.
+
+A ring holds the one enumeration cap.  Every scan over its polynomials,
+forms or weights charges the largest set it builds to ring.check_cap, and
+no function that takes a ring takes a cap of its own.
 """
 
 from __future__ import annotations
@@ -220,16 +224,16 @@ class PolyRing:
             return q**n
         raise ConfigError(f"unknown set kind {kind!r}")
 
-    def check_cap(self, count: int, cap: int | None = None) -> None:
-        limit = self.cap if cap is None else cap
-        if count > limit:
+    def check_cap(self, count: int) -> None:
+        """Raise EnumerationCapError if count exceeds the ring's cap."""
+        if count > self.cap:
             raise EnumerationCapError(
-                f"enumeration of {count} elements exceeds the cap {limit}"
+                f"enumeration of {count} elements exceeds the cap {self.cap}"
             )
 
-    def enumerate(self, kind: PolySet, n: int, cap: int | None = None):
+    def enumerate(self, kind: PolySet, n: int):
         """Yield the set members in counting order (cap-checked)."""
-        self.check_cap(self.cardinality(kind, n), cap)
+        self.check_cap(self.cardinality(kind, n))
         if kind is PolySet.MONIC:
             yield from self._monic(n, 0, self.ctx.q**n)
         elif kind is PolySet.MONIC_IRREDUCIBLE:

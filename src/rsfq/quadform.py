@@ -374,8 +374,8 @@ def bab_forms(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return same, _toeplitz(ring.ctx, (w[a_idx] - w[b_idx]) % ring.ctx.p)
 
 
-def _monic_names(ring: PolyRing, k: int, cap: int | None) -> list:
-    return [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k, cap)]
+def _monic_names(ring: PolyRing, k: int) -> list:
+    return [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
 
 
 @dataclass
@@ -410,7 +410,7 @@ class RankReport:
         }
 
 
-def scan_qa_ranks(ring: PolyRing, n: int, cap: int | None = None) -> list:
+def scan_qa_ranks(ring: PolyRing, n: int) -> list:
     """Rank scan of h -> S(a h) over every monic a of degree k < n/2.
 
     Each report records the exact rank against the lower bound n - k - 1
@@ -435,7 +435,7 @@ def scan_qa_ranks(ring: PolyRing, n: int, cap: int | None = None) -> list:
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
         bound = n - k - 1
-        names = _monic_names(ring, k, cap)
+        names = _monic_names(ring, k)
         ranks, monic_ranks = form_ranks(ring.ctx, qa_forms(ring, n, k))
         for name, rank, mrank in zip(names, ranks.tolist(),
                                      monic_ranks.tolist()):
@@ -447,7 +447,7 @@ def scan_qa_ranks(ring: PolyRing, n: int, cap: int | None = None) -> list:
     return reports
 
 
-def scan_bab_ranks(ring: PolyRing, n: int, k: int, cap: int | None = None) -> dict:
+def scan_bab_ranks(ring: PolyRing, n: int, k: int) -> dict:
     """Rank scan of h -> S(a h) - S(b h) over ordered monic pairs of degree k.
 
     Pairs whose reversal products coincide are excluded from the rank bound
@@ -458,10 +458,10 @@ def scan_bab_ranks(ring: PolyRing, n: int, k: int, cap: int | None = None) -> di
     """
     if 2 * k >= n:
         raise DegreeBoundError(f"need 2k = {2 * k} < n = {n}")
-    ring.check_cap(ring.cardinality(PolySet.MONIC, k) ** 2, cap)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, k) ** 2)
     m = n - k + 1
     bound = n - 2 * k - 1
-    names = _monic_names(ring, k, cap)
+    names = _monic_names(ring, k)
     same, forms = bab_forms(ring, n, k)
     ranks, monic_ranks = form_ranks(ring.ctx, forms)
     reports = [

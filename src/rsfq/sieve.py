@@ -43,8 +43,9 @@ of s digits in a (2p - 1)^s digit-add table (one chunk when the window is
 narrow).  product_indices yields those indices block by block.
 
 composite_mask(ring, n) joins or marks in a boolean array over the monic
-degree-n counting indices; count_irreducibles_sieve counts its unmarked
-entries and dist.distribution reads the irreducibles off it.
+degree-n counting indices, for q^n up to the module constant SIEVE_CAP;
+count_irreducibles_sieve counts its unmarked entries and dist.distribution
+reads the irreducibles off it.
 arith.Dirichlet sums weights over the product_indices blocks, or over the
 product tables it assembles from them and keeps.  Memory is bounded here:
 a digit-add table holds at most TABLE_BYTES, one image or gather block
@@ -303,15 +304,16 @@ def _composite(n: int, p: int, basis: np.ndarray) -> np.ndarray:
     return composite
 
 
-def composite_mask(ring: PolyRing, n: int, cap: int = SIEVE_CAP) -> np.ndarray:
+def composite_mask(ring: PolyRing, n: int) -> np.ndarray:
     """Boolean mask over monic degree-n counting indices, True where reducible."""
     ctx = ring.ctx
-    if ctx.q**n > cap:
-        raise EnumerationCapError(f"q^n = {ctx.q**n} exceeds the sieve cap {cap}")
+    if ctx.q**n > SIEVE_CAP:
+        raise EnumerationCapError(
+            f"q^n = {ctx.q**n} exceeds the sieve cap {SIEVE_CAP}")
     return _composite(n, ctx.p, ctx.basis)
 
 
-def count_irreducibles_sieve(ring: PolyRing, n: int, cap: int = SIEVE_CAP) -> int:
+def count_irreducibles_sieve(ring: PolyRing, n: int) -> int:
     """Exact number of monic irreducibles of degree n by composite marking."""
-    composite = composite_mask(ring, n, cap)
+    composite = composite_mask(ring, n)
     return int(ring.ctx.q**n - np.count_nonzero(composite))

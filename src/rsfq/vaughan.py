@@ -122,10 +122,10 @@ class VaughanContext:
     tabulated once per run as a vector in the same order.
     """
 
-    def __init__(self, ring: PolyRing, n: int, cap: int | None = None):
+    def __init__(self, ring: PolyRing, n: int):
         if n < 2:
             raise InvalidCutoffsError("decomposition needs n >= 2")
-        ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
+        ring.check_cap(ring.cardinality(PolySet.MONIC, n))
         self.ring = ring
         self.n = n
         self.kernel = kernel = Dirichlet(ring)
@@ -191,10 +191,10 @@ class VaughanContext:
         )
 
 
-def vaughan_decompose(ring: PolyRing, n: int, u: int, v: int, weight,
-                      cap: int | None = None) -> VaughanReport:
+def vaughan_decompose(ring: PolyRing, n: int, u: int, v: int,
+                      weight) -> VaughanReport:
     """One-shot decomposition; build a VaughanContext to amortize several."""
-    return VaughanContext(ring, n, cap).decompose(u, v, weight)
+    return VaughanContext(ring, n).decompose(u, v, weight)
 
 
 # -- weights -----------------------------------------------------------------
@@ -215,12 +215,11 @@ def character_rs_weight(ring: PolyRing, chi: CharSpec):
     return weight
 
 
-def random_weight_values(ring: PolyRing, n: int, seed: int,
-                         cap: int | None = None) -> list:
+def random_weight_values(ring: PolyRing, n: int, seed: int) -> list:
     """Seeded unit-bounded weight tabulated over the monic degree-n list."""
     rng = random.Random(seed)
     count = ring.cardinality(PolySet.MONIC, n)
-    ring.check_cap(count, cap)
+    ring.check_cap(count)
     return [
         cmath.rect(rng.random(), 2 * math.pi * rng.random())
         for _ in range(count)
@@ -290,8 +289,7 @@ def _exceeds(x: list, y: list, p: int) -> bool:
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None, kernel: Dirichlet | None = None,
-           rs: np.ndarray | None = None) -> dict:
+           kernel: Dirichlet | None = None, rs: np.ndarray | None = None) -> dict:
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
@@ -307,7 +305,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         raise TrivialCharacterError("sigma1 needs a non-trivial character")
     q, p = ring.ctx.q, ring.ctx.p
     # The q^n monics h of the row g = 1 bound every other degree's sets.
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cap)
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     kernel = kernel or Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
@@ -344,8 +342,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
 
 def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           cap: int | None = None, kernel: Dirichlet | None = None,
-           rs: np.ndarray | None = None) -> dict:
+           kernel: Dirichlet | None = None, rs: np.ndarray | None = None) -> dict:
     """Max over i in [v, n-u] and monic g1 of the pair-sum aggregate.
 
     For each i and monic g1 of degree n - i, sums over monic g2 of the same
@@ -370,7 +367,9 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     q, p = ring.ctx.q, ring.ctx.p
     for i in range(v, n - u + 1):     # every degree, before R is evaluated
         for k in (n - i, i):
-            ring.check_cap(ring.cardinality(PolySet.MONIC, k), cap)
+            ring.check_cap(ring.cardinality(PolySet.MONIC, k))
+    # R of all q^n monics and each degree's (g1, h) product table.
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     kernel = kernel or Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]

@@ -1,7 +1,8 @@
 """Verification matrix: every identity and bound check as a schedulable cell.
 
-A cell is a small dict of primitives (field key, check name, degree), so it
-can cross a process boundary; run_cell rebuilds the ring and returns a
+A cell is a small dict of primitives (field key, cap, check name, degree),
+so it can cross a process boundary; run_cell rebuilds the ring, with the
+cell's cap as the one cap every scan of the cell charges, and returns a
 JSON-ready result.  Results are sorted by (check, n, k) and aggregated into
 one report whose only nondeterministic field is meta.elapsed_seconds: every
 numeric value is derived from exact integer state, so the parallelism
@@ -166,7 +167,7 @@ def _star_count(ring: PolyRing, cell: dict) -> int:
     """q^(n+1) polynomials of degree <= n, cap-checked as ring.enumerate
     checks them."""
     count = ring.cardinality(PolySet.DEGREE_AT_MOST, cell["n"])
-    ring.check_cap(count, cell["cap"])
+    ring.check_cap(count)
     return count
 
 
@@ -212,7 +213,7 @@ def _run_lin_red(ring: PolyRing, cell: dict):
     n = cell["n"]
     ctx = ring.ctx
     p, q, e = ctx.p, ctx.q, ctx.e
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n), cell["cap"])
+    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
     failures = []
     # Blocks of about BLOCK digits of lag-1 sums.  In degree <= n
     # counting order the monics of degree n follow q^n.
@@ -227,17 +228,17 @@ def _run_lin_red(ring: PolyRing, cell: dict):
 
 
 def _run_tau(ring: PolyRing, cell: dict):
-    report = arith.check_tau_bound(ring, cell["n"], cap=cell["cap"])
+    report = arith.check_tau_bound(ring, cell["n"])
     return report["pass"], report
 
 
 def _run_tau_moment(ring: PolyRing, cell: dict):
-    report = arith.check_tau_second_moment(ring, cell["n"], cap=cell["cap"])
+    report = arith.check_tau_second_moment(ring, cell["n"])
     return report["pass"], report
 
 
 def _run_gauss(ring: PolyRing, cell: dict):
-    reports = scan_gauss_bound(ring, cell["n"], cap=cell["cap"])
+    reports = scan_gauss_bound(ring, cell["n"])
     failures = [r for r in reports if not r["pass"]]
     worst = max((r["max_magnitude"] / r["bound"] for r in reports), default=0.0)
     return not failures, {
@@ -248,7 +249,7 @@ def _run_gauss(ring: PolyRing, cell: dict):
 
 
 def _run_rank_qa(ring: PolyRing, cell: dict):
-    reports = quadform.scan_qa_ranks(ring, cell["n"], cell["cap"])
+    reports = quadform.scan_qa_ranks(ring, cell["n"])
     rank_failures = [r.as_dict() for r in reports if r.rank < r.bound]
     monic_failures = [
         r.as_dict() for r in reports if r.monic_rank < r.bound - 1
@@ -274,7 +275,7 @@ def _run_rank_bab(ring: PolyRing, cell: dict):
     for k in range((n - 1) // 2 + 1):
         if q ** (2 * k) > 8000:
             break
-        out = quadform.scan_bab_ranks(ring, n, k, cell["cap"])
+        out = quadform.scan_bab_ranks(ring, n, k)
         fails = [r.as_dict() for r in out["reports"] if r.rank < r.bound]
         detail["rank_failures"].extend(fails)
         detail["levels"].append({
@@ -291,7 +292,7 @@ def _run_rank_bab(ring: PolyRing, cell: dict):
 def _run_vaughan(ring: PolyRing, cell: dict):
     n = cell["n"]
     q = ring.ctx.q
-    vc = VaughanContext(ring, n, cap=cell["cap"])
+    vc = VaughanContext(ring, n)
     chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
     # R over the q^n monics, evaluated once for the char-rs weight and both
     # sigma aggregates.
@@ -301,7 +302,7 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     for j in range(cell["weights"]):
         weights.append(
             (f"random-{j}",
-             random_weight_values(ring, n, cell["seed"] * 1000 + j, cell["cap"]))
+             random_weight_values(ring, n, cell["seed"] * 1000 + j))
         )
     worst_residual = 0.0
     unit_error = 0.0
@@ -324,8 +325,8 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
     passed = not failures and int(vc.lambdas.sum()) == q**n
     du, dv = default_cutoffs(n)
-    s1 = sigma1(ring, n, du, dv, chi, cell["cap"], vc.kernel, rs)
-    s2 = sigma2(ring, n, du, dv, chi, cell["cap"], vc.kernel, rs)
+    s1 = sigma1(ring, n, du, dv, chi, vc.kernel, rs)
+    s2 = sigma2(ring, n, du, dv, chi, vc.kernel, rs)
     rep = vc.decompose(du, dv, char_rs)
     rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
         s1["value"], s1["value_exact"], s1["bound"])
@@ -343,7 +344,7 @@ def _run_vaughan(ring: PolyRing, cell: dict):
 
 def _run_dist(ring: PolyRing, cell: dict):
     try:
-        table = distribution(ring, cell["n"], cell["cap"])
+        table = distribution(ring, cell["n"])
     except ExactIdentityError as err:
         return False, {"error": str(err)}
     return True, table.as_dict()

@@ -217,9 +217,9 @@ def test_reversal_scan_matches_full_enumeration(p, e, n):
 
 def test_reversal_scan_keeps_both_cap_checks(f3):
     with pytest.raises(EnumerationCapError, match="enumeration of 18 elements"):
-        scan_reversal_counts(f3, 2, cap=17)
+        scan_reversal_counts(PolyRing(f3.ctx, cap=17), 2)
     with pytest.raises(EnumerationCapError, match="enumeration of 162 elements"):
-        scan_reversal_counts(f3, 2, cap=161)
+        scan_reversal_counts(PolyRing(f3.ctx, cap=161), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,21 @@ def test_gauss_scan_small_all_pass(f3):
         assert reports and all(r["pass"] for r in reports)
 
 
+def test_gauss_scan_charges_the_counts_per_form(f3):
+    """A form of dimension m has q^(m+1) Gauss counts; at q = 3, n = 8 the
+    largest, m = 9 at k = 0, fits the default cap."""
+    reports = scan_gauss_bound(f3, 8)
+    assert len(reports) == 40 and all(r["pass"] for r in reports)
+    with pytest.raises(EnumerationCapError,
+                       match="enumeration of 59049 elements"):
+        scan_gauss_bound(PolyRing(f3.ctx, cap=3**10 - 1), 8)
+    mat = qa_matrix(f3, f3.one, 3)
+    assert mat.dim == 4
+    with pytest.raises(EnumerationCapError, match="q\\^5 = 243 exceeds"):
+        max_gauss_magnitude(mat, cap=3**5 - 1)
+    assert max_gauss_magnitude(mat, cap=3**5) == max_gauss_magnitude(mat)
+
+
 def test_gauss_scan_agrees_with_direct_sums(f3):
     """Vectorized worst-case magnitudes are reproduced by the plain
     per-form enumeration on a small instance."""

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rsfq import ConfigError
+from rsfq import DEFAULT_CAP, ConfigError
 from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
@@ -101,6 +101,12 @@ def test_sigma_cap_exceeded_is_usage_error(capsys):
     assert main(["sigma", "sigma2", "-n", "6", "-u", "1", "-v", "2",
                  "--cap", "100"]) == 2
     assert "exceeds the cap 100" in capsys.readouterr().err
+    # Every degree's set is at most 3^16 under the default cap, but sigma2
+    # would tabulate R over all 3^30 monics.
+    assert main(["sigma", "sigma2", "-n", "30", "-u", "14", "-v", "15"]) == 2
+    assert capsys.readouterr().err == (
+        "rsfq: enumeration of 205891132094649 elements exceeds the cap "
+        "100000000\n")
 
 
 def test_bad_selector_rejected():
@@ -284,6 +290,22 @@ def test_weights_bounded_by_max_weights(tmp_path):
     with pytest.raises(ConfigError, match="config weights must be <="):
         _resolve("--config", str(cfg))
     result = run_cli("--weights", "100000000", "verify", "vaughan")
+    assert result.returncode == 2 and result.stdout == ""
+
+
+def test_cap_bounded_by_the_default_cap(tmp_path):
+    assert _resolve("--cap", str(DEFAULT_CAP)).cap == DEFAULT_CAP
+    with pytest.raises(ConfigError, match=(
+            f"--cap must be <= {DEFAULT_CAP}, got 1000000000")):
+        _resolve("--cap", "1000000000")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap=ten\n")
+    with pytest.raises(ConfigError, match="config cap must be an integer"):
+        _resolve("--config", str(cfg))
+    cfg.write_text(f"cap={DEFAULT_CAP + 1}\n")
+    with pytest.raises(ConfigError, match="config cap must be <="):
+        _resolve("--config", str(cfg))
+    result = run_cli("--cap", "1000000000", "verify", "star")
     assert result.returncode == 2 and result.stdout == ""
 
 

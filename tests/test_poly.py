@@ -165,8 +165,8 @@ def test_enumeration_cap():
     ring = PolyRing(FieldCtx(3), cap=10)
     with pytest.raises(EnumerationCapError):
         list(ring.enumerate(PolySet.MONIC, 3))
-    # per-call override wins
-    assert len(list(ring.enumerate(PolySet.MONIC, 3, cap=100))) == 27
+    ring = PolyRing(FieldCtx(3), cap=27)
+    assert len(list(ring.enumerate(PolySet.MONIC, 3))) == 27
 
 
 # ---------------------------------------------------------------------------

@@ -341,18 +341,26 @@ def test_rs_products_matches_polynomial_products(p, e, d, m):
 
 
 def test_rs_products_checks_both_degrees_against_the_cap(f3):
-    """sigma2 checks q^deg g1 and q^i of every i against the cap before it
-    evaluates R; sigma1's largest set is the q^n monics of g = 1."""
+    """sigma2 checks q^deg g1 and q^i of every i against the cap, then the
+    q^n monics whose R it evaluates; sigma1's largest set is the q^n
+    monics of g = 1."""
     chi = CharSpec(f3.ctx, 1)
+
+    def capped(cap):
+        return PolyRing(f3.ctx, cap=cap)
+
     with pytest.raises(EnumerationCapError, match="enumeration of 9 elements"):
-        sigma2(f3, 3, 1, 1, chi, 8)
+        sigma2(capped(8), 3, 1, 1, chi)
     with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
-        sigma2(f3, 4, 1, 1, chi, 26)
+        sigma2(capped(26), 4, 1, 1, chi)
     # i in [2, 3]: only q^i = 27 at i = 3 exceeds the cap, deg g1 being 1.
     with pytest.raises(EnumerationCapError, match="enumeration of 27 elements"):
-        sigma2(f3, 4, 1, 2, chi, 26)
+        sigma2(capped(26), 4, 1, 2, chi)
+    # Every degree's set fits under 50, but R is tabulated over all 81.
     with pytest.raises(EnumerationCapError, match="enumeration of 81 elements"):
-        sigma1(f3, 4, 1, 2, chi, 80)
+        sigma2(capped(50), 4, 1, 1, chi)
+    with pytest.raises(EnumerationCapError, match="enumeration of 81 elements"):
+        sigma1(capped(80), 4, 1, 2, chi)
     # g = t shifts h up one coefficient: t h has counting index 3 * idx(h).
     assert np.array_equal(Dirichlet(f3).products(1, 3)[0], 3 * np.arange(27))
 
