@@ -24,7 +24,9 @@ from .dist import deviation_trend, distribution
 from .errors import ConfigError, ExactIdentityError, RsfqError
 from .poly import DEFAULT_CAP
 from .vaughan import sigma1, sigma2, validate_cutoffs
-from .verify import CHECK_CHOICES, RunConfig, verify_all
+from .verify import CHECK_CHOICES, CHECKS, RunConfig, verify_all
+
+FORMATS = ("json", "csv")
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -35,7 +37,7 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--e", type=int, default=sup, help="extension degree")
     parser.add_argument("--modulus", default=sup,
                         help="comma-separated residues, constant term first")
-    parser.add_argument("--format", choices=("json", "csv"), default=sup)
+    parser.add_argument("--format", choices=FORMATS, default=sup)
     parser.add_argument("--jobs", type=int, default=sup,
                         help="worker processes for verify (env RSFQ_JOBS); "
                              "at most the usable CPUs")
@@ -67,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p_dist)
 
     p_trend = sub.add_parser("trend", help="relative deviations for n = 2..n-max")
-    p_trend.add_argument("--trend-max", type=int, default=None)
     _add_global_flags(p_trend)
 
     p_verify = sub.add_parser("verify", help="run verification cells")
@@ -132,42 +133,34 @@ def _parse_int(source: str, raw) -> int:
     raise ConfigError(f"{source} must be an integer, got {raw!r}")
 
 
-def _resolve_jobs(args, file_cfg: dict) -> int:
-    """Worker count from --jobs, else RSFQ_JOBS, else the config file, else 1.
-
-    Non-integers (floats and bools included) and values <= 0 are rejected
-    with an error naming their source; larger values are clamped to the
-    CPUs this process may run on, so no flag can start more workers than
-    that.
-    """
-    for source, raw in (("--jobs", getattr(args, "jobs", None)),
-                        ("RSFQ_JOBS", os.environ.get("RSFQ_JOBS")),
-                        ("config jobs", file_cfg.get("jobs"))):
-        if raw is not None:
-            jobs = _parse_int(source, raw)
-            if jobs <= 0:
-                raise ConfigError(f"{source} must be >= 1, got {jobs}")
-            return min(jobs, _usable_cpus())
-    return 1
-
-
-def _resolve_count(args, file_cfg: dict, name: str, default, top=None):
-    """A count from its flag, else the config file, else default.
-
-    Like _resolve_jobs, non-integers and values below 0 (or above top)
-    are rejected with an error naming their source.
-    """
+def _lookup(args, file_cfg: dict, name: str, env=None):
+    """(source, raw value) of an option from its flag, else the environment
+    variable env, else the config file; (None, None) when none sets it."""
     flag = "--" + name.replace("_", "-")
     for source, raw in ((flag, getattr(args, name, None)),
+                        (env, os.environ.get(env) if env else None),
                         (f"config {name}", file_cfg.get(name))):
         if raw is not None:
-            value = _parse_int(source, raw)
-            if value < 0:
-                raise ConfigError(f"{source} must be >= 0, got {value}")
-            if top is not None and value > top:
-                raise ConfigError(f"{source} must be <= {top}, got {value}")
-            return value
-    return default
+            return source, raw
+    return None, None
+
+
+def _resolve_int(args, file_cfg: dict, name: str, default, floor=None,
+                 top=None, env=None):
+    """An integer from _lookup, else default.
+
+    Non-integers (floats and bools included) and values below floor (or
+    above top) are rejected with an error naming their source.
+    """
+    source, raw = _lookup(args, file_cfg, name, env)
+    if source is None:
+        return default
+    value = _parse_int(source, raw)
+    if floor is not None and value < floor:
+        raise ConfigError(f"{source} must be >= {floor}, got {value}")
+    if top is not None and value > top:
+        raise ConfigError(f"{source} must be <= {top}, got {value}")
+    return value
 
 
 def resolve_config(args) -> RunConfig:
@@ -175,28 +168,27 @@ def resolve_config(args) -> RunConfig:
     config_path = getattr(args, "config", None)
     file_cfg = _load_config_file(config_path) if config_path else {}
 
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return default
-
-    modulus = pick("modulus", str, None)
+    source, fmt = _lookup(args, file_cfg, "format")
+    if fmt is not None and fmt not in FORMATS:
+        raise ConfigError(
+            f"{source} must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    source, modulus = _lookup(args, file_cfg, "modulus")
     modulus_tuple = None
     if modulus:
-        modulus_tuple = tuple(int(part) for part in str(modulus).split(","))
+        modulus_tuple = tuple(_parse_int(f"{source} entry", part)
+                              for part in modulus.split(","))
     return RunConfig(
-        p=pick("p", int, 3),
-        e=pick("e", int, 1),
+        p=_resolve_int(args, file_cfg, "p", 3),
+        e=_resolve_int(args, file_cfg, "e", 1),
         modulus=modulus_tuple,
-        fmt=pick("format", str, "json"),
-        jobs=_resolve_jobs(args, file_cfg),
-        cap=_resolve_count(args, file_cfg, "cap", DEFAULT_CAP, DEFAULT_CAP),
-        seed=pick("seed", int, 1),
-        weights=_resolve_count(args, file_cfg, "weights", 3, MAX_WEIGHTS),
-        n_max=_resolve_count(args, file_cfg, "n_max", None),
+        fmt=fmt or "json",
+        # No flag starts more workers than the CPUs this process may use.
+        jobs=min(_resolve_int(args, file_cfg, "jobs", 1, 1, env="RSFQ_JOBS"),
+                 _usable_cpus()),
+        cap=_resolve_int(args, file_cfg, "cap", DEFAULT_CAP, 1, DEFAULT_CAP),
+        seed=_resolve_int(args, file_cfg, "seed", 1),
+        weights=_resolve_int(args, file_cfg, "weights", 3, 0, MAX_WEIGHTS),
+        n_max=_resolve_int(args, file_cfg, "n_max", None, 0),
     )
 
 
@@ -227,12 +219,9 @@ def _cmd_distribution(cfg: RunConfig, args) -> int:
 
 
 def _cmd_trend(cfg: RunConfig, args) -> int:
-    q = cfg.p**cfg.e
-    top = args.trend_max or cfg.n_max
+    top = cfg.n_max
     if top is None:
-        top = 2
-        while q ** (top + 1) <= 2400:
-            top += 1
+        top = max(2, CHECKS["dist"].limit(cfg.p**cfg.e))
     rows = deviation_trend(cfg.ring(), top)
     if cfg.fmt == "csv":
         out = io.StringIO()

@@ -8,6 +8,9 @@ one report whose only nondeterministic field is meta.elapsed_seconds: every
 numeric value is derived from exact integer state, so the parallelism
 degree never changes a byte of the payload.
 
+What `verify all` covers is read off the table CHECKS, one row per check
+with its runner and degree range (see Check).
+
 Cell pass semantics are the mathematical claims themselves.  A failing cell
 is a violated desk-scale instance of a stated bound and turns into exit
 code 1 at the CLI; the rank-qa scan is known to contain such instances at
@@ -35,6 +38,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,17 +52,13 @@ from .rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from .sieve import BLOCK
 from .vaughan import (
     VaughanContext,
+    _rs_table,
     default_cutoffs,
     random_weight_values,
     sigma1,
     sigma2,
 )
 from .vecenum import digits
-
-CHECK_CHOICES = (
-    "star", "lin-red", "tau", "tau-moment", "gauss",
-    "rank-qa", "rank-bab", "vaughan", "all",
-)
 
 
 @dataclass
@@ -92,75 +92,6 @@ class RunConfig:
             "weights": self.weights,
             "n_max": self.n_max,
         }
-
-
-def _n_limit(q: int, budget: int, hard: int, n_max: int | None) -> int:
-    n = 1
-    while q ** (n + 1) <= budget and n + 1 <= hard:
-        n += 1
-    if n_max is not None:
-        n = min(n, n_max)
-    return n
-
-
-def build_cells(cfg: RunConfig, checks) -> list:
-    """Expand a selector set into concrete (check, n) cells."""
-    q = cfg.p**cfg.e
-    wanted = set(checks)
-    if "all" in wanted:
-        wanted = set(CHECK_CHOICES) - {"all"} | {"dist"}
-    base = {
-        "p": cfg.p, "e": cfg.e,
-        "modulus": list(cfg.modulus) if cfg.modulus else None,
-        "cap": cfg.cap, "seed": cfg.seed, "weights": cfg.weights,
-    }
-    cells = []
-
-    def add(check, n_values):
-        for n in n_values:
-            cells.append(dict(base, check=check, n=n))
-
-    nm = cfg.n_max
-    if "star" in wanted:
-        add("star", range(0, min(_n_limit(q, 20000, 6, nm), 5) + 1))
-    if "lin-red" in wanted:
-        add("lin-red", range(2, _n_limit(q, 1000, 6, nm) + 1))
-    if "tau" in wanted:
-        add("tau", range(1, min(_n_limit(q, 4000, 5, nm), 5) + 1))
-    if "tau-moment" in wanted:
-        add("tau-moment", range(1, _n_limit(q, 1000, 6, nm) + 1))
-    if "gauss" in wanted:
-        limit = 1
-        while q ** (2 * (limit + 2)) <= 25_000_000:
-            limit += 1
-        if nm is not None:
-            limit = min(limit, nm)
-        add("gauss", range(2, limit + 1))
-    if "rank-qa" in wanted:
-        add("rank-qa", range(2, (min(8, nm) if nm is not None else 8) + 1))
-    if "rank-bab" in wanted:
-        add("rank-bab", range(2, (min(7, nm) if nm is not None else 7) + 1))
-    if "vaughan" in wanted:
-        top = _n_limit(q, 1000, 6, nm)
-        add("vaughan", range(4, top + 1))
-    if "dist" in wanted:
-        add("dist", range(2, _n_limit(q, 2400, 7, nm) + 1))
-    return cells
-
-
-def run_cell(cell: dict) -> dict:
-    ring = PolyRing(
-        FieldCtx(cell["p"], cell["e"], cell["modulus"] or None), cell["cap"]
-    )
-    runner = _RUNNERS[cell["check"]]
-    passed, detail = runner(ring, cell)
-    return {
-        "check": cell["check"],
-        "q": ring.ctx.q,
-        "n": cell["n"],
-        "pass": passed,
-        "detail": detail,
-    }
 
 
 def _star_count(ring: PolyRing, cell: dict) -> int:
@@ -273,7 +204,7 @@ def _run_rank_bab(ring: PolyRing, cell: dict):
     detail = {"levels": [], "rank_failures": []}
     passed = True
     for k in range((n - 1) // 2 + 1):
-        if q ** (2 * k) > 8000:
+        if q ** (2 * k) > BAB_LEVEL_BUDGET:
             break
         out = quadform.scan_bab_ranks(ring, n, k)
         fails = [r.as_dict() for r in out["reports"] if r.rank < r.bound]
@@ -296,7 +227,7 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
     # R over the q^n monics, evaluated once for the char-rs weight and both
     # sigma aggregates.
-    rs = rs_values(ring, n, np.arange(q**n))
+    rs = _rs_table(ring, n)
     char_rs = np.array(char_values(chi))[rs]
     weights = [("unit", np.ones(q**n, dtype=complex)), ("char-rs", char_rs)]
     for j in range(cell["weights"]):
@@ -350,17 +281,91 @@ def _run_dist(ring: PolyRing, cell: dict):
     return True, table.as_dict()
 
 
-_RUNNERS = {
-    "star": _run_star,
-    "lin-red": _run_lin_red,
-    "tau": _run_tau,
-    "tau-moment": _run_tau_moment,
-    "gauss": _run_gauss,
-    "rank-qa": _run_rank_qa,
-    "rank-bab": _run_rank_bab,
-    "vaughan": _run_vaughan,
-    "dist": _run_dist,
+@dataclass(frozen=True)
+class Check:
+    """One check of the verify schedule: its runner and degree range.
+
+    The check runs n = first .. min(limit(q), n_max).  limit(q) is the
+    largest n >= 1 with n <= top and work(q, n) <= budget; a row without
+    a top or a work function is not bounded by it.  n = 1 is kept even
+    when work(q, 1) exceeds the budget.
+    """
+
+    run: Callable
+    first: int
+    work: Callable[[int, int], int] | None = None
+    budget: int | None = None
+    top: int | None = None
+
+    def limit(self, q: int) -> int:
+        n = 1
+        while ((self.top is None or n < self.top)
+               and (self.work is None or self.work(q, n + 1) <= self.budget)):
+            n += 1
+        return n
+
+
+def _q_n(q: int, n: int) -> int:
+    return q**n
+
+
+def _q_2n2(q: int, n: int) -> int:
+    return q ** (2 * (n + 1))
+
+
+# What `verify all` covers, one row per check, in the order build_cells
+# schedules them.
+CHECKS = {
+    #                    runner          first  work    budget      top
+    "star":       Check(_run_star,       0,     _q_n,   20000,      5),
+    "lin-red":    Check(_run_lin_red,    2,     _q_n,   1000,       6),
+    "tau":        Check(_run_tau,        1,     _q_n,   4000,       5),
+    "tau-moment": Check(_run_tau_moment, 1,     _q_n,   1000,       6),
+    "gauss":      Check(_run_gauss,      2,     _q_2n2, 25_000_000, None),
+    "rank-qa":    Check(_run_rank_qa,    2,     None,   None,       8),
+    "rank-bab":   Check(_run_rank_bab,   2,     None,   None,       7),
+    "vaughan":    Check(_run_vaughan,    4,     _q_n,   1000,       6),
+    "dist":       Check(_run_dist,       2,     _q_n,   2400,       7),
 }
+
+# The rank-bab cell scans the levels k with q^(2k) <= BAB_LEVEL_BUDGET.
+BAB_LEVEL_BUDGET = 8000
+
+# The selectors: every check but dist, which runs only under "all".
+CHECK_CHOICES = (*(name for name in CHECKS if name != "dist"), "all")
+
+
+def build_cells(cfg: RunConfig, checks) -> list:
+    """Expand a selector set into concrete (check, n) cells."""
+    q = cfg.p**cfg.e
+    base = {
+        "p": cfg.p, "e": cfg.e,
+        "modulus": list(cfg.modulus) if cfg.modulus else None,
+        "cap": cfg.cap, "seed": cfg.seed, "weights": cfg.weights,
+    }
+    cells = []
+    for name, check in CHECKS.items():
+        if name in checks or "all" in checks:
+            last = check.limit(q)
+            if cfg.n_max is not None:
+                last = min(last, cfg.n_max)
+            cells += [dict(base, check=name, n=n)
+                      for n in range(check.first, last + 1)]
+    return cells
+
+
+def run_cell(cell: dict) -> dict:
+    ring = PolyRing(
+        FieldCtx(cell["p"], cell["e"], cell["modulus"] or None), cell["cap"]
+    )
+    passed, detail = CHECKS[cell["check"]].run(ring, cell)
+    return {
+        "check": cell["check"],
+        "q": ring.ctx.q,
+        "n": cell["n"],
+        "pass": passed,
+        "detail": detail,
+    }
 
 
 def run_cells(cells: list, jobs: int = 1) -> list:

@@ -167,7 +167,7 @@ def test_nf_count_scan_reports_stated_bound_counterexamples():
 
 
 def test_trend_csv():
-    result = run_cli("trend", "--trend-max", "4", "--format", "csv")
+    result = run_cli("trend", "--n-max", "4", "--format", "csv")
     assert result.returncode == 0
     lines = result.stdout.splitlines()
     assert lines[0] == "n,total,expected,max_abs_dev,relative_dev"
@@ -307,6 +307,54 @@ def test_cap_bounded_by_the_default_cap(tmp_path):
         _resolve("--config", str(cfg))
     result = run_cli("--cap", "1000000000", "verify", "star")
     assert result.returncode == 2 and result.stdout == ""
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match=f"--cap must be >= 1, got {bad}"):
+            _resolve("--cap", str(bad))
+        cfg.write_text(f"cap={bad}\n")
+        with pytest.raises(ConfigError,
+                           match=f"config cap must be >= 1, got {bad}"):
+            _resolve("--config", str(cfg))
+        result = run_cli("--cap", str(bad), "verify", "star")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"rsfq: --cap must be >= 1, got {bad}\n"
+
+
+def test_config_format_checked_against_the_flag_choices(tmp_path, capsys):
+    """format=xml in a config file used to print JSON and exit 0."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\n")
+    assert main(["--config", str(cfg), "distribution", "-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config format must be one of json, csv, got 'xml'" in captured.err
+    cfg.write_text("format=csv\n")
+    assert _resolve("--config", str(cfg)).fmt == "csv"
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    ((), "p=abc", "config p must be an integer, got 'abc'"),
+    ((), "e=2.0", "config e must be an integer, got '2.0'"),
+    ((), "seed=x", "config seed must be an integer, got 'x'"),
+    (("--e", "2"), "modulus=1,x,1",
+     "config modulus entry must be an integer, got 'x'"),
+    (("--e", "2", "--modulus", "1,x,1"), "",
+     "--modulus entry must be an integer, got 'x'"),
+], ids=["p", "e", "seed", "config-modulus", "flag-modulus"])
+def test_bad_field_and_seed_values_name_their_source(tmp_path, capsys, argv,
+                                                     line, message):
+    """These used to print only "invalid literal for int() with base 10"."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg), "verify", "star"]) == 2
+    assert capsys.readouterr().err == f"rsfq: {message}\n"
+
+
+def test_trend_max_is_gone():
+    """--n-max sets trend's top degree; --trend-max was a second flag for
+    it and is now an unknown argument."""
+    result = run_cli("trend", "--trend-max", "4")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "unrecognized arguments: --trend-max 4" in result.stderr
 
 
 def test_distribution_identity_fault_exits_1(dropped_irreducible, capsys):

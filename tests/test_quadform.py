@@ -22,6 +22,7 @@ from rsfq import (
     sym_matrix,
 )
 from rsfq.quadform import bab_forms, form_ranks, qa_forms
+from rsfq.verify import BAB_LEVEL_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,14 @@ def test_bulk_qa_forms_and_ranks_match_oracles(p, e):
 
 @pytest.mark.parametrize("p, e", BULK_FIELDS)
 def test_bulk_bab_forms_and_ranks_match_oracles(p, e):
-    """Every pair the rank-bab cell scans (q^(2k) <= 8000, n <= 5): the
-    coincidences are those of the reversal products, each difference form
-    equals bab_matrix and its ranks equal the per-form elimination."""
+    """Every pair the rank-bab cell scans (q^(2k) <= BAB_LEVEL_BUDGET,
+    n <= 5): the coincidences are those of the reversal products, each
+    difference form equals bab_matrix and its ranks equal the per-form
+    elimination."""
     ring = PolyRing(FieldCtx(p, e))
     for n in range(2, 6):
         for k in range((n - 1) // 2 + 1):
-            if ring.ctx.q ** (2 * k) > 8000:
+            if ring.ctx.q ** (2 * k) > BAB_LEVEL_BUDGET:
                 break
             monics = list(ring.enumerate(PolySet.MONIC, k))
             star = [ring.mul(ring.reverse(a, k), a) for a in monics]
