@@ -19,6 +19,12 @@ alike for every field.
 
 A FieldCtx is immutable after construction and safe to share across worker
 processes; every operation is a pure function of its arguments.
+
+A process keeps, per field, what this module builds once: field_tables
+holds the read-only index tables of the 4 most recently used fields, and
+shared_ctx the FieldCtx of the 4 most recently used (p, e, modulus), which
+verify cells and the CLI take instead of building their own.  FieldCtx(...)
+itself always builds a new instance.
 """
 
 from __future__ import annotations
@@ -201,6 +207,7 @@ class FieldCtx:
             self.modulus = mod
         self._w_powers = _w_powers(p, e, self.modulus)
         self.basis = basis_products(self._w_powers)
+        self.basis.setflags(write=False)
         if q <= TABLE_Q:
             add, mul = field_tables(self.key())
             self.add_table = add.tolist()
@@ -361,3 +368,15 @@ class FieldCtx:
         if not 0 <= c < self.p:
             raise ConfigError(f"residue {c} out of range [0, {self.p}) in {full!r}")
         return c
+
+
+@lru_cache(maxsize=4)
+def shared_ctx(p: int, e: int, modulus: tuple | None) -> FieldCtx:
+    """FieldCtx(p, e, modulus), built once per key and shared.
+
+    The modulus search, the powers of w, the basis and the tables of a
+    field are then built once per process, not once per verify cell; the
+    4 most recently used keys are kept.  Callers must not change the
+    instance; one that does builds its own FieldCtx.
+    """
+    return FieldCtx(p, e, modulus)

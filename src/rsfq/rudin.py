@@ -17,13 +17,17 @@ coefficients, and sum those digit arrays over the piece by broadcasting.
 Besides the output, no array exceeds about BLOCK entries: a piece holds
 at most BLOCK digits of sums, and over F_(p^e) the products are formed on
 the whole q x q grid only when q^2 fits in BLOCK, else on the rows a piece
-needs.  The star and lin-red cells compare them; autocorrelation and
+needs.  A whole grid is formed once per route and field in a process and
+kept read-only, for the 8 most recently used (route, field) pairs.  The
+star and lin-red cells compare them; autocorrelation and
 reversal_product_correlations are their oracles, and neither route reads
 the field's tables.  quadform reads every multiplier form of one degree
 off lag_sums.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,33 +91,36 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
     return values % q
 
 
-def _sum_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sum_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Base-p digits of x * y for broadcastable (e, ...) digit arrays.
 
-    The integer sums of x_l * y_j over l + j = m are contracted with the
-    digits of w^m, read off ctx.basis, and reduced mod p once.
+    field is (p, e, the int64 bytes of ctx.basis).  The integer sums of
+    x_l * y_j over l + j = m are contracted with the digits of w^m, read
+    off the basis, and reduced mod p once.
     """
-    e = ctx.e
+    p, e, basis = field
+    basis = np.frombuffer(basis, dtype=np.int64).reshape(e, e, e)
     shape = np.broadcast_shapes(x.shape[1:], y.shape[1:])
     diagonals = np.zeros((2 * e - 1,) + shape, dtype=np.int64)
     for l in range(e):
         diagonals[l:l + e] += x[l] * y
-    powers = np.concatenate([ctx.basis[0], ctx.basis[-1, 1:]])
-    return np.einsum("mc,m...->c...", powers, diagonals) % ctx.p
+    powers = np.concatenate([basis[0], basis[-1, 1:]])
+    return np.einsum("mc,m...->c...", powers, diagonals) % p
 
 
-def _field_products(ctx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _field_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Base-p digits of x * y for broadcastable (e, ...) digit arrays.
 
-    Horner's rule in the digits of y: acc = acc * w + y_j * x for
-    j = e-1, ..., 0, where acc * w moves every digit up one place and folds
-    the top one back through the modulus, w^e = -(m_0 + ... + m_(e-1)
-    w^(e-1)).  It shares no step with _sum_products, which reads the
-    powers of w off ctx.basis.  Only the folded digit is reduced before the
-    end, so every entry stays below 2e p^2.
+    field is (p, e, ctx.modulus).  Horner's rule in the digits of y:
+    acc = acc * w + y_j * x for j = e-1, ..., 0, where acc * w moves every
+    digit up one place and folds the top one back through the modulus,
+    w^e = -(m_0 + ... + m_(e-1) w^(e-1)).  It shares no step with
+    _sum_products, which reads the powers of w off ctx.basis.  Only the
+    folded digit is reduced before the end, so every entry stays below
+    2e p^2.
     """
-    p, e = ctx.p, ctx.e
-    fold = [(d, -c % p) for d, c in enumerate(ctx.modulus[:e]) if c % p]
+    p, e, modulus = field
+    fold = [(d, -c % p) for d, c in enumerate(modulus[:e]) if c % p]
     acc = [y[e - 1] * x[d] for d in range(e)]
     for j in range(e - 2, -1, -1):
         top = acc.pop() % p
@@ -148,40 +155,62 @@ def _pieces(q: int, n: int, start: int, stop: int, size: int):
         pos += (hi - lo) * step
 
 
-def _subgrids(ctx, route, digit):
+def _spread(x: np.ndarray, p: int, e: int) -> np.ndarray:
+    """(e, *x.shape) base-p digits of the element indices x, in the
+    narrowest dtype that holds every entry of either route."""
+    digit_of = x // (p ** np.arange(e)).reshape((e,) + (1,) * x.ndim) % p
+    return digit_of.astype(int_dtype(2 * e * p * p))
+
+
+@lru_cache(maxsize=8)
+def _grid(route, field: tuple) -> np.ndarray:
+    """route's products of every pair of elements of F_(p^e): the
+    read-only (e, q, q) array whose [:, x, y] holds the base-p digits of
+    x * y, in the narrowest dtype that holds a digit.
+
+    Built once per route and field.  field is exactly what route reads,
+    (p, e, basis bytes) or (p, e, modulus), so a ctx whose basis or
+    modulus differs gets a grid of its own.  The 8 most recently used are
+    kept; _subgrids asks only while q^2 fits in BLOCK, so a grid holds
+    at most e * BLOCK bytes.
+    """
+    p, e, _ = field
+    whole = _spread(np.arange(p**e), p, e)
+    grid = route(field, whole[:, :, None], whole[:, None])
+    grid = grid.astype(np.min_scalar_type(p - 1))
+    grid.setflags(write=False)
+    return grid
+
+
+def _subgrids(route, field: tuple, digit):
     """product(x, y): base-p digits of the products of two broadcastable
     arrays of element indices.
 
     Over F_p the indices are the elements, and product is a plain
     broadcast multiply mod p in their dtype.  Over F_(p^e) it is an
-    (e, *shape) array in dtype digit, formed by route once on the whole
-    q x q grid, which is then indexed, when q^2 fits in BLOCK, else on
-    each subgrid.
+    (e, *shape) array in dtype digit, indexed off the whole q x q grid of
+    route (_grid) when q^2 fits in BLOCK, else formed by route on each
+    subgrid.
     """
-    p, q, e = ctx.p, ctx.q, ctx.e
+    p, e, _ = field
     if e == 1:
         return lambda x, y: x * y % p
 
-    places = p ** np.arange(e)
-
-    def spread(x):
-        # In the narrowest dtype that holds every entry of either route.
-        digit_of = x // places.reshape((e,) + (1,) * x.ndim) % p
-        return digit_of.astype(int_dtype(2 * e * p * p))
-
-    # The whole grid is formed once per call and indexed per pair and
-    # piece, instead of running route per pair and piece.  At q = 9 (sum
-    # of per-cell best of 40, 2-CPU host) the star cells, n <= 3, take
-    # 1.3-1.4 ms this way against 2.2 ms, and the cells of the verify-ext
-    # benchmark workload 6.9-7.5 ms against 8.5 ms.
-    if q * q <= BLOCK:
-        whole = spread(np.arange(q))
-        grid = route(ctx, whole[:, :, None], whole[:, None]).astype(digit)
-        return lambda x, y: grid[:, x, y]
-    return lambda x, y: route(ctx, spread(x), spread(y)).astype(digit)
+    # The whole grid is indexed per pair and piece, instead of running
+    # route per pair and piece.  At q = 9 (sum of per-cell best of 40,
+    # 2-CPU host), even with the grid formed once per call, the star
+    # cells, n <= 3, took 1.3-1.4 ms this way against 2.2 ms, and the
+    # cells of the verify-ext benchmark workload 6.9-7.5 ms against
+    # 8.5 ms; _grid now forms it once per field and route.
+    if p ** (2 * e) <= BLOCK:
+        grid = _grid(route, field)
+        return lambda x, y: grid[:, x, y].astype(digit, copy=False)
+    return lambda x, y: route(
+        field, _spread(x, p, e), _spread(y, p, e)).astype(digit)
 
 
-def _correlate(ctx, n: int, start: int, stop: int, route, rows) -> np.ndarray:
+def _correlate(field: tuple, n: int, start: int, stop: int, route,
+               rows) -> np.ndarray:
     """(len(rows), stop - start) element indices of sums of coefficient
     products over the counting range [start, stop) of degree <= n.
 
@@ -191,16 +220,17 @@ def _correlate(ctx, n: int, start: int, stop: int, route, rows) -> np.ndarray:
     axis of its own, so the product a_x * a_y is formed once per pair on
     its subgrid (_subgrids), never more entries than the piece has, and
     each row is a broadcast sum of those digit arrays over the piece,
-    reduced mod p once.
+    reduced mod p once.  field = (p, e, ...) is what route reads.
     """
-    p, q, e = ctx.p, ctx.q, ctx.e
+    p, e, _ = field
+    q = p**e
     out = np.empty((len(rows), stop - start), dtype=int_dtype(q - 1))
     # Row sums of at most n + 1 product digits below p.
     most = (n + 1) * (p - 1)
     digit = np.min_scalar_type(most)
     # Element indices; over F_p they are multiplied before reduction.
     index = np.min_scalar_type(max(q - 1, (p - 1) ** 2, most))
-    product = _subgrids(ctx, route, digit)
+    product = _subgrids(route, field, digit)
     size = BLOCK // (len(rows) * e)
     for offset, j, top, lo, hi in _pieces(q, n, start, stop, size):
         shape = (hi - lo,) + (q,) * j
@@ -243,14 +273,22 @@ def lag_sums(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
     """
     rows = [[(x, x - lag) for x in range(n, lag - 1, -1)]
             for lag in range(n + 1)]
-    return _correlate(ring.ctx, n, start, stop, _sum_products, rows)
+    return _correlate(_sum_field(ring.ctx), n, start, stop, _sum_products,
+                      rows)
 
 
 def _lag1_sums(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
     """Row 1 of lag_sums(ring, n, start, stop) for n >= 1, without the
     other rows."""
     rows = [[(x, x - 1) for x in range(n, 0, -1)]]
-    return _correlate(ring.ctx, n, start, stop, _sum_products, rows)[0]
+    return _correlate(_sum_field(ring.ctx), n, start, stop, _sum_products,
+                      rows)[0]
+
+
+def _sum_field(ctx) -> tuple:
+    """What _sum_products reads of ctx: p, e and the bytes of its int64
+    basis."""
+    return ctx.p, ctx.e, ctx.basis.tobytes()
 
 
 def reversal_products(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
@@ -264,7 +302,8 @@ def reversal_products(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarr
     """
     rows = [[(n - i, k - i) for i in range(max(0, k - n), min(k, n) + 1)]
             for k in range(2 * n + 1)]
-    return _correlate(ring.ctx, n, start, stop, _field_products, rows)
+    field = (ring.ctx.p, ring.ctx.e, ring.ctx.modulus)
+    return _correlate(field, n, start, stop, _field_products, rows)
 
 
 def reversal_product_correlations(ring: PolyRing, a, n: int) -> list:

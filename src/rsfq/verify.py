@@ -1,12 +1,14 @@
 """Verification matrix: every identity and bound check as a schedulable cell.
 
 A cell is a small dict of primitives (field key, cap, check name, degree),
-so it can cross a process boundary; run_cell rebuilds the ring, with the
-cell's cap as the one cap every scan of the cell charges, and returns a
-JSON-ready result.  Results are sorted by (check, n, k) and aggregated into
-one report whose only nondeterministic field is meta.elapsed_seconds: every
-numeric value is derived from exact integer state, so the parallelism
-degree never changes a byte of the payload.
+so it can cross a process boundary.  run_cell takes the cell's FieldCtx
+from field.shared_ctx, built once per process, and rebuilds only the ring
+around it, with the cell's cap as the one cap every scan of the cell
+charges; it returns a JSON-ready result.  Results are sorted by
+(check, n, k) and aggregated into one report whose only nondeterministic
+field is meta.elapsed_seconds: every numeric value is derived from exact
+integer state, so the parallelism degree never changes a byte of the
+payload.
 
 What `verify all` covers is read off the table CHECKS, one row per check
 with its runner and degree range (see Check).
@@ -46,7 +48,7 @@ from . import arith, quadform
 from .charsum import CharSpec, char_values, scan_gauss_bound
 from .dist import distribution
 from .errors import ConfigError, ExactIdentityError
-from .field import FieldCtx
+from .field import FieldCtx, shared_ctx
 from .poly import DEFAULT_CAP, PolyRing, PolySet
 from .rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from .sieve import BLOCK
@@ -76,7 +78,7 @@ class RunConfig:
     n_max: int | None = None
 
     def ctx(self) -> FieldCtx:
-        return FieldCtx(self.p, self.e, self.modulus or None)
+        return shared_ctx(self.p, self.e, tuple(self.modulus or ()) or None)
 
     def ring(self) -> PolyRing:
         return PolyRing(self.ctx(), self.cap)
@@ -230,11 +232,10 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     rs = _rs_table(ring, n)
     char_rs = np.array(char_values(chi))[rs]
     weights = [("unit", np.ones(q**n, dtype=complex)), ("char-rs", char_rs)]
+    # Each weight is a complex array once, not converted per (u, v).
     for j in range(cell["weights"]):
-        weights.append(
-            (f"random-{j}",
-             random_weight_values(ring, n, cell["seed"] * 1000 + j))
-        )
+        values = random_weight_values(ring, n, cell["seed"] * 1000 + j)
+        weights.append((f"random-{j}", np.array(values, dtype=complex)))
     worst_residual = 0.0
     unit_error = 0.0
     combos = 0
@@ -355,9 +356,8 @@ def build_cells(cfg: RunConfig, checks) -> list:
 
 
 def run_cell(cell: dict) -> dict:
-    ring = PolyRing(
-        FieldCtx(cell["p"], cell["e"], cell["modulus"] or None), cell["cap"]
-    )
+    modulus = tuple(cell["modulus"] or ()) or None
+    ring = PolyRing(shared_ctx(cell["p"], cell["e"], modulus), cell["cap"])
     passed, detail = CHECKS[cell["check"]].run(ring, cell)
     return {
         "check": cell["check"],

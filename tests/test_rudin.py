@@ -348,6 +348,16 @@ def test_star_routes_share_no_field_arithmetic(part):
                                   for x in range(3, 9)]
 
 
+@pytest.mark.parametrize("part", ["basis", "modulus"])
+def test_warm_grid_caches_see_a_corrupted_field(part):
+    """Each star route keeps its F_9 product grid per process, keyed by
+    what the route reads: after a clean F_9 star cell has filled both
+    caches, a fresh ctx with a corrupted basis or modulus still fails at
+    exactly the six squares, counting indices 3..8."""
+    assert verify.run_cell(star_cell(3, 2, 1))["pass"]
+    test_star_routes_share_no_field_arithmetic(part)
+
+
 def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):
     """The t^(n+lag) coefficient of one product is wrong: the cell raises
     and names that polynomial, even under python -O."""
