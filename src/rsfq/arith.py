@@ -5,19 +5,25 @@ degree it gives mu from mu*1 = delta, Lambda from Lambda*1 = deg and
 tau = 1*1 (Rosen, Number Theory in Function Fields, ch. 2).  The indices
 come from sieve.product_indices, which adds the images of the two halves
 of h carry-free only in the window of digits where both can be nonzero
-and builds that window's adder itself.  Dirichlet.products builds the
-table of g*h over all monic g, h of degrees d, m once per kernel and
-unordered {d, m}, and keeps it while it has at most sieve.BLOCK entries,
-so each convolution of that size is one bincount over it; a larger one
-streams the blocks and keeps nothing.  vaughan's sigma1 and sigma2 read R(g h)
-off the same tables.  FactorTable (trial division) and divisors_monic are
-the independent routes it is tested against, and
+and builds that window's adder itself.  The table of g*h over all monic
+g, h of degrees d, m is a per-field constant: while it has at most
+sieve.BLOCK entries a process builds it once per field and unordered
+{d, m} (_product_table) and every kernel reads it, so each convolution of
+that size is one bincount over it; a larger one streams the blocks and
+keeps nothing.  mu, Lambda and tau need, per degree k, only the divisor
+sum of f_j * 1_(k-j) over j < k: while the concatenation of the degree-k
+tables (_divisor_table) has at most BLOCK entries, that is one bincount
+over it, else one convolution per j.  Only index tables are kept, never
+mu, Lambda, tau or any other result.  vaughan's sigma1 and sigma2 read
+R(g h) off the same tables.  FactorTable (trial division) and
+divisors_monic are the independent routes it is tested against, and
 count_reversal_solutions, the scan's per-f oracle, uses FactorTable.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +36,12 @@ class Dirichlet:
     """Exact Dirichlet convolution over the monic polynomials of F_q[t].
 
     A degree-d vector is an int64 array over the q^d monic polynomials of
-    degree d in counting order, at most SIEVE_CAP long.  mu, Lambda and the
-    product tables of at most BLOCK entries are kept per instance as they
-    are built, and freed with it; tables=False keeps no table, so every
-    convolution streams product_indices blocks.
+    degree d in counting order, at most SIEVE_CAP long.  mu and Lambda are
+    kept per instance as they are solved, one degree at a time and each
+    from its own identity.  The index tables it reads are per process
+    (_product_table, _divisor_table), shared by every kernel of the same
+    field; tables=False reads neither, so every convolution streams
+    product_indices blocks.
     """
 
     def __init__(self, ring: PolyRing, tables: bool = True):
@@ -41,36 +49,29 @@ class Dirichlet:
         self._mu = [np.ones(1, dtype=np.int64)]
         self._lam = [np.zeros(1, dtype=np.int64)]
         self._keep = BLOCK if tables else 0
-        self._tables = {}
 
     def ones(self, d: int) -> np.ndarray:
         return np.ones(self.ctx.q**d, dtype=np.int64)
+
+    def _field(self) -> tuple:
+        """What product_indices reads of ctx: p, e and the bytes of its
+        int64 basis."""
+        ctx = self.ctx
+        return ctx.p, ctx.e, ctx.basis.tobytes()
 
     def products(self, d: int, m: int) -> np.ndarray:
         """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
         degrees d, m >= 1 in counting order.
 
-        Built from product_indices once per unordered {d, m}, (m, d) being
-        the transpose, and kept while q^(d+m) <= BLOCK.
+        (m, d) is the transpose of (d, m), d <= m.  While q^(d+m) <= BLOCK
+        the table comes from the per-process _product_table; a larger one
+        is built per call and kept by nobody.
         """
-        if (d, m) in self._tables:
-            return self._tables[d, m]
-        if (m, d) in self._tables:
-            return self._tables[m, d].T
-        ctx = self.ctx
-        q = ctx.q
-        table = None
-        for gs, rows, idx in product_indices(np.arange(q**d), d, m, ctx.p,
-                                             ctx.basis):
-            if table is None:
-                table = np.empty((q**d, q**m), dtype=idx.dtype)
-            # idx[i, r, j] is g times the h of counting index r + j*la.
-            table.reshape(q**d, idx.shape[2], -1)[gs, :, rows] = (
-                idx.transpose(0, 2, 1))
-        table.flags.writeable = False
-        if q ** (d + m) <= self._keep:
-            self._tables[d, m] = table
-        return table
+        if d > m:
+            return self.products(m, d).T
+        if self.ctx.q ** (d + m) <= self._keep:
+            return _product_table(*self._field(), d, m)
+        return _products(self.ctx.p, self.ctx.basis, d, m)
 
     def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
                  db: int) -> np.ndarray:
@@ -100,27 +101,103 @@ class Dirichlet:
             z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=size)
         return z.astype(np.int64)
 
-    def _solve(self, f: list, n: int, slope: int) -> list:
-        """Extend f to degree n so that (f*1)_k = slope * k for k >= 1."""
-        for k in range(len(f), n + 1):
-            acc = np.full(self.ctx.q**k, slope * k, dtype=np.int64)
-            for j in range(k):
-                acc -= self.convolve(f[j], j, self.ones(k - j), k - j)
-            f.append(acc)
-        return f[:n + 1]
+    def _divisor_sum(self, f: list | None, k: int) -> np.ndarray:
+        """Sum over 1 <= j < k of f[j] * 1_(k-j), f[j] = 1_j if f is None.
+
+        One bincount over the divisor table of degree k while it has at
+        most BLOCK entries, else one convolution per j.
+        """
+        q = self.ctx.q
+        size = q**k
+        if k < 2 or (k - 1) * size > self._keep:
+            return sum((self.convolve(self.ones(j) if f is None else f[j], j,
+                                      self.ones(k - j), k - j)
+                        for j in range(1, k)),
+                       np.zeros(size, dtype=np.int64))
+        table = _divisor_table(*self._field(), k)
+        if f is None:
+            return np.bincount(table, minlength=size)
+        # Block j of the table lists g*h row by row over g of degree j, so
+        # f[j][g] weighs the q^(k-j) entries of row g; bincount sums in
+        # float64, exact while the sum of every |weight| stays below 2^53.
+        if sum(int(np.abs(f[j]).sum()) * q ** (k - j)
+               for j in range(1, k)) >= 2**53:
+            raise OverflowError("convolution sums exceed exact float range")
+        weights = np.concatenate([np.repeat(f[j].astype(float), q ** (k - j))
+                                  for j in range(1, k)])
+        return np.bincount(table, weights, size).astype(np.int64)
+
+    def _solve(self, n: int) -> None:
+        """Extend mu and Lambda to degree n, degree by degree: each f
+        solves its own identity (f*1)_k = slope * k, k >= 1, slope 0 for
+        mu*1 = delta and 1 for Lambda*1 = deg.
+
+        Both advance together so that they read each degree's tables back
+        to back: solved one after the other, the second pass would find
+        the bounded caches refilled with the first pass's later degrees
+        whenever n exceeds what they hold.
+        """
+        for k in range(len(self._mu), n + 1):
+            for f, slope in ((self._mu, 0), (self._lam, 1)):
+                f.append(slope * k - f[0][0] - self._divisor_sum(f, k))
 
     def mobius(self, n: int) -> list:
         """[mu_0, ..., mu_n] from mu*1 = delta."""
-        return self._solve(self._mu, n, 0)
+        self._solve(n)
+        return self._mu[:n + 1]
 
     def von_mangoldt(self, n: int) -> list:
         """[Lambda_0, ..., Lambda_n] from Lambda*1 = deg."""
-        return self._solve(self._lam, n, 1)
+        self._solve(n)
+        return self._lam[:n + 1]
 
     def tau(self, n: int) -> np.ndarray:
-        """tau_n = (1*1)_n."""
-        return sum(self.convolve(self.ones(j), j, self.ones(n - j), n - j)
-                   for j in range(n + 1))
+        """tau_n = (1*1)_n: the divisor sum of degree n plus 1_0 * 1_n and
+        1_n * 1_0."""
+        if not n:
+            return np.ones(1, dtype=np.int64)
+        return self._divisor_sum(None, n) + 2
+
+
+def _products(p: int, basis: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
+    degrees d, m >= 1, assembled from the product_indices blocks."""
+    q = p ** basis.shape[0]
+    table = None
+    for gs, rows, idx in product_indices(np.arange(q**d), d, m, p, basis):
+        if table is None:
+            table = np.empty((q**d, q**m), dtype=idx.dtype)
+        # idx[i, r, j] is g times the h of counting index r + j*la.
+        table.reshape(q**d, idx.shape[2], -1)[gs, :, rows] = (
+            idx.transpose(0, 2, 1))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=10)
+def _product_table(p: int, e: int, basis: bytes, d: int, m: int) -> np.ndarray:
+    """_products of the field with this int64 basis, d <= m and
+    q^(d+m) <= BLOCK, built once per key; the 10 most recently used are
+    kept, at most BLOCK int32 entries (1 MiB) each.  The key is exactly
+    what product_indices reads, so a ctx whose basis differs gets tables
+    of its own."""
+    return _products(p, np.frombuffer(basis, dtype=np.int64).reshape(e, e, e),
+                     d, m)
+
+
+@lru_cache(maxsize=5)
+def _divisor_table(p: int, e: int, basis: bytes, k: int) -> np.ndarray:
+    """The read-only divisor table of degree k: the concatenation over
+    j = 1 .. k-1 of the raveled _product_table(j, k - j), at most BLOCK
+    entries in its int dtype, so that one bincount sums over every g*h
+    with g of degree 1 .. k-1.  The 5 most recently used are kept, at most
+    1 MiB each."""
+    table = np.concatenate([
+        (_product_table(p, e, basis, j, k - j) if 2 * j <= k
+         else _product_table(p, e, basis, k - j, j).T).ravel()
+        for j in range(1, k)])
+    table.setflags(write=False)
+    return table
 
 
 class FactorTable:

@@ -17,8 +17,8 @@ S2 is grouped as (mu*Lambda)*1; s2_triple's mu*(Lambda*1) cross-checks it.
 
 sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
 read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
-(the verify cell passes the context's kernel, whose tables are already
-built) and report their asymptotic-shape reference values (never asserted:
+(per-process tables, which the verify cell's context has already read)
+and report their asymptotic-shape reference values (never asserted:
 the implied constants carry no numeric value).  Every inner sum S is a
 quadratic Gauss sum, so |S|^2 is 0 or a power p^k: both aggregates take
 |S|^2 from the F_p histograms of Tr(beta R(g h)) through
@@ -118,8 +118,8 @@ class VaughanContext:
     Holds Lambda_n (lambdas), c1[da] = mu_da * (deg . 1) and
     blocks[da, db] = (mu_da * Lambda_db) * 1, all int64 vectors over the
     monic polynomials of degree n in counting order, built by one kernel
-    whose product tables sigma1 and sigma2 can share.  A weight is
-    tabulated once per run as a vector in the same order.
+    whose product tables, kept per process, sigma1 and sigma2 share.  A
+    weight is tabulated once per run as a vector in the same order.
     """
 
     def __init__(self, ring: PolyRing, n: int):
@@ -155,7 +155,7 @@ class VaughanContext:
 
     def triple_coefficients(self, u: int, v: int) -> np.ndarray:
         """c2 evaluated as mu*(Lambda*1), independently of the blocks and,
-        by a kernel that keeps no table, of the product tables."""
+        by a kernel that reads no table, of the product tables."""
         n, stream = self.n, Dirichlet(self.ring, tables=False)
         mu, lam = self.kernel.mobius(u), self.kernel.von_mangoldt(v)
         return sum(stream.convolve(mu[da], da, sum(

@@ -38,7 +38,6 @@ BLOCK monics, and lists each failing f by ring.to_str in counting order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -370,6 +369,10 @@ def run_cell(cell: dict) -> dict:
 
 def run_cells(cells: list, jobs: int = 1) -> list:
     if jobs > 1 and len(cells) > 1:
+        # Imported here: concurrent.futures.process pulls in
+        # multiprocessing and logging, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:

@@ -20,7 +20,10 @@ from rsfq import (
     tau,
     von_mangoldt,
 )
+from rsfq import arith
 from rsfq.arith import FactorTable as _FT
+from rsfq.sieve import product_indices
+from rsfq.vaughan import VaughanContext
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +307,38 @@ def test_kernel_refuses_vectors_above_the_cap(f3):
         kernel.convolve(kernel.ones(1), 1, kernel.ones(1), 15)
 
 
-def test_fresh_kernel_keeps_no_tables(f3):
-    assert Dirichlet(f3)._tables == {}
+def cache_state():
+    return (arith._product_table.cache_info(),
+            arith._divisor_table.cache_info())
+
+
+def test_fresh_kernel_keeps_no_tables(f3, monkeypatch):
+    """A new kernel builds and reads no table."""
+    before = cache_state()
+    monkeypatch.setattr(arith, "product_indices", None)
+    Dirichlet(f3)
+    assert cache_state() == before
 
 
 @pytest.mark.parametrize("p, e, d, m", [(3, 1, 2, 1), (3, 1, 1, 3),
                                         (5, 1, 2, 2), (3, 2, 1, 2)])
 def test_product_table_is_the_counting_index_of_each_product(p, e, d, m):
-    """products(d, m)[g, h] is the index of g*h; (m, d) reads the kept
-    transpose, and a kept table cannot be written."""
+    """products(d, m)[g, h] is the index of g*h; one table per unordered
+    {d, m} is kept per process, (m, d) reads its transpose, every kernel of
+    the field reads the same table, and a kept table cannot be written."""
     ring = PolyRing(FieldCtx(p, e))
     kernel = Dirichlet(ring)
+    arith._product_table.cache_clear()
     table = kernel.products(d, m)
     want = [[ring.index_of(ring.mul(g, h)[:-1])
              for h in ring.enumerate(PolySet.MONIC, m)]
             for g in ring.enumerate(PolySet.MONIC, d)]
     assert table.tolist() == want
-    assert list(kernel._tables) == [(d, m)]
+    assert arith._product_table.cache_info().currsize == 1
     swapped = kernel.products(m, d)
     assert (swapped == table.T).all() and np.shares_memory(swapped, table)
+    assert np.shares_memory(Dirichlet(ring).products(d, m), table)
+    assert arith._product_table.cache_info().currsize == 1
     assert not table.flags.writeable
 
 
@@ -332,22 +348,130 @@ def test_convolution_above_block_keeps_no_table(f3):
     kernel = Dirichlet(f3)
     rng = np.random.default_rng(11)
     x, y = rng.integers(-4, 5, 3), rng.integers(-4, 5, 3**11)
+    sizes = [info.currsize for info in cache_state()]
     z = kernel.convolve(x, 1, y, 11)
     assert (z == kernel.convolve(y, 11, x, 1)).all()
-    assert kernel._tables == {}
+    assert [info.currsize for info in cache_state()] == sizes
     assert int(z.sum()) == int(x.sum()) * int(y.sum())
 
 
-def test_streaming_kernel_matches_the_kept_tables(f3):
+def test_streaming_kernel_matches_the_kept_tables(f3, monkeypatch):
     """A kernel without tables streams every convolution and gives the same
     mu, Lambda and tau, without ever reading a product table."""
+    arith._product_table.cache_clear()
     kept = Dirichlet(f3)
+    kept_values = kept.mobius(5) + kept.von_mangoldt(5) + [kept.tau(5)]
+    assert arith._product_table.cache_info().currsize
+    forbid_the_tables(monkeypatch)
     stream = Dirichlet(f3, tables=False)
     stream.products = None      # any call to the accessor fails
-    for a, b in zip(kept.mobius(5) + kept.von_mangoldt(5) + [kept.tau(5)],
+    for a, b in zip(kept_values,
                     stream.mobius(5) + stream.von_mangoldt(5) + [stream.tau(5)]):
         assert (a == b).all()
-    assert kept._tables and stream._tables == {}
+
+
+def forbid_the_tables(monkeypatch):
+    """Make every read of either per-process table cache fail."""
+    def refuse(*args):
+        raise AssertionError("a per-process index table was read")
+
+    monkeypatch.setattr(arith, "_product_table", refuse)
+    monkeypatch.setattr(arith, "_divisor_table", refuse)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 5), (3, 2, 3)])
+def test_independent_routes_never_read_the_table_caches(monkeypatch, p, e, n):
+    """With both caches refusing, the streaming kernel still gives the
+    kept kernel's mu, Lambda and tau, and s2_triple's coefficients still
+    equal the grouped c2, at q in {3, 9}."""
+    ring = PolyRing(FieldCtx(p, e))
+    kept = Dirichlet(ring)
+    want = kept.mobius(n) + kept.von_mangoldt(n) + [kept.tau(k)
+                                                    for k in range(n + 1)]
+    vc = VaughanContext(ring, n)
+    grouped = {(u, v): vc.coefficients(u, v)[1]
+               for u in range(1, n) for v in range(1, n - u)}
+    forbid_the_tables(monkeypatch)
+    with pytest.raises(AssertionError, match="index table was read"):
+        Dirichlet(ring).tau(2)
+    stream = Dirichlet(ring, tables=False)
+    got = stream.mobius(n) + stream.von_mangoldt(n) + [stream.tau(k)
+                                                        for k in range(n + 1)]
+    assert len(got) == len(want)
+    for a, b in zip(want, got):
+        assert (a == b).all()
+    for (u, v), c2 in grouped.items():
+        assert (vc.triple_coefficients(u, v) == c2).all()
+
+
+@pytest.mark.parametrize("route", ["divisor table", "convolution"])
+def test_float_sums_raise_before_they_could_lose_exactness(f3, route):
+    """bincount sums in float64: a divisor sum whose absolute weights
+    total 2^53 raises OverflowError on both routes, one just below is
+    exact."""
+    kernel = Dirichlet(f3, tables=route == "divisor table")
+    for a, fits in ((2**53 // 3 + 1, False), ((2**53 - 1) // 3, True)):
+        f = [np.ones(1, dtype=np.int64), np.array([a, 0, 0])]
+        if not fits:
+            with pytest.raises(OverflowError, match="exact float range"):
+                kernel._divisor_sum(f, 2)
+            continue
+        got = kernel._divisor_sum(f, 2)
+        # Row 0 of the degree-(1, 1) products is t * h: indices 0, 3, 6.
+        assert got.tolist() == [a, 0, 0, a, 0, 0, a, 0, 0]
+
+
+def test_degree_zero_values(f3):
+    """mu_0 = 1, Lambda_0 = 0 and tau_0 = 1: one int64 entry each."""
+    kernel = Dirichlet(f3)
+    tau0, (mu0,), (lam0,) = (kernel.tau(0), kernel.mobius(0),
+                             kernel.von_mangoldt(0))
+    for value, want in ((tau0, 1), (mu0, 1), (lam0, 0)):
+        assert value.dtype == np.int64 and value.tolist() == [want]
+
+
+def direct_table(ctx, d, m) -> np.ndarray:
+    """(q^d, q^m) indices of g*h assembled entry by entry from the blocks
+    of product_indices over ctx.basis."""
+    q = ctx.q
+    out = np.full((q**d, q**m), -1, dtype=np.int64)
+    for gs, rows, idx in product_indices(np.arange(q**d), d, m, ctx.p,
+                                         ctx.basis):
+        la = q**m // idx.shape[2]
+        g = np.arange(q**d)[gs]
+        h = np.arange(la)[rows][:, None] + la * np.arange(idx.shape[2])
+        out[g[:, None, None], h[None]] = idx
+    assert (out >= 0).all()
+    return out
+
+
+def test_warm_table_caches_see_a_corrupted_basis():
+    """After a clean F_9 kernel has filled both caches, a fresh ctx whose
+    basis says w^2 = 1 gets tables of its own: its products and its mu,
+    Lambda and tau to degree 3 are those of product_indices over that
+    basis, not the clean ones."""
+    clean = Dirichlet(PolyRing(FieldCtx(3, 2)))
+    clean_values = (clean.mobius(3) + clean.von_mangoldt(3)
+                    + [clean.tau(k) for k in range(4)])
+    clean_tables = [clean.products(1, 1), clean.products(1, 2)]
+    assert arith._divisor_table.cache_info().currsize
+    ctx = FieldCtx(3, 2)
+    ctx.basis = ctx.basis.copy()
+    ctx.basis[1, 1] = [1, 0]                  # digits of w^2
+    ring = PolyRing(ctx)
+    kernel = Dirichlet(ring)
+    for (d, m), clean_table in zip([(1, 1), (1, 2)], clean_tables):
+        table = kernel.products(d, m)
+        assert (table == direct_table(ctx, d, m)).all()
+        assert (table != clean_table).any()
+    values = (kernel.mobius(3) + kernel.von_mangoldt(3)
+              + [kernel.tau(k) for k in range(4)])
+    stream = Dirichlet(ring, tables=False)
+    want = (stream.mobius(3) + stream.von_mangoldt(3)
+            + [stream.tau(k) for k in range(4)])
+    for a, b in zip(values, want):
+        assert (a == b).all()
+    assert any((a != b).any() for a, b in zip(values, clean_values))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ so that no caller can change what the next one reads.
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rsfq import rudin, sieve, vecenum
+from rsfq import arith, rudin, sieve, vecenum
 from rsfq.field import FieldCtx, field_tables, shared_ctx
 from rsfq.verify import RunConfig, verify_all
 
@@ -79,7 +81,10 @@ def test_the_scan_finds_each_unbounded_cache():
 
 # Every cached function under src/rsfq, with a call that fills it.
 F9 = FieldCtx(3, 2)
+F9_BASIS = (3, 2, F9.basis.tobytes())
 CACHED = {
+    "arith._product_table": lambda: arith._product_table(*F9_BASIS, 1, 2),
+    "arith._divisor_table": lambda: arith._divisor_table(*F9_BASIS, 3),
     "field.field_tables": lambda: field_tables(F9.key()),
     "field.shared_ctx": lambda: shared_ctx(3, 2, None),
     "rudin._grid": lambda: (
@@ -139,10 +144,23 @@ def test_fresh_ctx_is_never_the_shared_one():
 def test_cold_and_warm_caches_give_the_same_output(p, e):
     """verify all twice in one process, first with every per-field cache
     empty: the payloads agree apart from elapsed_seconds."""
-    for cached in (field_tables, shared_ctx, rudin._grid):
+    for cached in (field_tables, shared_ctx, rudin._grid,
+                   arith._product_table, arith._divisor_table):
         cached.cache_clear()
     cold, warm = (verify_all(RunConfig(p=p, e=e)) for _ in range(2))
     assert rudin._grid.cache_info().hits > 0
+    assert arith._divisor_table.cache_info().hits > 0
     for payload in (cold, warm):
         del payload["meta"]["elapsed_seconds"]
     assert json.dumps(cold) == json.dumps(warm)
+
+
+def test_import_starts_no_process_machinery():
+    """A serial run never needs a process pool: import rsfq, and the CLI
+    module, load neither concurrent.futures nor multiprocessing."""
+    code = ("import sys, rsfq, rsfq.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

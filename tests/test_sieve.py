@@ -19,7 +19,7 @@ from rsfq import (
     irreducible_count_formula,
     pnt_bracket_exact,
 )
-from rsfq import CharSpec, field, qa_matrix, sieve
+from rsfq import CharSpec, arith, field, qa_matrix, sieve
 from rsfq.arith import Dirichlet
 from rsfq.charsum import gauss_counts
 from rsfq.rudin import rs_values
@@ -249,6 +249,7 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
     rng = np.random.default_rng(4)
     x, y = rng.integers(-3, 4, 9), rng.integers(-3, 4, 81)
     digit_add_table.cache_clear()
+    arith._product_table.cache_clear()      # so (1, 2) builds its table
     fresh_mask = composite_mask(f9, 4)
     fresh_conv = Dirichlet(f9).convolve(x, 1, y, 2)
     table = digit_add_table(3, 4)

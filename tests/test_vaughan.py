@@ -366,8 +366,8 @@ def test_rs_products_checks_both_degrees_against_the_cap(f3):
 
 
 def test_context_builds_each_product_table_once(f3, monkeypatch):
-    """mu, Lambda, c1 and every block of one context read one kept table
-    per unordered pair of degrees {d, m}, d + m <= n."""
+    """From empty caches, mu, Lambda, c1 and every block of one context
+    read one kept table per unordered pair of degrees {d, m}, d + m <= n."""
     calls = []
     real = arith.product_indices
 
@@ -376,6 +376,8 @@ def test_context_builds_each_product_table_once(f3, monkeypatch):
         return real(factors, d, m, *rest)
 
     monkeypatch.setattr(arith, "product_indices", counted)
+    arith._product_table.cache_clear()
+    arith._divisor_table.cache_clear()
     VaughanContext(f3, 5)
     pairs = sorted(tuple(sorted(c)) for c in calls)
     assert pairs == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
