@@ -10,14 +10,17 @@ g, h of degrees d, m is a per-field constant: while it has at most
 sieve.BLOCK entries a process builds it once per field and unordered
 {d, m} (_product_table) and every kernel reads it, so each convolution of
 that size is one bincount over it; a larger one streams the blocks and
-keeps nothing.  mu, Lambda and tau need, per degree k, only the divisor
-sum of f_j * 1_(k-j) over j < k: while the concatenation of the degree-k
-tables (_divisor_table) has at most BLOCK entries, that is one bincount
-over it, else one convolution per j.  Only index tables are kept, never
-mu, Lambda, tau or any other result.  vaughan's sigma1 and sigma2 read
-R(g h) off the same tables.  FactorTable (trial division) and
-divisors_monic are the independent routes it is tested against, and
-count_reversal_solutions, the scan's per-f oracle, uses FactorTable.
+keeps nothing.  convolve_rows gives many convolutions of one degree as
+the rows of one array, each term reading its table once; vaughan builds
+its blocks with it, per total degree.  mu, Lambda and tau need, per
+degree k, only the divisor sum of f_j * 1_(k-j) over j < k: while the
+concatenation of the degree-k tables (_divisor_table) has at most BLOCK
+entries, that is one bincount over it, else one convolution per j.  Only
+index tables are kept, never mu, Lambda, tau or any other result.
+vaughan's sigma1 and sigma2 read R(g h) off the same tables.
+FactorTable (trial division) and divisors_monic are the independent
+routes it is tested against, and count_reversal_solutions, the scan's
+per-f oracle, uses FactorTable.
 """
 
 from __future__ import annotations
@@ -76,30 +79,70 @@ class Dirichlet:
     def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
                  db: int) -> np.ndarray:
         """Vector z of degree da + db with z[a*b] = sum of x[a] * y[b]."""
-        ctx = self.ctx
-        size = ctx.q ** (da + db)
+        return self.convolve_rows([(x, da, y)], da + db)[0]
+
+    def convolve_rows(self, terms: list, k: int) -> np.ndarray:
+        """The convolutions x * y of degree k as the rows of one int64
+        array, one row per vector of x over the terms (x, d, y) in order:
+        x is a vector or a 2-D stack of vectors of degree d, y a vector of
+        degree k - d.
+
+        Each row enumerates the nonzero entries of its sparser factor
+        (_sparser).  While q^k <= BLOCK a row is one bincount over its
+        kept product table, written straight into the output; a larger k,
+        or a kernel that keeps no table, streams product_indices blocks.
+        One bincount over all rows would need every key offset by its row:
+        a pass over the keys that costs more than the calls it saves.
+        """
+        size = self.ctx.q**k
         if size > SIEVE_CAP:
             raise EnumerationCapError(
-                f"q^{da + db} = {size} exceeds the convolution cap {SIEVE_CAP}")
-        if not da or not db:
-            return np.outer(x, y).ravel()
+                f"q^{k} = {size} exceeds the convolution cap {SIEVE_CAP}")
+        stacks = [(x if x.ndim == 2 else x[None], d, y) for x, d, y in terms]
+        out = np.empty((sum(len(xs) for xs, _, _ in stacks), size),
+                       dtype=np.int64)
+        first = 0
+        for xs, d, y in stacks:
+            rows = out[first:first + len(xs)]
+            first += len(xs)
+            if not d or d == k:
+                rows[:] = (xs[:, :, None] * y).reshape(len(xs), size)
+                continue
+            # bincount sums in float64, which is exact below 2^53.
+            if (int(np.abs(xs).sum(axis=1).max())
+                    * int(np.abs(y).sum()) >= 2**53):
+                raise OverflowError("convolution sums exceed exact float range")
+            for row, x in zip(rows, xs):
+                x, da, gs, h, db = self._sparser(x, d, y, k - d)
+                if size > self._keep:
+                    self._stream(x, da, gs, h, db, row)
+                else:
+                    # Each nonzero x[g] against the whole of h: table row g.
+                    row[:] = np.bincount(
+                        self.products(da, db)[gs].ravel(),
+                        np.multiply.outer(x[gs], h.astype(float)).ravel(), size)
+        return out
+
+    def _sparser(self, x: np.ndarray, da: int, y: np.ndarray,
+                 db: int) -> tuple:
+        """(x, da, xs, y, db), the two factors in the order in which
+        enumerating xs, the nonzero entries of the first, takes the fewer
+        products."""
         xs, ys = np.flatnonzero(x), np.flatnonzero(y)
-        if len(ys) * ctx.q**da < len(xs) * ctx.q**db:
-            x, da, xs, y, db = y, db, ys, x, da      # enumerate the sparser
-        # bincount sums in float64, which is exact below 2^53.
-        if int(np.abs(x).sum()) * int(np.abs(y).sum()) >= 2**53:
-            raise OverflowError("convolution sums exceed exact float range")
-        if size <= self._keep:
-            # One block of the kept table: idx[i, r, 0] is xs[i] times h_r.
-            blocks = [(slice(None), slice(None),
-                       self.products(da, db)[xs, :, None])]
-        else:
-            blocks = product_indices(xs, da, db, ctx.p, ctx.basis)
-        z = np.zeros(size)
-        for gs, rows, idx in blocks:
+        if len(ys) * self.ctx.q**da < len(xs) * self.ctx.q**db:
+            return y, db, ys, x, da
+        return x, da, xs, y, db
+
+    def _stream(self, x: np.ndarray, da: int, xs: np.ndarray, y: np.ndarray,
+                db: int, out: np.ndarray) -> None:
+        """Write x * y into out, summed over the product_indices blocks of
+        xs, the entries of x it enumerates."""
+        ctx = self.ctx
+        z = np.zeros(len(out))
+        for gs, rows, idx in product_indices(xs, da, db, ctx.p, ctx.basis):
             w = x[xs[gs], None, None] * y.reshape(idx.shape[2], -1).T[rows]
-            z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=size)
-        return z.astype(np.int64)
+            z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=len(z))
+        out[:] = z
 
     def _divisor_sum(self, f: list | None, k: int) -> np.ndarray:
         """Sum over 1 <= j < k of f[j] * 1_(k-j), f[j] = 1_j if f is None.
@@ -174,28 +217,31 @@ def _products(p: int, basis: np.ndarray, d: int, m: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=10)
+@lru_cache(maxsize=30)
 def _product_table(p: int, e: int, basis: bytes, d: int, m: int) -> np.ndarray:
     """_products of the field with this int64 basis, d <= m and
-    q^(d+m) <= BLOCK, built once per key; the 10 most recently used are
-    kept, at most BLOCK int32 entries (1 MiB) each.  The key is exactly
-    what product_indices reads, so a ctx whose basis differs gets tables
-    of its own."""
+    q^(d+m) <= BLOCK, built once per key; the 30 most recently used are
+    kept, at most BLOCK int32 entries (1 MiB) each.  30 is every kept
+    table of F_3, the smallest field: one unordered {d, m} per d + m <= 11.
+    The key is exactly what product_indices reads, so a ctx whose basis
+    differs gets tables of its own."""
     return _products(p, np.frombuffer(basis, dtype=np.int64).reshape(e, e, e),
                      d, m)
 
 
-@lru_cache(maxsize=5)
+@lru_cache(maxsize=8)
 def _divisor_table(p: int, e: int, basis: bytes, k: int) -> np.ndarray:
     """The read-only divisor table of degree k: the concatenation over
     j = 1 .. k-1 of the raveled _product_table(j, k - j), at most BLOCK
-    entries in its int dtype, so that one bincount sums over every g*h
-    with g of degree 1 .. k-1.  The 5 most recently used are kept, at most
-    1 MiB each."""
+    entries, so that one bincount sums over every g*h with g of degree
+    1 .. k-1.  It is stored in intp, the index type bincount reads, which
+    spares a cast of the whole table on every sum.  The 8 most recently
+    used are kept, at most 2 MiB each; 8 is every kept table of F_3,
+    k = 2 .. 9."""
     table = np.concatenate([
         (_product_table(p, e, basis, j, k - j) if 2 * j <= k
          else _product_table(p, e, basis, k - j, j).T).ravel()
-        for j in range(1, k)])
+        for j in range(1, k)]).astype(np.intp)
     table.setflags(write=False)
     return table
 

@@ -11,9 +11,13 @@ sum of Lambda(f) Psi(f) over monic f of degree n equals S1 - S2 + S3:
 
 Each Sj is Psi dotted with an integer vector cj over monic degree n
 (Iwaniec-Kowalski, Analytic Number Theory, ch. 13).  VaughanContext builds
-the blocks of the cj once with rsfq.arith's convolution kernel and, for each
-(u, v), asserts c1 - c2 + c3 = Lambda in integers before weighing anything.
-S2 is grouped as (mu*Lambda)*1; s2_triple's mu*(Lambda*1) cross-checks it.
+the blocks of the cj per total degree with rsfq.arith's convolution kernel
+and keeps their integer prefix sums, from which c1, c2 and c3 at any
+(u, v) take a few vector operations.  decompose_all asserts
+c1 - c2 + c3 = Lambda in integers once per (u, v), before weighing
+anything, and weighs every weight there; decompose does one (u, v) and
+weight by the same route.  S2 is grouped as (mu*Lambda)*1; s2_triple's
+mu*(Lambda*1), on a kernel that reads no table, cross-checks it.
 
 sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
 read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
@@ -113,13 +117,21 @@ class VaughanReport:
 
 
 class VaughanContext:
-    """Integer coefficient blocks at degree n, reused across cutoffs and weights.
+    """Integer prefix sums at degree n, reused across cutoffs and weights.
 
-    Holds Lambda_n (lambdas), c1[da] = mu_da * (deg . 1) and
-    blocks[da, db] = (mu_da * Lambda_db) * 1, all int64 vectors over the
-    monic polynomials of degree n in counting order, built by one kernel
-    whose product tables, kept per process, sigma1 and sigma2 share.  A
-    weight is tabulated once per run as a vector in the same order.
+    All vectors are int64 over the monic polynomials of degree n in
+    counting order; lambdas is Lambda_n.  The blocks
+    B[da, db] = (mu_da * Lambda_db) * 1_(n-da-db), da >= 0, db >= 1 and
+    da + db <= n, are built per total degree s = da + db: one
+    kernel.convolve_rows call gives every mu_da * Lambda_(s-da), one more
+    all of them times 1_(n-s).  c1's terms (n - da) mu_da * 1_(n-da) take
+    one call, so a context makes about 2n calls where one convolution per
+    block made about n^2.  What is kept are prefix sums, never the blocks:
+    c1[u] is c1 at cutoff u, and prefix[s][a] is the sum of B[da, s - a]
+    over da <= a, column s - a of the blocks summed down to row a, so that
+    c1, c2 and c3 at any (u, v) take a few vector operations (_sums).
+    That is n^2 / 2 + n vectors, as many as the blocks.  The kernel's
+    product tables, kept per process, are shared with sigma1 and sigma2.
     """
 
     def __init__(self, ring: PolyRing, n: int):
@@ -132,26 +144,98 @@ class VaughanContext:
         mu = kernel.mobius(n - 1)
         lam = kernel.von_mangoldt(n)
         self.lambdas = lam[n]
-        self.c1 = [(n - da) * kernel.convolve(mu[da], da, kernel.ones(n - da),
-                                              n - da) for da in range(n)]
-        self.blocks = {
-            (da, db): kernel.convolve(kernel.convolve(mu[da], da, lam[db], db),
-                                      da + db, kernel.ones(n - da - db),
-                                      n - da - db)
-            for da in range(n) for db in range(1, n - da + 1)}
+        self.c1 = kernel.convolve_rows(
+            [(mu[da], da, kernel.ones(n - da)) for da in range(n - 1)], n)
+        self.c1 *= np.arange(n, 1, -1)[:, None]
+        for u in range(1, n - 1):
+            self.c1[u] += self.c1[u - 1]
+        # prefix[s][a] starts as the block (a, s - a) and, one total degree
+        # after (a - 1, s - a), becomes the prefix sum down its column.
+        self.prefix = [np.empty((0, len(self.lambdas)), dtype=np.int64)]
+        for s in range(1, n + 1):
+            pairs = kernel.convolve_rows(
+                [(mu[da], da, lam[s - da]) for da in range(s)], s)
+            # At s = n the blocks are the pairs themselves, times 1_0 = 1.
+            self.prefix.append(pairs if s == n else kernel.convolve_rows(
+                [(pairs, s, kernel.ones(n - s))], n))
+            self.prefix[s][1:] += self.prefix[s - 1]
 
     def tabulate(self, weight) -> np.ndarray:
         """Evaluate a weight callable on the monic degree-n polynomials."""
         monics = self.ring.monic_range(self.n, 0, self.ring.ctx.q**self.n)
         return np.array([complex(weight(f)) for f in monics])
 
+    def _sums(self, u: int):
+        """(v, c1, c2, c3) at cutoffs u, v for v = 1 .. n-1-u, from the
+        prefix sums.
+
+        With u + v < n every column db <= v reaches row u, so c2 adds the
+        column prefixes down to row u, prefix[u + db][u], over db <= v.
+        c3 adds, over v < db < n - u, the column total prefix[n][n - db]
+        less that prefix (column n - u ends at row u, and a later one
+        before it): it starts as the sum over 0 < db < n - u and drops
+        column v at each v.  Three vector operations per v, and a few
+        vectors at a time.
+        """
+        n, prefix = self.n, self.prefix
+
+        def below(db):          # column db below row u
+            return prefix[n][n - db] - prefix[u + db][u]
+
+        c2 = np.zeros_like(self.lambdas)
+        c3 = sum((below(db) for db in range(2, n - u)), below(1))
+        for v in range(1, n - u):
+            c2 = c2 + prefix[u + v][u]
+            c3 = c3 - below(v)
+            yield v, self.c1[u], c2, c3
+
     def coefficients(self, u: int, v: int) -> tuple:
         """Integer vectors (c1, c2, c3) over monic degree n for cutoffs u, v."""
-        zero = np.zeros(len(self.lambdas), dtype=np.int64)
-        blocks = self.blocks.items()
-        return (sum(self.c1[:u + 1], zero),
-                sum((b for (da, db), b in blocks if da <= u and db <= v), zero),
-                sum((b for (da, db), b in blocks if da > u and db > v), zero))
+        validate_cutoffs(self.n, u, v)
+        return next(tuple(sums) for w, *sums in self._sums(u) if w == v)
+
+    def _check(self, u: int, v: int, c1, c2, c3) -> None:
+        """Raise ExactIdentityError naming the first monic f at which
+        c1 - c2 + c3 != Lambda."""
+        bad = np.flatnonzero(c1 - c2 + c3 != np.asarray(self.lambdas))
+        if len(bad):
+            i = int(bad[0])
+            f = self.ring.to_str(next(self.ring.monic_range(self.n, i, i + 1)))
+            raise ExactIdentityError(f"c1 - c2 + c3 != Lambda at f = {f} for "
+                                     f"n={self.n}, u={u}, v={v}")
+
+    def _report(self, u: int, v: int, lhs: complex, s1: complex,
+                s2: complex, s3: complex) -> VaughanReport:
+        return VaughanReport(
+            q=self.ring.ctx.q, n=self.n, u=u, v=v, lhs=lhs, s1=s1, s2=s2,
+            s3=s3, residual=abs(lhs - (s1 - s2 + s3)),
+        )
+
+    def decompose_all(self, weights: list) -> dict:
+        """{(u, v): reports} over every valid cutoff pair in order.
+
+        weights are complex arrays in counting order.  Each pair's
+        identity is checked once; a pair that fails maps to its
+        ExactIdentityError, any other to one VaughanReport per weight.
+        Every component is np.dot of its exact integer vector with the
+        weight, as in decompose, so each float is decompose's: lhs once per
+        weight, s1 once per (u, weight), s2 and s3 once per (u, v, weight).
+        """
+        lhs = _dots(self.lambdas, weights)
+        out = {}
+        for u in range(1, self.n - 1):
+            s1 = None
+            for v, c1, c2, c3 in self._sums(u):
+                try:
+                    self._check(u, v, c1, c2, c3)
+                except ExactIdentityError as err:
+                    out[u, v] = err
+                    continue
+                if s1 is None:
+                    s1 = _dots(c1, weights)
+                out[u, v] = [self._report(u, v, *sums) for sums in zip(
+                    lhs, s1, _dots(c2, weights), _dots(c3, weights))]
+        return out
 
     def triple_coefficients(self, u: int, v: int) -> np.ndarray:
         """c2 evaluated as mu*(Lambda*1), independently of the blocks and,
@@ -164,7 +248,7 @@ class VaughanContext:
             for da in range(u + 1))
 
     def s2_grouped(self, u: int, v: int, values) -> complex:
-        """Grouped route: (mu*Lambda)*1, summed from the blocks."""
+        """Grouped route: (mu*Lambda)*1, summed from the prefix sums."""
         return complex(np.dot(self.coefficients(u, v)[1], values))
 
     def s2_triple(self, u: int, v: int, values) -> complex:
@@ -173,22 +257,20 @@ class VaughanContext:
 
     def decompose(self, u: int, v: int, weight) -> VaughanReport:
         """Verify the identity in integers, then weigh every component."""
-        validate_cutoffs(self.n, u, v)
         c1, c2, c3 = self.coefficients(u, v)
-        bad = np.flatnonzero(c1 - c2 + c3 != np.asarray(self.lambdas))
-        if len(bad):
-            i = int(bad[0])
-            f = self.ring.to_str(next(self.ring.monic_range(self.n, i, i + 1)))
-            raise ExactIdentityError(f"c1 - c2 + c3 != Lambda at f = {f} for "
-                                     f"n={self.n}, u={u}, v={v}")
+        self._check(u, v, c1, c2, c3)
         values = np.asarray(self.tabulate(weight) if callable(weight)
                             else weight, dtype=complex)
-        lhs, s1, s2, s3 = (complex(np.dot(c, values))
-                           for c in (self.lambdas, c1, c2, c3))
-        return VaughanReport(
-            q=self.ring.ctx.q, n=self.n, u=u, v=v, lhs=lhs, s1=s1, s2=s2,
-            s3=s3, residual=abs(lhs - (s1 - s2 + s3)),
-        )
+        return self._report(u, v, *(complex(np.dot(c, values))
+                                    for c in (self.lambdas, c1, c2, c3)))
+
+
+def _dots(c: np.ndarray, weights: list) -> list:
+    """complex(np.dot(c, w)) for every weight w, c cast to complex once:
+    the cast np.dot makes of an integer c itself, so each float is the
+    same."""
+    c = c.astype(complex)
+    return [complex(np.dot(c, w)) for w in weights]
 
 
 def vaughan_decompose(ring: PolyRing, n: int, u: int, v: int,

@@ -231,45 +231,47 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     rs = _rs_table(ring, n)
     char_rs = np.array(char_values(chi))[rs]
     weights = [("unit", np.ones(q**n, dtype=complex)), ("char-rs", char_rs)]
-    # Each weight is a complex array once, not converted per (u, v).
-    for j in range(cell["weights"]):
-        values = random_weight_values(ring, n, cell["seed"] * 1000 + j)
-        weights.append((f"random-{j}", np.array(values, dtype=complex)))
+    # Each weight is a complex array once, not converted per (u, v); the
+    # list of Python complex values it came from is not kept.
+    weights += [(f"random-{j}", np.array(random_weight_values(
+        ring, n, cell["seed"] * 1000 + j), dtype=complex))
+        for j in range(cell["weights"])]
     worst_residual = 0.0
     unit_error = 0.0
     combos = 0
     failures = []
-    for u in range(1, n):
-        for v in range(1, n - u):
-            for name, values in weights:
-                try:
-                    rep = vc.decompose(u, v, values)
-                except ExactIdentityError as err:
-                    failures.append({"u": u, "v": v, "weight": name,
-                                     "error": str(err)})
-                    continue
-                worst_residual = max(worst_residual, rep.residual)
-                if name == "unit":
-                    total = rep.s1 - rep.s2 + rep.s3
-                    unit_error = max(unit_error, abs(total - q**n))
-                combos += 1
+    results = vc.decompose_all([values for _, values in weights])
+    for (u, v), reports in results.items():
+        if isinstance(reports, ExactIdentityError):
+            failures += [{"u": u, "v": v, "weight": name, "error": str(reports)}
+                         for name, _ in weights]
+            continue
+        for (name, _), rep in zip(weights, reports):
+            worst_residual = max(worst_residual, rep.residual)
+            if name == "unit":
+                total = rep.s1 - rep.s2 + rep.s3
+                unit_error = max(unit_error, abs(total - q**n))
+            combos += 1
     # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
     passed = not failures and int(vc.lambdas.sum()) == q**n
     du, dv = default_cutoffs(n)
-    s1 = sigma1(ring, n, du, dv, chi, vc.kernel, rs)
-    s2 = sigma2(ring, n, du, dv, chi, vc.kernel, rs)
-    rep = vc.decompose(du, dv, char_rs)
-    rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
-        s1["value"], s1["value_exact"], s1["bound"])
-    rep.sigma2, rep.sigma2_exact, rep.sigma2_bound = (
-        s2["value"], s2["value_exact"], s2["bound"])
+    char_rs_report = None
+    if not isinstance(results[du, dv], ExactIdentityError):
+        rep = results[du, dv][1]            # the char-rs weight
+        s1 = sigma1(ring, n, du, dv, chi, vc.kernel, rs)
+        s2 = sigma2(ring, n, du, dv, chi, vc.kernel, rs)
+        rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
+            s1["value"], s1["value_exact"], s1["bound"])
+        rep.sigma2, rep.sigma2_exact, rep.sigma2_bound = (
+            s2["value"], s2["value_exact"], s2["bound"])
+        char_rs_report = rep.as_dict()
     return passed, {
         "combos": combos,
         "worst_residual": worst_residual,
         "unit_weight_error": unit_error,
         "failures": failures,
         "default_cutoffs": [du, dv],
-        "char_rs_report": rep.as_dict(),
+        "char_rs_report": char_rs_report,
     }
 
 

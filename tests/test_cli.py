@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rsfq import DEFAULT_CAP, ConfigError
+from rsfq import DEFAULT_CAP, ConfigError, Dirichlet
 from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
@@ -361,3 +361,28 @@ def test_distribution_identity_fault_exits_1(dropped_irreducible, capsys):
     """A sieve fault that the formula check catches exits with status 1."""
     assert main(["distribution", "-n", "5"]) == 1
     assert "divisor-sum formula" in capsys.readouterr().err
+
+
+def test_verify_vaughan_identity_fault_exits_1(monkeypatch, capsys):
+    """A wrong mu entry fails the integer identity of every vaughan cell:
+    the run exits 1 with its JSON report on stdout, each cell failing with
+    its failures listed, rather than stopping at the first."""
+    mobius = Dirichlet.mobius
+
+    def corrupted(self, k):
+        mu = mobius(self, k)
+        if k >= 1:
+            mu[1][0] = 0        # mu(t) = -1 in truth
+        return mu
+
+    monkeypatch.setattr(Dirichlet, "mobius", corrupted)
+    assert main(["verify", "vaughan", "--n-max", "5", "--jobs", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(out.out)
+    assert data["passed"] is False
+    assert [(c["n"], c["pass"]) for c in data["cells"]] == [(4, False),
+                                                            (5, False)]
+    for cell in data["cells"]:
+        assert cell["detail"]["failures"]
+        assert cell["detail"]["char_rs_report"] is None

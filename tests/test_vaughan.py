@@ -37,6 +37,39 @@ from rsfq.arith import FactorTable
 from rsfq.vaughan import _rs_table
 
 
+def blocks_of(vc) -> dict:
+    """The blocks (mu_da * Lambda_db) * 1 back from vc's prefix sums:
+    prefix[s][a] is column s - a summed down to row a."""
+    prefix = vc.prefix
+    return {(a, s - a): prefix[s][a] - (prefix[s - 1][a - 1] if a else 0)
+            for s in range(1, vc.n + 1) for a in range(s)}
+
+
+def definitions(ring, n) -> tuple:
+    """c1's terms (n - da) mu_da * 1_(n-da) and every block
+    (mu_da * Lambda_db) * 1_(n-da-db), straight from their definitions on
+    a kernel that reads no table."""
+    kernel = Dirichlet(ring, tables=False)
+    mu, lam = kernel.mobius(n), kernel.von_mangoldt(n)
+    c1 = [(n - da) * kernel.convolve(mu[da], da, kernel.ones(n - da), n - da)
+          for da in range(n)]
+    blocks = {(da, db): kernel.convolve(
+        kernel.convolve(mu[da], da, lam[db], db), da + db,
+        kernel.ones(n - da - db), n - da - db)
+        for da in range(n) for db in range(1, n - da + 1)}
+    return c1, blocks
+
+
+def summed(c1, blocks, u, v) -> tuple:
+    """c1, c2 and c3 at cutoffs u, v summed term by term."""
+    zero = np.zeros_like(c1[0])
+    return (sum(c1[:u + 1], zero),
+            sum((b for (da, db), b in blocks.items() if da <= u and db <= v),
+                zero),
+            sum((b for (da, db), b in blocks.items() if da > u and db > v),
+                zero))
+
+
 # ---------------------------------------------------------------------------
 # cutoffs
 # ---------------------------------------------------------------------------
@@ -138,7 +171,7 @@ def test_triple_regions_partition(f3):
         assert s2_region + s3_region + mixed == all_triples
     # the (deg a, deg b) blocks cover the triple regions and sum to Lambda_n
     total = 0
-    for (da, db), block in vc.blocks.items():
+    for (da, db), block in blocks_of(vc).items():
         assert 0 <= da and 1 <= db and da + db <= n
         total = total + block
     assert (total == vc.lambdas).all()
@@ -568,7 +601,7 @@ def test_integer_identity_every_cutoff(p, e, top):
     for n in range(3, top + 1):
         vc = VaughanContext(ring, n)
         assert int(vc.lambdas.sum()) == ring.ctx.q**n
-        assert (sum(vc.blocks.values()) == vc.lambdas).all()
+        assert (sum(blocks_of(vc).values()) == vc.lambdas).all()
         for u in range(1, n):
             for v in range(1, n - u):
                 c1, c2, c3 = vc.coefficients(u, v)
@@ -590,3 +623,169 @@ def test_corrupted_mobius_entry_raises(f3, monkeypatch):
     vc = VaughanContext(f3, 4)
     with pytest.raises(ExactIdentityError, match="Lambda at f = "):
         vc.decompose(1, 1, unit_weight)
+
+
+# ---------------------------------------------------------------------------
+# the prefix sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, e, top", [(3, 1, 6), (5, 1, 6), (3, 2, 5)])
+def test_prefix_sums_equal_the_definitions(p, e, top):
+    """Every block read back from the prefix sums, and c1, c2 and c3 at
+    every (u, v), equal their definitions summed from a kernel that reads
+    no table, for n = 3 .. top."""
+    ring = PolyRing(FieldCtx(p, e))
+    for n in range(3, top + 1):
+        vc = VaughanContext(ring, n)
+        c1, blocks = definitions(ring, n)
+        got = blocks_of(vc)
+        assert sorted(got) == sorted(blocks)
+        for key, block in blocks.items():
+            assert (got[key] == block).all(), (n, key)
+        for u in range(1, n - 1):
+            for v in range(1, n - u):
+                for a, b in zip(vc.coefficients(u, v), summed(c1, blocks, u, v)):
+                    assert a.dtype == np.int64 and (a == b).all(), (n, u, v)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
+def test_every_sum_is_the_dot_of_its_integer_vector(p, e, n):
+    """decompose_all's lhs, s1, s2 and s3 for each (u, v) and weight are
+    np.dot of the defined integer vector with the weight, bit for bit, and
+    decompose gives the same report."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
+    weights = [np.ones(q**n, dtype=complex),
+               np.array(charsum.char_values(chi))[_rs_table(ring, n)]]
+    weights += [np.array(random_weight_values(ring, n, seed), dtype=complex)
+                for seed in (7, 8)]
+    vc = VaughanContext(ring, n)
+    c1, blocks = definitions(ring, n)
+    results = vc.decompose_all(weights)
+    assert list(results) == [(u, v) for u in range(1, n - 1)
+                             for v in range(1, n - u)]
+    for (u, v), reports in results.items():
+        vectors = (vc.lambdas, *summed(c1, blocks, u, v))
+        for w, rep in zip(weights, reports, strict=True):
+            dots = [complex(np.dot(c, w)) for c in vectors]
+            assert [rep.lhs, rep.s1, rep.s2, rep.s3] == dots, (u, v)
+            assert rep.residual == abs(dots[0] - (dots[1] - dots[2] + dots[3]))
+            assert rep.as_dict() == vc.decompose(u, v, w).as_dict()
+
+
+@pytest.mark.parametrize("da, db", [(0, 1), (1, 2), (2, 1), (2, 3), (3, 3),
+                                    (1, 5), (4, 2)])
+def test_one_corrupted_block_fails_exactly_its_cutoffs(f3, da, db):
+    """A block entry off by one fails exactly the (u, v) whose c2 region
+    (da <= u, db <= v) or c3 region (da > u, db > v) holds the block,
+    naming its f; every other pair still passes."""
+    n, i = 6, 100
+    vc = VaughanContext(f3, n)
+    for a in range(da, n - db + 1):       # column db from row da down
+        vc.prefix[a + db][a][i] += 1
+    f = f3.to_str(next(f3.monic_range(n, i, i + 1)))
+    results = vc.decompose_all([np.ones(3**n, dtype=complex)])
+    failed = {key: str(res) for key, res in results.items()
+              if isinstance(res, ExactIdentityError)}
+    assert sorted(failed) == [(u, v) for u in range(1, n - 1)
+                              for v in range(1, n - u)
+                              if (da <= u and db <= v) or (da > u and db > v)]
+    for (u, v), message in failed.items():
+        assert message == (f"c1 - c2 + c3 != Lambda at f = {f} for n={n}, "
+                           f"u={u}, v={v}")
+        with pytest.raises(ExactIdentityError, match=f"u={u}, v={v}"):
+            vc.decompose(u, v, unit_weight)
+
+
+def vaughan_cell(n, weights=1):
+    return {"p": 3, "e": 1, "modulus": None, "cap": 10**8, "seed": 1,
+            "weights": weights, "check": "vaughan", "n": n}
+
+
+def test_failing_identity_fails_the_cell(f3, monkeypatch):
+    """With mu(t) wrong every (u, v) fails, the default pair among them:
+    run_cell reports each failing pair once per weight, in the order of a
+    decompose per (u, v, weight), with no char_rs_report, and raises
+    nothing."""
+    n = 5
+    mobius = Dirichlet.mobius
+
+    def corrupted(self, k):
+        mu = mobius(self, k)
+        if k >= 1:
+            mu[1][0] = 0        # mu(t) = -1 in truth
+        return mu
+
+    monkeypatch.setattr(Dirichlet, "mobius", corrupted)
+    vc = VaughanContext(f3, n)
+    names = ["unit", "char-rs", "random-0"]
+    want = []
+    for u in range(1, n - 1):
+        for v in range(1, n - u):
+            for name in names:
+                try:
+                    vc.decompose(u, v, np.ones(3**n))
+                except ExactIdentityError as err:
+                    want.append({"u": u, "v": v, "weight": name,
+                                 "error": str(err)})
+    assert len(want) == 6 * len(names)
+    result = verify.run_cell(vaughan_cell(n))
+    assert result["pass"] is False
+    assert result["detail"]["failures"] == want
+    assert result["detail"]["char_rs_report"] is None
+    assert result["detail"]["combos"] == 0
+
+
+def test_a_failure_off_the_default_cutoffs_keeps_the_report(monkeypatch):
+    """A corrupted block (3, 1) at n = 5 fails only (u, v) = (3, 1): the
+    cell fails, and the default pair (1, 3) still reports as when nothing
+    is corrupted."""
+    n = 5
+    clean = verify.run_cell(vaughan_cell(n))
+    build = VaughanContext.__init__
+
+    def corrupted(self, ring, n):
+        build(self, ring, n)
+        self.prefix[4][3][10] += 1      # block (3, 1), the end of column 1
+
+    monkeypatch.setattr(VaughanContext, "__init__", corrupted)
+    result = verify.run_cell(vaughan_cell(n))
+    detail = result["detail"]
+    assert result["pass"] is False and clean["pass"] is True
+    assert [(f["u"], f["v"]) for f in detail["failures"]] == [(3, 1)] * 3
+    assert detail["combos"] == clean["detail"]["combos"] - 3
+    assert detail["char_rs_report"] == clean["detail"]["char_rs_report"]
+
+
+def test_a_second_context_builds_no_table(f3):
+    """The per-process caches hold every table a context at q = 3, n = 10
+    reads, so a second one, and a second mu and Lambda solve, miss none."""
+    arith._product_table.cache_clear()
+    arith._divisor_table.cache_clear()
+    VaughanContext(f3, 10)
+    infos = (arith._product_table.cache_info(),
+             arith._divisor_table.cache_info())
+    assert [info.misses for info in infos] == [25, 8]
+    VaughanContext(f3, 10)
+    Dirichlet(f3).mobius(9)
+    assert [info.misses for info in (arith._product_table.cache_info(),
+                                     arith._divisor_table.cache_info())] == [
+        info.misses for info in infos]
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 5), (5, 1, 4), (3, 2, 4)])
+def test_char_rs_report_is_the_default_cutoff_decomposition(p, e, n):
+    """The cell's char_rs_report is decompose at the default cutoffs with
+    the char-rs weight, float for float, plus the sigma fields."""
+    ring = PolyRing(FieldCtx(p, e))
+    chi = CharSpec(ring.ctx, ring.ctx.scalar(1))
+    values = np.array(charsum.char_values(chi))[_rs_table(ring, n)]
+    want = VaughanContext(ring, n).decompose(*default_cutoffs(n), values)
+    cell = dict(vaughan_cell(n, weights=2), p=p, e=e)
+    got = verify.run_cell(cell)["detail"]["char_rs_report"]
+    assert {key: got[key] for key in want.as_dict()
+            if not key.startswith("sigma")} == {
+        key: value for key, value in want.as_dict().items()
+        if not key.startswith("sigma")}
+    assert got["sigma1_exact"] is not None and got["sigma2_exact"] is not None
