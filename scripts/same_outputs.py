@@ -41,6 +41,8 @@ COMMANDS = [
     ["--p", "5", "--e", "2", "distribution", "-n", "4"],
     ["trend"],
     ["--p", "3", "--e", "2", "trend"],
+    ["--p", "3", "--e", "2", "--modulus", "2,1,1", "distribution", "-n", "5"],
+    ["--p", "3", "--e", "2", "--modulus", "2,1,1", "trend"],
     ["sigma", "sigma1", "-n", "6", "-u", "1", "-v", "2"],
     ["sigma", "sigma2", "-n", "6", "-u", "1", "-v", "2"],
     ["--p", "5", "sigma", "sigma1", "-n", "4", "-u", "1", "-v", "2"],

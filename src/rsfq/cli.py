@@ -192,9 +192,22 @@ def resolve_config(args) -> RunConfig:
     )
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it.  A reader that stops early
+    (`rsfq ... | head`) closes the pipe: the rest of the output is dropped
+    and the command still returns its own status.  stdout then points at
+    os.devnull, so that the flush at exit does not raise again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_kv_csv(obj: dict) -> None:
@@ -206,13 +219,13 @@ def _emit_kv_csv(obj: dict) -> None:
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True)
         writer.writerow([key, value])
-    sys.stdout.write(out.getvalue())
+    _write(out.getvalue())
 
 
 def _cmd_distribution(cfg: RunConfig, args) -> int:
     table = distribution(cfg.ring(), args.n)
     if cfg.fmt == "csv":
-        sys.stdout.write(table.to_csv())
+        _write(table.to_csv())
     else:
         _emit_json(table.as_dict())
     return 0
@@ -230,7 +243,7 @@ def _cmd_trend(cfg: RunConfig, args) -> int:
         for row in rows:
             writer.writerow([row["n"], row["total"], row["expected"],
                              row["max_abs_dev"], row["relative_dev"]])
-        sys.stdout.write(out.getvalue())
+        _write(out.getvalue())
     else:
         _emit_json(rows)
     return 0
@@ -244,7 +257,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         writer.writerow(["check", "q", "n", "pass"])
         for cell in report["cells"]:
             writer.writerow([cell["check"], cell["q"], cell["n"], cell["pass"]])
-        sys.stdout.write(out.getvalue())
+        _write(out.getvalue())
     else:
         _emit_json(report)
     return 0 if report["passed"] else 1

@@ -5,7 +5,9 @@ g of degree d <= n/2, so marking the multiples of every such g covers the
 composites exactly; the unmarked remainder are the irreducibles (the sieve
 of Eratosthenes in F_q[t]).  The degree-d factor candidates are the
 unmarked entries of the degree-d mask, computed the same way; at d = 1
-that is all q linears.  An element index of F_q = F_p^e is its base-p
+that is all q linears.  They are the factor base of every degree from 2d
+up, so each field keeps them per d (_factor_base) and no call sieves a
+lower degree twice.  An element index of F_q = F_p^e is its base-p
 coordinate vector in the power basis of the modulus, so the counting index
 of a monic polynomial of degree n is an N = n*e digit base-p number.  Each
 degree takes one of two routes, fixed by q^d alone.
@@ -14,7 +16,9 @@ Residue join, q^d <= JOIN_MAX.  Split f = L + t^a H at a = n // 2: L holds
 f's a low coefficients and H the rest, with f's leading 1.  g divides f
 exactly when L = -t^a H mod g.  Reduction mod g is F_p-linear on digits:
 the matrix of x -> x t^k mod g on the e digits of x in F_q is a power of
-the companion map of multiplication by t mod g.  So the residue indices,
+the companion map of multiplication by t mod g.  These join maps are kept
+with the factor base, for every k up to the top degree that SIEVE_CAP
+admits; a join reads those up to k = n.  So the residue indices,
 in [0, q^d), of all q^a low halves and all q^(n-a) high halves come from
 two integer matrix products per batch of candidates, every join degree of
 one n in one batch.  Viewing the mask as a (q^(n-a), q^a) grid, g marks
@@ -55,8 +59,12 @@ the 16 most recently used, so the tables kept between calls add up across
 (p, s) to at most 16 of them; the digit arrays of the 32 most recent
 (p, e, d, m) splits, each smaller than one candidate's images, and of the
 halves of the 32 most recent (p, e, n) joins, q^a + q^(n-a) rows, are kept
-the same way; nothing else is kept.  All arithmetic is in integers sized
-so that nothing wraps around.
+the same way, and so are the 32 most recent (p, e, basis, d) factor bases.
+A factor base is needed only for d <= n/2 with q^n <= SIEVE_CAP, so it
+holds fewer than sqrt(SIEVE_CAP) int64 indices (36 KB), and join maps
+exist only for q^d <= JOIN_MAX, at most 12 KB each.  No mask of the degree
+being sieved is kept.  All arithmetic is in integers sized so that nothing
+wraps around.
 """
 
 from __future__ import annotations
@@ -239,35 +247,61 @@ def _residues(half: np.ndarray, maps: np.ndarray, p: int,
     return np.ascontiguousarray((x.reshape(-1, c, de) @ place).T)
 
 
-def _join(composite: np.ndarray, groups: list, n: int, p: int,
-          basis: np.ndarray) -> None:
-    """Mark in composite every multiple of the factors of the (d, factors)
-    groups, d ascending: with f = L + t^a H, g divides f exactly when
-    L = -t^a H mod g, so each g marks where the residue of f's high half
-    meets that of its low half.  Residues of every degree are padded to
-    the digits of the last, so that all candidates go in one batch."""
-    e = basis.shape[0]
-    a, width = n // 2, groups[-1][0] * e
-    low, high = _halves(p, e, n)
-    # Multiplication by t mod g on the digits of a residue: coefficient i
-    # moves up to i + 1, and t^d = -(g_0 + ... + g_(d-1) t^(d-1)).
-    steps = []
-    for d, factors in groups:
+@lru_cache(maxsize=32)
+def _factor_base(p: int, e: int, basis: bytes, d: int) -> tuple:
+    """(factors, maps) of the field with this int64 basis, shared
+    read-only: the counting indices of the monic irreducibles of degree d
+    and, when q^d <= JOIN_MAX, their residue-join maps, else None.
+    maps[i, k] is the (e, d*e) matrix that takes the e digits of x in F_q
+    to those of x t^k mod factors[i], for every k up to the top degree
+    that SIEVE_CAP admits.  Both are constants of the field and of d, so
+    every degree above 2d reads them; the key is what they depend on, so
+    a ctx whose basis differs gets a factor base of its own."""
+    basis = np.frombuffer(basis, dtype=np.int64).reshape(e, e, e)
+    factors = np.flatnonzero(~_composite(d, p, basis))
+    maps = None
+    if p ** (d * e) <= JOIN_MAX:
+        top = d
+        while p ** ((top + 1) * e) <= SIEVE_CAP:
+            top += 1
+        # Multiplication by t mod g on the digits of a residue: coefficient
+        # i moves up to i + 1, and t^d = -(g_0 + ... + g_(d-1) t^(d-1)).
         c, de = len(factors), d * e
         neg_g = -digits(factors, p, de) % p
-        step = np.zeros((c, width, width), dtype=np.int64)
-        step[:, :de - e, e:de] = np.eye(de - e, dtype=np.int64)
-        step[:, de - e:de, :de] = mul_matrices(
+        step = np.zeros((c, de, de), dtype=np.int64)
+        step[:, :de - e, e:] = np.eye(de - e, dtype=np.int64)
+        step[:, de - e:] = mul_matrices(
             basis, neg_g.reshape(c, d, e), p).transpose(0, 2, 1, 3).reshape(c, e, de)
-        steps.append(step)
-    step = np.concatenate(steps)
-    c = len(step)
+        maps = np.zeros((c, top + 1, e, de), dtype=np.int64)
+        maps[:, 0, :, :e] = np.eye(e, dtype=np.int64)
+        for k in range(top):
+            np.matmul(maps[:, k], step, out=maps[:, k + 1])
+            maps[:, k + 1] %= p
+        maps.setflags(write=False)
+    factors.setflags(write=False)
+    return factors, maps
+
+
+def _join(composite: np.ndarray, groups: list, n: int, p: int, e: int) -> None:
+    """Mark in composite every multiple of the factors of the (d, maps)
+    groups, d ascending, maps from _factor_base: with f = L + t^a H, g
+    divides f exactly when L = -t^a H mod g, so each g marks where the
+    residue of f's high half meets that of its low half.  Residues of
+    every degree are padded to the digits of the last, so that all
+    candidates go in one batch."""
+    a, width = n // 2, groups[-1][0] * e
+    low, high = _halves(p, e, n)
+    for d, maps in groups:
+        if maps is None or maps.shape[1] <= n:
+            raise EnumerationCapError(
+                f"the degree-{d} factor base has no join maps up to t^{n}")
+    c = sum(len(maps) for _, maps in groups)
     # powers[:, k] maps the e digits of x in F_q to those of x t^k mod g.
     powers = np.zeros((c, n + 1, e, width), dtype=np.int64)
-    powers[:, 0, :, :e] = np.eye(e, dtype=np.int64)
-    for k in range(n):
-        np.matmul(powers[:, k], step, out=powers[:, k + 1])
-        powers[:, k + 1] %= p
+    row = 0
+    for d, maps in groups:
+        powers[row:row + len(maps), :, :, :d * e] = maps[:, :n + 1]
+        row += len(maps)
     left = _residues(low, powers[:, :a].reshape(c, a * e, width), p)
     # The residue of -t^a H: the high digits land at t^a.. and t^n is H's
     # leading 1.
@@ -289,18 +323,19 @@ def _join(composite: np.ndarray, groups: list, n: int, p: int,
 
 def _composite(n: int, p: int, basis: np.ndarray) -> np.ndarray:
     e = basis.shape[0]
+    key = basis.tobytes()
     composite = np.zeros(p ** (n * e), dtype=bool)
     joined = []
     for d in range(1, n // 2 + 1):
-        factors = np.flatnonzero(~_composite(d, p, basis))
+        factors, maps = _factor_base(p, e, key, d)
         if p ** (d * e) <= JOIN_MAX:
-            joined.append((d, factors))
+            joined.append((d, maps))
             continue
         for _, _, idx in product_indices(factors, d, n - d, p, basis):
             composite[idx] = True
             del idx     # free the block before the next one is gathered
     if joined:
-        _join(composite, joined, n, p, basis)
+        _join(composite, joined, n, p, e)
     return composite
 
 

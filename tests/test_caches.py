@@ -93,6 +93,8 @@ CACHED = {
     "vecenum.digit_add_table": lambda: vecenum.digit_add_table(3, 2),
     "sieve._split": lambda: sieve._split(3, 2, 1, 2),
     "sieve._halves": lambda: sieve._halves(3, 2, 4),
+    "sieve._factor_base": lambda: (sieve._factor_base(*F9_BASIS, 1),
+                                   sieve._factor_base(*F9_BASIS, 2)),
 }
 
 
@@ -145,11 +147,13 @@ def test_cold_and_warm_caches_give_the_same_output(p, e):
     """verify all twice in one process, first with every per-field cache
     empty: the payloads agree apart from elapsed_seconds."""
     for cached in (field_tables, shared_ctx, rudin._grid,
-                   arith._product_table, arith._divisor_table):
+                   arith._product_table, arith._divisor_table,
+                   sieve._factor_base):
         cached.cache_clear()
     cold, warm = (verify_all(RunConfig(p=p, e=e)) for _ in range(2))
     assert rudin._grid.cache_info().hits > 0
     assert arith._divisor_table.cache_info().hits > 0
+    assert sieve._factor_base.cache_info().hits > 0
     for payload in (cold, warm):
         del payload["meta"]["elapsed_seconds"]
     assert json.dumps(cold) == json.dumps(warm)

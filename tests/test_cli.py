@@ -386,3 +386,40 @@ def test_verify_vaughan_identity_fault_exits_1(monkeypatch, capsys):
     for cell in data["cells"]:
         assert cell["detail"]["failures"]
         assert cell["detail"]["char_rs_report"] is None
+
+
+def _closed_reader(args, lines):
+    """(exit code, stderr) of a CLI run whose reader closes stdout after
+    `lines` lines (before any output when lines is 0)."""
+    read_end, write_end = os.pipe()
+    if lines:
+        # A one-page pipe makes the run block on its output, so the close
+        # below comes before the last write whatever the output's size.
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the pipe size cannot be set here")
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "rsfq", *args],
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        for _ in range(lines):
+            assert reader.readline()
+    err = proc.communicate(timeout=120)[1]
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize("args, status, lines", [
+    (["--p", "3", "--e", "2", "distribution", "-n", "4"], 0, 0),
+    (["--p", "3", "--e", "2", "--format", "csv", "distribution", "-n", "4"],
+     0, 0),
+    (["trend"], 0, 0),
+    (["--p", "3", "verify", "all"], 1, 0),
+    (["--p", "3", "verify", "all"], 1, 1),
+    (["--p", "3", "--format", "csv", "verify", "all"], 1, 0),
+])
+def test_a_closed_pipe_keeps_the_status_and_stderr_quiet(args, status, lines):
+    """`rsfq ... | head` closes the pipe while the run writes: the run
+    prints no traceback and exits with its command's own status (1 for
+    verify all at q = 3, whose rank-qa cell fails)."""
+    assert _closed_reader(args, lines) == (status, "")

@@ -22,12 +22,23 @@ from rsfq import (
 from rsfq import CharSpec, arith, field, qa_matrix, sieve
 from rsfq.arith import Dirichlet
 from rsfq.charsum import gauss_counts
+from rsfq.errors import EnumerationCapError
 from rsfq.rudin import rs_values
 from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, product_indices
 from rsfq.vaughan import sigma2
 from rsfq.vecenum import digit_add_table, digits, index_tables, wide_places
 
 LIMIT = 10**7
+
+
+@pytest.fixture
+def fresh_factor_bases():
+    """An empty factor-base cache, emptied again after the test, so that
+    maps built under patched module constants reach no other test."""
+    cached = sieve._factor_base
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
 
 
 def test_sieve_matches_enumeration_small(f3, f5, f9):
@@ -214,22 +225,115 @@ def test_product_indices_match_polynomial_products(p, e, n, d, sample):
     (3, 3, 2, 27, None),     # e = 3: q = 27 at d = 1
     (3, 3, 3, 27, None),
 ])
-def test_residue_join_matches_marking(monkeypatch, p, e, n, join_max, block):
+def test_residue_join_matches_marking(monkeypatch, fresh_factor_bases, p, e,
+                                     n, join_max, block):
     """The mask that joins every degree d with q^d <= join_max equals the
     mask marked by product_indices alone, with the multiples of t (index
     0 mod q) marked; block, when given, shrinks the compare slabs so that
-    the last one is partial."""
+    the last one is partial.  Each route starts from an empty factor-base
+    cache, so neither reads the other's sub-degree masks or join maps."""
     ring = PolyRing(FieldCtx(p, e))
     monkeypatch.setattr(sieve, "JOIN_MAX", 0)
     marked = composite_mask(ring, n)
     monkeypatch.setattr(sieve, "JOIN_MAX", join_max)
     if block:
         monkeypatch.setattr(sieve, "BLOCK", block)
+    sieve._factor_base.cache_clear()
     joined = composite_mask(ring, n)
     assert (joined == marked).all()
     assert joined[::ring.ctx.q].all()
     q = ring.ctx.q
     assert q**n - np.count_nonzero(joined) == irreducible_count_formula(q, n)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_factor_bases_match_trial_division(fresh_factor_bases, p, e):
+    """Every factor base with q^d <= 729 lists the monic irreducibles of
+    degree d that PolyRing.is_irreducible finds, and row r of each join
+    map at t^k holds the digits of w^r t^k mod g, g divided out by
+    PolyRing.mod, for every k up to the top degree SIEVE_CAP admits."""
+    ring = PolyRing(FieldCtx(p, e))
+    q = ring.ctx.q
+    d = 1
+    while q**d <= 729:
+        factors, maps = sieve._factor_base(p, e, ring.ctx.basis.tobytes(), d)
+        want = [i for i, f in enumerate(ring.monic_range(d, 0, q**d))
+                if ring.is_irreducible(f)]
+        assert factors.tolist() == want, (q, d)
+        assert (maps is None) == (q**d > sieve.JOIN_MAX)
+        if maps is not None:
+            top = maps.shape[1] - 1
+            assert q**top <= sieve.SIEVE_CAP < q ** (top + 1)
+            for g_idx, g_maps in zip(factors.tolist(), maps):
+                g = next(ring.monic_range(d, g_idx, g_idx + 1))
+                want = [[ring.index_of(ring.mod((0,) * k + (p**r,), g))
+                         for r in range(e)] for k in range(top + 1)]
+                assert (g_maps == digits(want, p, d * e)).all(), (q, d, g)
+        d += 1
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 1, 2), (3, 1, 7), (3, 1, 8),
+                                     (3, 2, 4), (5, 1, 5)])
+def test_the_top_degree_is_never_cached(monkeypatch, fresh_factor_bases,
+                                        p, e, n):
+    """distribution(ring, n) reads the factor bases of d <= n/2 and keeps
+    nothing of degree n: the top mask is marked anew in every call."""
+    ring = PolyRing(FieldCtx(p, e))
+    cached, asked = sieve._factor_base, set()
+
+    def recorded(*key):
+        asked.add(key[-1])
+        return cached(*key)
+
+    monkeypatch.setattr(sieve, "_factor_base", recorded)
+    first = distribution(ring, n)
+    assert asked == set(range(1, n // 2 + 1))
+    assert cached.cache_info().currsize == n // 2
+    masks = composite_mask(ring, n), composite_mask(ring, n)
+    assert masks[0] is not masks[1] and masks[0].flags.writeable
+    assert distribution(ring, n) == first
+    assert cached.cache_info().currsize == n // 2
+
+
+def test_join_maps_never_come_up_short(monkeypatch, fresh_factor_bases, f3):
+    """A join needs the maps of t^k up to k = n.  Maps built under a smaller
+    SIEVE_CAP, or none built under a smaller JOIN_MAX, raise rather than
+    mark with a short slice."""
+    monkeypatch.setattr(sieve, "SIEVE_CAP", 3**4)
+    composite_mask(f3, 4)
+    monkeypatch.setattr(sieve, "SIEVE_CAP", 3**6)
+    with pytest.raises(EnumerationCapError, match=r"degree-1 .* t\^6"):
+        composite_mask(f3, 6)
+    sieve._factor_base.cache_clear()
+    monkeypatch.setattr(sieve, "JOIN_MAX", 0)
+    composite_mask(f3, 4)
+    monkeypatch.setattr(sieve, "JOIN_MAX", 27)
+    with pytest.raises(EnumerationCapError, match=r"degree-1 .* t\^4"):
+        composite_mask(f3, 4)
+    sieve._factor_base.cache_clear()
+    assert count_irreducibles_sieve(f3, 6) == irreducible_count_formula(3, 6)
+
+
+def test_factor_bases_are_keyed_by_the_basis(fresh_factor_bases):
+    """F_9 under two moduli has other irreducible indices with the same
+    totals, so a factor base keyed on (p, e, d) alone would mark the wrong
+    multiples.  Distributions of both fields, interleaved in one process,
+    equal those each computes with an empty cache."""
+    rings = [PolyRing(FieldCtx(3, 2)), PolyRing(FieldCtx(3, 2, (2, 1, 1)))]
+    bases = [ring.ctx.basis.tobytes() for ring in rings]
+    assert bases[0] != bases[1]
+    fresh = {}
+    for n in range(2, 6):
+        for i, ring in enumerate(rings):
+            sieve._factor_base.cache_clear()
+            fresh[i, n] = distribution(ring, n).as_dict()
+    sieve._factor_base.cache_clear()
+    for n in range(2, 6):
+        for i, ring in enumerate(rings):
+            assert distribution(ring, n).as_dict() == fresh[i, n], (i, n)
+    assert sieve._factor_base.cache_info().currsize == 4
+    assert (sieve._factor_base(3, 2, bases[0], 2)[0]
+            != sieve._factor_base(3, 2, bases[1], 2)[0]).any()
 
 
 @pytest.mark.parametrize("p, e", [(131, 1), (4093, 1)])
