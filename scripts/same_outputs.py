@@ -51,6 +51,11 @@ COMMANDS = [
     ["nf-count", "-n", "3"],
     ["nf-count", "-n", "3", "--poly", "1,0,2,0,0,0,1"],
     ["--p", "5", "nf-count", "-n", "2"],
+    ["--format", "csv", "trend"],
+    ["--format", "csv", "verify", "all"],
+    ["--format", "csv", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
+    ["--p", "31", "--e", "2", "distribution", "-n", "2"],
+    ["--p", "3", "--e", "4", "verify", "star"],
 ]
 
 

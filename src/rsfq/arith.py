@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeBoundError, EnumerationCapError, ZeroPolynomialError
+from .field import basis_key
 from .poly import PolyRing, PolySet
 from .sieve import BLOCK, SIEVE_CAP, product_indices
 
@@ -56,12 +57,6 @@ class Dirichlet:
     def ones(self, d: int) -> np.ndarray:
         return np.ones(self.ctx.q**d, dtype=np.int64)
 
-    def _field(self) -> tuple:
-        """What product_indices reads of ctx: p, e and the bytes of its
-        int64 basis."""
-        ctx = self.ctx
-        return ctx.p, ctx.e, ctx.basis.tobytes()
-
     def products(self, d: int, m: int) -> np.ndarray:
         """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
         degrees d, m >= 1 in counting order.
@@ -73,7 +68,7 @@ class Dirichlet:
         if d > m:
             return self.products(m, d).T
         if self.ctx.q ** (d + m) <= self._keep:
-            return _product_table(*self._field(), d, m)
+            return _product_table(*basis_key(self.ctx.p, self.ctx.basis), d, m)
         return _products(self.ctx.p, self.ctx.basis, d, m)
 
     def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
@@ -157,7 +152,7 @@ class Dirichlet:
                                       self.ones(k - j), k - j)
                         for j in range(1, k)),
                        np.zeros(size, dtype=np.int64))
-        table = _divisor_table(*self._field(), k)
+        table = _divisor_table(*basis_key(self.ctx.p, self.ctx.basis), k)
         if f is None:
             return np.bincount(table, minlength=size)
         # Block j of the table lists g*h row by row over g of degree j, so
@@ -381,7 +376,7 @@ def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5) -> dict:
         "observed": worst,
         "bound": bound,
         "pass": worst <= bound,
-        "detail": {"argmax": ring.to_str(next(ring.monic_range(n, arg, arg + 1))),
+        "detail": {"argmax": ring.to_str(ring.from_index(PolySet.MONIC, n, arg)),
                    "soft_branch": soft, "epsilon": epsilon},
     }
 

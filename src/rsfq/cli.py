@@ -210,16 +210,21 @@ def _emit_json(obj) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_kv_csv(obj: dict) -> None:
+def _emit_csv(header: list, rows) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key in sorted(obj):
-        value = obj[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        writer.writerow([key, value])
+    writer.writerow(header)
+    writer.writerows(rows)
     _write(out.getvalue())
+
+
+def _emit_kv_csv(obj: dict) -> None:
+    """One (key, value) row per key in sorted order, a dict or list value
+    as its JSON."""
+    _emit_csv(["key", "value"], (
+        [key, json.dumps(value, sort_keys=True)
+         if isinstance(value, (dict, list)) else value]
+        for key, value in sorted(obj.items())))
 
 
 def _cmd_distribution(cfg: RunConfig, args) -> int:
@@ -237,13 +242,8 @@ def _cmd_trend(cfg: RunConfig, args) -> int:
         top = max(2, CHECKS["dist"].limit(cfg.p**cfg.e))
     rows = deviation_trend(cfg.ring(), top)
     if cfg.fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "total", "expected", "max_abs_dev", "relative_dev"])
-        for row in rows:
-            writer.writerow([row["n"], row["total"], row["expected"],
-                             row["max_abs_dev"], row["relative_dev"]])
-        _write(out.getvalue())
+        keys = ["n", "total", "expected", "max_abs_dev", "relative_dev"]
+        _emit_csv(keys, ([row[key] for key in keys] for row in rows))
     else:
         _emit_json(rows)
     return 0
@@ -252,12 +252,8 @@ def _cmd_trend(cfg: RunConfig, args) -> int:
 def _cmd_verify(cfg: RunConfig, args) -> int:
     report = verify_all(cfg, (args.selector,))
     if cfg.fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["check", "q", "n", "pass"])
-        for cell in report["cells"]:
-            writer.writerow([cell["check"], cell["q"], cell["n"], cell["pass"]])
-        _write(out.getvalue())
+        keys = ["check", "q", "n", "pass"]
+        _emit_csv(keys, ([cell[key] for key in keys] for cell in report["cells"]))
     else:
         _emit_json(report)
     return 0 if report["passed"] else 1

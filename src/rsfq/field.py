@@ -9,6 +9,12 @@ is canonical everywhere (reports, golden files, enumeration).  The digits
 are spelled out only where elements are read or written as text, as
 "c_0+c_1+..." (e.g. "1+2" in F_9).
 
+An extension field is F_p[t]/(m), and rsfq.poly's PolyRing over the prime
+field is the one polynomial arithmetic behind it: the default modulus m is
+the first monic irreducible of degree e in counting order, a given one is
+checked by PolyRing.is_irreducible, and the powers of w are t^k mod m.
+The prime field comes from shared_ctx, so building F_(p^e) also keeps F_p.
+
 Arithmetic is table lookup.  For q <= TABLE_Q the constructor builds the
 q x q add/mul tables and the size-q neg/inv tables once, as nested lists,
 from field_tables; up to TABLE_Q every entry is a cached small int,
@@ -53,66 +59,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Helpers on F_p coefficient lists (little-endian ints), used only for
-# modulus validation, the default-modulus search and the powers of w.
+def _prime_ring(p: int):
+    """F_p[t] over the shared prime field: the ring in which an
+    extension's modulus is found or checked and the powers of w reduced."""
+    from .poly import PolyRing      # poly imports this module
 
-def _pf_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], list(a)
-    rem = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * (len(a) - db)
-    for sh in range(len(a) - db - 1, -1, -1):
-        c = rem[sh + db]
-        if c:
-            c = (c * inv_lead) % p
-            quot[sh] = c
-            for i, bi in enumerate(b):
-                if bi:
-                    rem[sh + i] = (rem[sh + i] - c * bi) % p
-    return _pf_trim(quot), _pf_trim(rem)
-
-
-def _pf_monic_polys(p: int, deg: int):
-    """All monic degree-deg polynomials over F_p in counting order."""
-    for idx in range(p**deg):
-        coeffs = []
-        k = idx
-        for _ in range(deg):
-            coeffs.append(k % p)
-            k //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def _pf_is_irreducible(f: list, p: int) -> bool:
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _pf_monic_polys(p, d):
-            if not _pf_divmod(f, g, p)[1]:
-                return False
-    return True
+    return PolyRing(shared_ctx(p, 1, None))
 
 
 def _w_powers(p: int, e: int, modulus: tuple) -> list:
     """Digits of w^k, k = 0..2e-2, w the root of the modulus (t for F_p)."""
-    reduce_by = list(modulus or (0, 1))
-    out = []
-    for k in range(2 * e - 1):
-        rem = _pf_divmod([0] * k + [1], reduce_by, p)[1]
-        out.append(rem + [0] * (e - len(rem)))
-    return out
+    if e == 1:
+        return [[1]]
+    ring = _prime_ring(p)
+    powers = [list(ring.mod((0,) * k + (1,), modulus)) for k in range(2 * e - 1)]
+    return [w + [0] * (e - len(w)) for w in powers]
 
 
 @lru_cache(maxsize=4)
@@ -130,12 +91,18 @@ def field_tables(key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def basis_key(p: int, basis: np.ndarray) -> tuple:
+    """(p, e, the bytes of the int64 basis): what the bulk kernels read of
+    a field, and so the key of every per-process table built from it.  A
+    ctx whose basis differs gets tables of its own."""
+    return p, basis.shape[0], basis.tobytes()
+
+
 def _default_modulus(p: int, e: int) -> tuple:
     """Smallest monic irreducible of degree e over F_p in counting order."""
-    for cand in _pf_monic_polys(p, e):
-        if _pf_is_irreducible(cand, p):
-            return tuple(cand)
-    raise ConfigError(f"no irreducible modulus of degree {e} over F_{p}")
+    from .poly import PolySet
+
+    return next(_prime_ring(p).enumerate(PolySet.MONIC_IRREDUCIBLE, e))
 
 
 class _Entries:
@@ -202,7 +169,7 @@ class FieldCtx:
                     f"modulus must be monic of degree {e} "
                     f"(constant-first residue list of length {e + 1})"
                 )
-            if not _pf_is_irreducible(list(mod), p):
+            if not _prime_ring(p).is_irreducible(mod):
                 raise ConfigError("modulus is reducible over F_p")
             self.modulus = mod
         self._w_powers = _w_powers(p, e, self.modulus)

@@ -8,9 +8,10 @@ raises instead of inventing -1.
 
 Polynomial sets are enumerated in counting order: coefficient vectors read
 as base-q integers with the constant term as the least significant digit,
-so the constant term varies fastest.  Enumeration supports contiguous
-index-range partitioning, which slices the set by coefficient prefix so
-scans can be mapped across workers and merged associatively.
+so the constant term varies fastest.  PolyRing.from_index is the one
+decoder of that order, and enumeration iterates it.  Enumeration supports
+contiguous index-range partitioning, which slices the set by coefficient
+prefix so scans can be mapped across workers and merged associatively.
 
 A ring holds the one enumeration cap.  Every scan over its polynomials,
 forms or weights charges the largest set it builds to ring.check_cap, and
@@ -20,7 +21,7 @@ no function that takes a ring takes a cap of its own.
 from __future__ import annotations
 
 import enum
-from itertools import product
+from functools import partial
 
 from .errors import (
     ConfigError,
@@ -233,62 +234,49 @@ class PolyRing:
 
     def enumerate(self, kind: PolySet, n: int):
         """Yield the set members in counting order (cap-checked)."""
-        self.check_cap(self.cardinality(kind, n))
-        if kind is PolySet.MONIC:
-            yield from self._monic(n, 0, self.ctx.q**n)
-        elif kind is PolySet.MONIC_IRREDUCIBLE:
-            if n < 1:
-                return
-            for f in self._monic(n, 0, self.ctx.q**n):
-                if self.is_irreducible(f):
-                    yield f
-        elif kind is PolySet.DEGREE_EXACT:
-            q = self.ctx.q
-            for lead in range(1, q):
-                for idx in range(q**n):
-                    coeffs = []
-                    k = idx
-                    for _ in range(n):
-                        coeffs.append(k % q)
-                        k //= q
-                    coeffs.append(lead)
-                    yield tuple(coeffs)
-        elif kind is PolySet.DEGREE_AT_MOST:
-            for vec in self._vectors(n + 1):
-                yield vec
-        else:
-            raise ConfigError(f"unknown set kind {kind!r}")
+        count = self.cardinality(kind, n)
+        self.check_cap(count)
+        if kind is not PolySet.MONIC_IRREDUCIBLE:
+            yield from map(partial(self.from_index, kind, n), range(count))
+        elif n >= 1:
+            yield from filter(self.is_irreducible, self.monic_range(n, 0, count))
 
     def monic_range(self, n: int, lo: int, hi: int):
         """Monic degree-n polynomials with counting index in [lo, hi)."""
-        return self._monic(n, lo, hi)
+        return map(partial(self.from_index, PolySet.MONIC, n), range(lo, hi))
 
-    def _monic(self, n: int, lo: int, hi: int):
-        if n == 0:
-            if lo <= 0 < hi:
-                yield (1,)
-            return
+    def from_index(self, kind: PolySet, n: int, index) -> tuple:
+        """The member of the degree-n set kind at a counting index.
+
+        The low n coefficients are the base-q digits of the index, constant
+        term first.  A MONIC member then ends in 1, a DEGREE_EXACT one in
+        1 + index // q^n (enumerate lists them one leading coefficient
+        after another), and a DEGREE_AT_MOST one in index // q^n, with
+        trailing zeros dropped.
+        """
         q = self.ctx.q
-        for idx in range(lo, hi):
-            coeffs = []
-            k = idx
-            for _ in range(n):
-                coeffs.append(k % q)
-                k //= q
+        k = int(index)
+        coeffs = []
+        for _ in range(n):
+            coeffs.append(k % q)
+            k //= q
+        if kind is PolySet.MONIC:
+            heads = 1
             coeffs.append(1)
-            yield tuple(coeffs)
-
-    def _vectors(self, width: int):
-        """All canonical polynomials with < width coefficients, counting order."""
-        if width <= 0:
-            yield ()
-            return
-        for rev in product(range(self.ctx.q), repeat=width):
-            vec = rev[::-1]
-            k = width
-            while k and vec[k - 1] == 0:
-                k -= 1
-            yield vec[:k]
+        elif kind is PolySet.DEGREE_EXACT:
+            heads = q - 1
+            coeffs.append(k + 1)
+        elif kind is PolySet.DEGREE_AT_MOST:
+            heads = q
+            coeffs.append(k)
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+        else:
+            raise ConfigError(f"no counting index decodes {kind!r}")
+        if not 0 <= k < heads:
+            raise ConfigError(f"index {index} is outside the {kind.value} "
+                              f"polynomials of degree {n}")
+        return tuple(coeffs)
 
     def index_of(self, f) -> int:
         """Counting index of f within its coefficient-width block."""

@@ -374,10 +374,6 @@ def bab_forms(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return same, _toeplitz(ring.ctx, (w[a_idx] - w[b_idx]) % ring.ctx.p)
 
 
-def _monic_names(ring: PolyRing, k: int) -> list:
-    return [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
-
-
 @dataclass
 class RankReport:
     """Observed rank data for one scanned form."""
@@ -435,7 +431,7 @@ def scan_qa_ranks(ring: PolyRing, n: int) -> list:
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
         bound = n - k - 1
-        names = _monic_names(ring, k)
+        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
         ranks, monic_ranks = form_ranks(ring.ctx, qa_forms(ring, n, k))
         for name, rank, mrank in zip(names, ranks.tolist(),
                                      monic_ranks.tolist()):
@@ -461,7 +457,7 @@ def scan_bab_ranks(ring: PolyRing, n: int, k: int) -> dict:
     ring.check_cap(ring.cardinality(PolySet.MONIC, k) ** 2)
     m = n - k + 1
     bound = n - 2 * k - 1
-    names = _monic_names(ring, k)
+    names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
     same, forms = bab_forms(ring, n, k)
     ranks, monic_ranks = form_ranks(ring.ctx, forms)
     reports = [

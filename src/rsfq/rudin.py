@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
-from .field import field_tables
+from .field import basis_key, field_tables
 from .poly import PolyRing
 from .sieve import BLOCK
 from .vecenum import digits, int_dtype
@@ -273,22 +273,16 @@ def lag_sums(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
     """
     rows = [[(x, x - lag) for x in range(n, lag - 1, -1)]
             for lag in range(n + 1)]
-    return _correlate(_sum_field(ring.ctx), n, start, stop, _sum_products,
-                      rows)
+    return _correlate(basis_key(ring.ctx.p, ring.ctx.basis), n, start, stop,
+                      _sum_products, rows)
 
 
 def _lag1_sums(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:
     """Row 1 of lag_sums(ring, n, start, stop) for n >= 1, without the
     other rows."""
     rows = [[(x, x - 1) for x in range(n, 0, -1)]]
-    return _correlate(_sum_field(ring.ctx), n, start, stop, _sum_products,
-                      rows)[0]
-
-
-def _sum_field(ctx) -> tuple:
-    """What _sum_products reads of ctx: p, e and the bytes of its int64
-    basis."""
-    return ctx.p, ctx.e, ctx.basis.tobytes()
+    return _correlate(basis_key(ring.ctx.p, ring.ctx.basis), n, start, stop,
+                      _sum_products, rows)[0]
 
 
 def reversal_products(ring: PolyRing, n: int, start: int, stop: int) -> np.ndarray:

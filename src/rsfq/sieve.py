@@ -74,6 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EnumerationCapError
+from .field import basis_key
 from .poly import PolyRing
 from .vecenum import digit_add_table, digits, int_dtype, mul_matrices, wide_places
 
@@ -322,12 +323,12 @@ def _join(composite: np.ndarray, groups: list, n: int, p: int, e: int) -> None:
 
 
 def _composite(n: int, p: int, basis: np.ndarray) -> np.ndarray:
-    e = basis.shape[0]
-    key = basis.tobytes()
+    key = basis_key(p, basis)
+    e = key[1]
     composite = np.zeros(p ** (n * e), dtype=bool)
     joined = []
     for d in range(1, n // 2 + 1):
-        factors, maps = _factor_base(p, e, key, d)
+        factors, maps = _factor_base(*key, d)
         if p ** (d * e) <= JOIN_MAX:
             joined.append((d, maps))
             continue

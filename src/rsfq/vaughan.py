@@ -89,12 +89,6 @@ class VaughanReport:
     s2: complex
     s3: complex
     residual: float
-    sigma1: float | None = None
-    sigma1_exact: list | None = None
-    sigma1_bound: float | None = None
-    sigma2: float | None = None
-    sigma2_exact: list | None = None
-    sigma2_bound: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -107,12 +101,6 @@ class VaughanReport:
             "s2": {"re": self.s2.real, "im": self.s2.imag},
             "s3": {"re": self.s3.real, "im": self.s3.imag},
             "residual": self.residual,
-            "sigma1": self.sigma1,
-            "sigma1_exact": self.sigma1_exact,
-            "sigma1_bound": self.sigma1_bound,
-            "sigma2": self.sigma2,
-            "sigma2_exact": self.sigma2_exact,
-            "sigma2_bound": self.sigma2_bound,
         }
 
 
@@ -200,7 +188,7 @@ class VaughanContext:
         bad = np.flatnonzero(c1 - c2 + c3 != np.asarray(self.lambdas))
         if len(bad):
             i = int(bad[0])
-            f = self.ring.to_str(next(self.ring.monic_range(self.n, i, i + 1)))
+            f = self.ring.to_str(self.ring.from_index(PolySet.MONIC, self.n, i))
             raise ExactIdentityError(f"c1 - c2 + c3 != Lambda at f = {f} for "
                                      f"n={self.n}, u={u}, v={v}")
 
@@ -352,11 +340,6 @@ def _magnitudes(hist: np.ndarray, p: int, where) -> np.ndarray:
     return np.array(exact, dtype=np.int64)[k]
 
 
-def _monic_name(ring: PolyRing, d: int, k: int) -> str:
-    """The k-th monic polynomial of degree d in counting order."""
-    return ring.to_str(next(ring.monic_range(d, k, k + 1)))
-
-
 def _value(exact: list, p: int) -> float:
     """The float of [A, B], A + B sqrt(p)."""
     return exact[0] + exact[1] * math.sqrt(p)
@@ -371,13 +354,13 @@ def _exceeds(x: list, y: list, p: int) -> bool:
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           kernel: Dirichlet | None = None, rs: np.ndarray | None = None) -> dict:
+           rs: np.ndarray | None = None) -> dict:
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
-    R(g h) matrix, read off kernel's product tables; each row's histogram
-    of Tr(beta R(g h)) over F_p gives |S| exactly (_magnitudes), so value
-    and by_degree are floats of the exact pairs value_exact and
+    R(g h) matrix, read off the per-process product tables; each row's
+    histogram of Tr(beta R(g h)) over F_p gives |S| exactly (_magnitudes),
+    so value and by_degree are floats of the exact pairs value_exact and
     by_degree_exact, [A, B] meaning A + B sqrt(p).  The reference shape
     q^((n + u + v + 2) / 2) is reported, not asserted.  rs, R of every
     monic of degree n in counting order, is evaluated when not given.
@@ -388,7 +371,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     q, p = ring.ctx.q, ring.ctx.p
     # The q^n monics h of the row g = 1 bound every other degree's sets.
     ring.check_cap(ring.cardinality(PolySet.MONIC, n))
-    kernel = kernel or Dirichlet(ring)
+    kernel = Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
     # array, so that one _magnitudes call serves every degree.
@@ -405,7 +388,8 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
     def where(row):
         dg = int(np.searchsorted(starts, row, side="right")) - 1
-        return f"g = {_monic_name(ring, dg, row - starts[dg])}"
+        g = ring.from_index(PolySet.MONIC, dg, row - starts[dg])
+        return f"g = {ring.to_str(g)}"
 
     exact = _magnitudes(hist, p, where)
     by_degree_exact = np.add.reduceat(exact, starts[:-1]).tolist()
@@ -424,7 +408,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
 
 def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
-           kernel: Dirichlet | None = None, rs: np.ndarray | None = None) -> dict:
+           rs: np.ndarray | None = None) -> dict:
     """Max over i in [v, n-u] and monic g1 of the pair-sum aggregate.
 
     For each i and monic g1 of degree n - i, sums over monic g2 of the same
@@ -434,8 +418,8 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
     Each pair sum's |S| comes exactly from the F_p histogram of
     Tr(beta (R(h g1) - R(h g2))) (_magnitudes), two rows of the R(g h)
-    matrix read off kernel's product tables.  The pair (g2, g1) has the
-    mirrored histogram and the same |S|, so each unordered pair is
+    matrix read off the per-process product tables.  The pair (g2, g1) has
+    the mirrored histogram and the same |S|, so each unordered pair is
     histogrammed once and its |S| added to both rows.  The histograms of a
     block of g1 rows against every g2 from the block's first row on, about
     BLOCK (pair, h) entries, come from one bincount.  value_exact [A, B]
@@ -452,7 +436,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
             ring.check_cap(ring.cardinality(PolySet.MONIC, k))
     # R of all q^n monics and each degree's (g1, h) product table.
     ring.check_cap(ring.cardinality(PolySet.MONIC, n))
-    kernel = kernel or Dirichlet(ring)
+    kernel = Dirichlet(ring)
     traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
     best, best_i, best_k = None, None, None
@@ -479,8 +463,8 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
             hist[:, :p - 1] += raw[:, p:]
 
             def where(row, lo=lo, span=span, i=i):
-                g1 = _monic_name(ring, n - i, lo + row // span)
-                return f"i = {i}, g1 = {g1}"
+                g1 = ring.from_index(PolySet.MONIC, n - i, lo + row // span)
+                return f"i = {i}, g1 = {ring.to_str(g1)}"
 
             exact = _magnitudes(hist, p, where).reshape(hi - lo, span, 2)
             inner = np.triu(exact[:, :hi - lo].transpose(2, 0, 1))
@@ -501,5 +485,6 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         "value_exact": best,
         "bound": float(q) ** (15 * n / 14 - u) + float(q) ** (3 * n / 2 - v + 1),
         "argmax_i": best_i,
-        "argmax_g1": _monic_name(ring, n - best_i, best_k),
+        "argmax_g1": ring.to_str(ring.from_index(PolySet.MONIC, n - best_i,
+                                                 best_k)),
     }

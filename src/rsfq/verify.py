@@ -127,18 +127,13 @@ def _run_star(ring: PolyRing, cell: dict):
         skew = corr != prod[n:]             # against t^(n+lag)
         if skew.any():
             k, lag = np.argwhere(skew.T)[0]
-            raise AssertionError(
-                f"reversal product of {_poly_str(ring, n, start + k)} is not "
-                f"palindromic at lag {lag}")
+            a = ring.from_index(PolySet.DEGREE_AT_MOST, n, start + k)
+            raise AssertionError(f"reversal product of {ring.to_str(a)} is "
+                                 f"not palindromic at lag {lag}")
         for k, lag in np.argwhere((corr != lag_sums(ring, n, start, stop)).T):
-            failures.append({"a": _poly_str(ring, n, start + k),
-                             "lag": int(lag)})
+            a = ring.from_index(PolySet.DEGREE_AT_MOST, n, start + k)
+            failures.append({"a": ring.to_str(a), "lag": int(lag)})
     return not failures, {"checked": count, "failures": failures}
-
-
-def _poly_str(ring: PolyRing, n: int, index) -> str:
-    """ring.to_str of the polynomial of degree <= n at a counting index."""
-    return ring.to_str(ring.poly(digits(index, ring.ctx.q, n + 1).tolist()))
 
 
 def _run_lin_red(ring: PolyRing, cell: dict):
@@ -154,7 +149,7 @@ def _run_lin_red(ring: PolyRing, cell: dict):
         lag1 = digits(_lag1_sums(ring, n, q**n + start, q**n + stop), p, e)
         second = digits(low // q ** (n - 1) % q, p, e)     # f_(n-1)
         want = (lag1 - second) % p @ p ** np.arange(e)
-        failures += [_poly_str(ring, n, q**n + start + k)
+        failures += [ring.to_str(ring.from_index(PolySet.MONIC, n, start + k))
                      for k in np.flatnonzero(rs_values(ring, n, low) != want)]
     return not failures, {"checked": q**n, "failures": failures}
 
@@ -257,14 +252,12 @@ def _run_vaughan(ring: PolyRing, cell: dict):
     du, dv = default_cutoffs(n)
     char_rs_report = None
     if not isinstance(results[du, dv], ExactIdentityError):
-        rep = results[du, dv][1]            # the char-rs weight
-        s1 = sigma1(ring, n, du, dv, chi, vc.kernel, rs)
-        s2 = sigma2(ring, n, du, dv, chi, vc.kernel, rs)
-        rep.sigma1, rep.sigma1_exact, rep.sigma1_bound = (
-            s1["value"], s1["value_exact"], s1["bound"])
-        rep.sigma2, rep.sigma2_exact, rep.sigma2_bound = (
-            s2["value"], s2["value_exact"], s2["bound"])
-        char_rs_report = rep.as_dict()
+        char_rs_report = results[du, dv][1].as_dict()   # the char-rs weight
+        for name, fn in (("sigma1", sigma1), ("sigma2", sigma2)):
+            s = fn(ring, n, du, dv, chi, rs=rs)
+            char_rs_report |= {name: s["value"],
+                               name + "_exact": s["value_exact"],
+                               name + "_bound": s["bound"]}
     return passed, {
         "combos": combos,
         "worst_residual": worst_residual,

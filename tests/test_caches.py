@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from rsfq import arith, rudin, sieve, vecenum
-from rsfq.field import FieldCtx, field_tables, shared_ctx
+from rsfq.field import FieldCtx, basis_key, field_tables, shared_ctx
 from rsfq.verify import RunConfig, verify_all
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsfq"
@@ -81,14 +81,14 @@ def test_the_scan_finds_each_unbounded_cache():
 
 # Every cached function under src/rsfq, with a call that fills it.
 F9 = FieldCtx(3, 2)
-F9_BASIS = (3, 2, F9.basis.tobytes())
+F9_BASIS = basis_key(F9.p, F9.basis)
 CACHED = {
     "arith._product_table": lambda: arith._product_table(*F9_BASIS, 1, 2),
     "arith._divisor_table": lambda: arith._divisor_table(*F9_BASIS, 3),
     "field.field_tables": lambda: field_tables(F9.key()),
     "field.shared_ctx": lambda: shared_ctx(3, 2, None),
     "rudin._grid": lambda: (
-        rudin._grid(rudin._sum_products, rudin._sum_field(F9)),
+        rudin._grid(rudin._sum_products, F9_BASIS),
         rudin._grid(rudin._field_products, (3, 2, F9.modulus))),
     "vecenum.digit_add_table": lambda: vecenum.digit_add_table(3, 2),
     "sieve._split": lambda: sieve._split(3, 2, 1, 2),

@@ -49,6 +49,35 @@ def test_default_modulus_is_smallest():
     assert FieldCtx(3, 2).modulus == (1, 0, 1)
 
 
+# The default modulus of each field, constant first: the smallest monic
+# irreducible of degree e over F_p in counting order.
+DEFAULT_MODULI = {
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (257, 2): (3, 0, 1),
+    (1021, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p, e", sorted(DEFAULT_MODULI))
+def test_default_moduli_are_pinned(p, e):
+    """The modulus, and w^e = -(m_0 + ... + m_(e-1) w^(e-1)) for w, whose
+    index is p, by the field's own multiplication."""
+    ctx = FieldCtx(p, e)
+    m = DEFAULT_MODULI[p, e]
+    assert ctx.modulus == m
+    assert ctx.power(p, e) == sum(-c % p * p**j for j, c in enumerate(m[:e]))
+
+
 def test_modulus_override():
     ctx = FieldCtx(3, 2, modulus=(2, 1, 1))  # t^2 + t + 2, irreducible
     assert ctx.modulus == (2, 1, 1)

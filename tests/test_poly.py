@@ -1,6 +1,7 @@
 import pytest
 
 from rsfq import (
+    ConfigError,
     DegreeBoundError,
     EnumerationCapError,
     FieldCtx,
@@ -114,6 +115,52 @@ def test_enumeration_cardinalities():
 def test_monic_linear_order(f3):
     assert [f3.to_str(f) for f in f3.enumerate(PolySet.MONIC, 1)] == \
         ["0,1", "1,1", "2,1"]
+
+
+def test_degree_exact_and_at_most_orders(f3):
+    """DEGREE_EXACT runs one leading coefficient after another, the rest in
+    monic order; DEGREE_AT_MOST is every vector of n + 1 digits, constant
+    first, trailing zeros dropped."""
+    def names(kind, n):
+        return [f3.to_str(f) for f in f3.enumerate(kind, n)]
+
+    low1 = ["0,1", "1,1", "2,1", "0,2", "1,2", "2,2"]
+    low2 = ["0,0,1", "1,0,1", "2,0,1", "0,1,1", "1,1,1", "2,1,1", "0,2,1",
+            "1,2,1", "2,2,1"]
+    high2 = [name[:-1] + "2" for name in low2]
+    assert names(PolySet.DEGREE_EXACT, 0) == ["1", "2"]
+    assert names(PolySet.DEGREE_EXACT, 1) == low1
+    assert names(PolySet.DEGREE_EXACT, 2) == low2 + high2
+    assert names(PolySet.DEGREE_AT_MOST, 0) == ["0", "1", "2"]
+    assert names(PolySet.DEGREE_AT_MOST, 1) == ["0", "1", "2"] + low1
+    assert names(PolySet.DEGREE_AT_MOST, 2) == (["0", "1", "2"] + low1 + low2
+                                               + high2)
+    for n in range(3):
+        assert all(not f or f[-1] for f in
+                   f3.enumerate(PolySet.DEGREE_AT_MOST, n))
+
+
+@pytest.mark.parametrize("ring", ["f3", "f9"])
+def test_from_index_inverts_index_of(ring, request):
+    ring = request.getfixturevalue(ring)
+    q = ring.ctx.q
+    for n in range(3):
+        for i in range(q ** (n + 1)):
+            f = ring.from_index(PolySet.DEGREE_AT_MOST, n, i)
+            assert ring.index_of(f) == i
+            if i < q**n:
+                monic = ring.from_index(PolySet.MONIC, n, i)
+                assert ring.index_of(monic) == i + q**n
+
+
+def test_from_index_refuses_indices_outside_the_set(f3):
+    for kind, n, index in ((PolySet.MONIC, 2, 9), (PolySet.MONIC, 1, -1),
+                           (PolySet.DEGREE_EXACT, 1, 6),
+                           (PolySet.DEGREE_AT_MOST, 1, 9),
+                           (PolySet.MONIC_IRREDUCIBLE, 2, 0)):
+        with pytest.raises(ConfigError):
+            f3.from_index(kind, n, index)
+    assert f3.from_index(PolySet.DEGREE_EXACT, 1, 5) == (2, 2)
 
 
 def test_monic_range_partition(f3):

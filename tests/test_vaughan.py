@@ -418,16 +418,17 @@ def test_context_builds_each_product_table_once(f3, monkeypatch):
 
 @pytest.mark.parametrize("p, e, n", [(3, 1, 6), (5, 1, 4), (3, 2, 4)])
 def test_sigma_through_the_shared_kernel(p, e, n, monkeypatch):
-    """sigma1 and sigma2 read R(g h) off the tables a context already
-    built, and equal a fresh-kernel call and the per-multiplier oracles."""
+    """sigma1 and sigma2 read R(g h) off the per-process tables a context
+    already built, and equal a call made before it and the per-multiplier
+    oracles."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
     u, v = default_cutoffs(n)
     fresh1, fresh2 = sigma1(ring, n, u, v, chi), sigma2(ring, n, u, v, chi)
-    kernel = VaughanContext(ring, n).kernel
+    VaughanContext(ring, n)
     monkeypatch.setattr(arith, "product_indices", None)   # no table is built
-    assert sigma1(ring, n, u, v, chi, kernel=kernel) == fresh1
-    assert sigma2(ring, n, u, v, chi, kernel=kernel) == fresh2
+    assert sigma1(ring, n, u, v, chi) == fresh1
+    assert sigma2(ring, n, u, v, chi) == fresh2
     by_degree = []
     for dg in range(u + v + 1):
         deg_total = (0, 0)
