@@ -48,6 +48,12 @@ COMMANDS = [
     ["--p", "5", "sigma", "sigma1", "-n", "4", "-u", "1", "-v", "2"],
     ["--p", "3", "--e", "2", "sigma", "sigma2", "-n", "4", "-u", "1", "-v",
      "1", "--beta", "1+2"],
+    # At p = 3 energy_abs_sq forms only A_0 and A_1: these reach its test
+    # that A_d is the same for every d != 0.
+    ["--p", "7", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
+    ["--p", "7", "sigma", "sigma2", "-n", "5", "-u", "1", "-v", "2"],
+    ["--p", "5", "--e", "2", "sigma", "sigma1", "-n", "3", "-u", "1", "-v",
+     "1", "--beta", "1+1"],
     ["nf-count", "-n", "3"],
     ["nf-count", "-n", "3", "--poly", "1,0,2,0,0,0,1"],
     ["--p", "5", "nf-count", "-n", "2"],

@@ -353,12 +353,15 @@ def tau(ring: PolyRing, f, table: FactorTable | None = None) -> int:
     return (table or FactorTable(ring)).tau(f)
 
 
-def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5) -> dict:
+TAU_EPSILON = 0.5
+
+
+def check_tau_bound(ring: PolyRing, n: int) -> dict:
     """Scan M(n) for the hard divisor bound tau(f) <= 2^deg f.
 
     The argmax is the first maximum in counting order.  The soft branch
-    q^(n(2+eps)/ln n) is reported for inspection only; its implied constant
-    is unquantified, so nothing is asserted about it.
+    q^(n(2+eps)/ln n), eps = TAU_EPSILON, is reported for inspection only;
+    its implied constant is unquantified, so nothing is asserted about it.
     """
     if n < 1:
         raise DegreeBoundError("tau scan needs degree >= 1")
@@ -368,7 +371,7 @@ def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5) -> dict:
     arg = int(np.argmax(taus))
     worst = int(taus[arg])
     bound = 2**n
-    soft = q ** (n * (2 + epsilon) / math.log(n)) if n >= 2 else None
+    soft = q ** (n * (2 + TAU_EPSILON) / math.log(n)) if n >= 2 else None
     return {
         "statistic": "tau-max",
         "q": q,
@@ -377,7 +380,7 @@ def check_tau_bound(ring: PolyRing, n: int, epsilon: float = 0.5) -> dict:
         "bound": bound,
         "pass": worst <= bound,
         "detail": {"argmax": ring.to_str(ring.from_index(PolySet.MONIC, n, arg)),
-                   "soft_branch": soft, "epsilon": epsilon},
+                   "soft_branch": soft, "epsilon": TAU_EPSILON},
     }
 
 

@@ -19,11 +19,14 @@ histograms.
 energy_abs_sq is the one exact |S|^2 route: for a value histogram c,
 |S|^2 = sum_d A_d psi(d) with A_d = sum_v c_v c_(v+d), so when A_d is the
 same for every d != 0, |S|^2 = A_0 - A_1 for every non-trivial character
-and no character value enters.  scan_gauss_bound calls it over F_q, and
-vaughan.sigma1/sigma2 over F_p on the histograms of Tr(beta R(g h))
-(char_traces).  hist_to_sum, quad_form_char_sum, max_gauss_magnitude,
-rs_char_sum_over_set and rs_pair_char_sum are the floating-point oracles
-and never call it.
+and no character value enters.  decode_abs alone decides the Gauss-sum
+dichotomy |S|^2 = 0 or p^k and gives |S| = p^(k/2) as an integer pair
+[A, B], A + B sqrt(p): pairs add componentwise, pair_exceeds compares them
+and pair_value is their float, for display.  scan_gauss_bound decodes over
+F_q, and vaughan.sigma1/sigma2 over F_p on the histograms of
+Tr(beta R(g h)) (char_traces).  hist_to_sum, quad_form_char_sum,
+max_gauss_magnitude, rs_char_sum_over_set and rs_pair_char_sum are the
+floating-point oracles and call neither.
 """
 
 from __future__ import annotations
@@ -100,6 +103,41 @@ def energy_abs_sq(hist: np.ndarray, add: np.ndarray) -> tuple:
     for other in energy[2:]:
         flat &= other == energy[1]
     return energy[0] - energy[1], flat
+
+
+# decode_abs's k for |S|^2 = 0, for uneven A_d and for no power of p.
+ZERO, UNEVEN, NOT_POWER = -1, -2, -3
+
+
+def decode_abs(hist: np.ndarray, add: np.ndarray, p: int) -> tuple:
+    """(abs_sq, k, exact) of every value histogram along the last axis, add
+    the addition table of its group, of exponent p: k with abs_sq = p^k,
+    else ZERO, UNEVEN or NOT_POWER, and |S| as int64 [A, B], 0 if k < 0."""
+    abs_sq, flat = energy_abs_sq(hist, add)
+    # |S| = 0, 1, sqrt(p), p, ...: sqrt(p) (A + B sqrt(p)) = B p + A sqrt(p).
+    powers, pairs, top = [1], [(0, 0), (1, 0)], abs_sq.max(initial=0)
+    while powers[-1] < top:
+        powers.append(powers[-1] * p)
+        pairs.append((pairs[-1][1] * p, pairs[-1][0]))
+    powers = np.array(powers, dtype=np.int64)
+    k = np.searchsorted(powers, abs_sq)
+    k[powers.take(k, mode="clip") != abs_sq] = NOT_POWER
+    k[abs_sq == 0] = ZERO
+    k[~flat] = UNEVEN
+    return abs_sq, k, np.take(pairs, np.maximum(k, ZERO) + 1, axis=0)
+
+
+def pair_value(x, p: int) -> float:
+    """The float of the pair x = [A, B], A + B sqrt(p)."""
+    return x[0] + x[1] * math.sqrt(p)
+
+
+def pair_exceeds(x, y, p: int) -> bool:
+    """x[0] + x[1] sqrt(p) > y[0] + y[1] sqrt(p), decided in integers: with
+    a, b the differences, a + b sqrt(p) has the sign of a when a^2 > p b^2
+    and of b otherwise (p is not a square, so a^2 = p b^2 only at 0)."""
+    a, b = x[0] - y[0], x[1] - y[1]
+    return (a if a * a > p * b * b else b) > 0
 
 
 def hist_to_sum(hist, vals) -> complex:
@@ -202,17 +240,16 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
     over batches of about BLOCK histogram entries of that block, gives
     c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
     A_d = sum_v c_v c_(v+d), |S_beta|^2 = sum_d A_d psi_beta(d) for every
-    character psi_beta.  The form passes when, for every L, A_d is the same
-    for every d != 0 (energy_abs_sq over F_q), so that
-    |S_beta|^2 = A_0 - A_1 for every non-trivial character, and A_0 - A_1
-    is 0 or q^(2m - r): the quadratic-form dichotomy (Lidl & Niederreiter,
-    Finite Fields, ch. 5-6), all in integers.  Returns one report per
+    character psi_beta.  The form passes when, for every L, decode_abs over
+    F_q gives |S|^2 = 0 or q^(2m - r) = p^(e(2m - r)) for every non-trivial
+    character: the quadratic-form dichotomy (Lidl & Niederreiter, Finite
+    Fields, ch. 5-6), all in integers.  Returns one report per
     (k, a) with the largest A_0 - A_1 as max_abs_sq, its square root as
     max_magnitude and the bound q^(m - r/2).  Each degree charges its
     q^(m+1) counts per form to ring.check_cap.
     """
     ctx = ring.ctx
-    q = ctx.q
+    q, p = ctx.q, ctx.p
     add = field_tables(ctx.key())[0]
     reports = []
     for k in range((n - 1) // 2 + 1):
@@ -224,11 +261,11 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
         per = max(1, BLOCK // q ** (m + 1))
         for start in range(0, len(forms), per):
             counts = gauss_counts(forms[start:start + per], ctx)
-            abs_sq, flat = energy_abs_sq(counts.transpose(0, 2, 1), add)
-            flat = flat.all(axis=1)
+            abs_sq, exps = decode_abs(counts.transpose(0, 2, 1), add, p)[:2]
+            power = ctx.e * (2 * m - np.array(ranks[start:start + per]))
+            passed = ((exps == ZERO) | (exps == power[:, None])).all(axis=1)
             for b, rank in enumerate(ranks[start:start + per]):
                 max_abs_sq = int(abs_sq[b].max())
-                top = q ** (2 * m - rank)
                 reports.append({
                     "q": q,
                     "n": n,
@@ -241,8 +278,7 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
                     "max_magnitude": math.sqrt(max_abs_sq),
                     "linear_forms": q**m,
                     "characters": q - 1,
-                    "pass": bool(flat[b] and ((abs_sq[b] == 0)
-                                              | (abs_sq[b] == top)).all()),
+                    "pass": bool(passed[b]),
                 })
     return reports
 

@@ -117,29 +117,13 @@ class _Entries:
         return self.fn(x)
 
 
-class _Row:
-    """Read-only view[y] of fn(x, y) for one x, a row of a q x q table."""
-
-    __slots__ = ("fn", "x")
-
-    def __init__(self, fn, x):
-        self.fn = fn
-        self.x = x
-
-    def __getitem__(self, y):
-        return self.fn(self.x, y)
-
-
-class _Rows:
+class _Rows(_Entries):
     """Read-only view[x][y] of fn(x, y), shaped like a q x q table."""
 
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
+    __slots__ = ()
 
     def __getitem__(self, x):
-        return _Row(self.fn, x)
+        return _Entries(partial(self.fn, x))
 
 
 class FieldCtx:

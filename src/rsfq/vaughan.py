@@ -24,10 +24,9 @@ read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
 (per-process tables, which the verify cell's context has already read)
 and report their asymptotic-shape reference values (never asserted:
 the implied constants carry no numeric value).  Every inner sum S is a
-quadratic Gauss sum, so |S|^2 is 0 or a power p^k: both aggregates take
-|S|^2 from the F_p histograms of Tr(beta R(g h)) through
-charsum.energy_abs_sq, the one exact |S|^2 route, check that dichotomy and
-sum |S| = p^(k/2) exactly as a pair [A, B] meaning A + B sqrt(p).
+quadratic Gauss sum: both aggregates decode |S| from the F_p histograms of
+Tr(beta R(g h)) through charsum.decode_abs, which also states the exact
+pairs [A, B] that they sum and compare (see charsum).
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import Dirichlet
-from .charsum import CharSpec, char_eval, char_traces, energy_abs_sq
+from .charsum import (UNEVEN, ZERO, CharSpec, char_eval, char_traces,
+                      decode_abs, pair_exceeds, pair_value)
 from .errors import (
     ExactIdentityError,
     InvalidCutoffsError,
@@ -312,45 +312,30 @@ def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
     return out
 
 
-def _magnitudes(hist: np.ndarray, p: int, where) -> np.ndarray:
-    """Exact |S| of every F_p value histogram (rows of hist) as an int64
-    row [A, B] with |S| = A + B sqrt(p).
+def _sigma_setup(name: str, ring: PolyRing, n: int, u: int, v: int,
+                 chi: CharSpec, rs, degrees) -> tuple:
+    """(q, p, kernel, Tr(beta R) over the monics of degree n), R from rs when
+    given, after checking the cutoffs, chi and the caps of degrees, then n."""
+    validate_cutoffs(n, u, v)
+    if chi.is_trivial():
+        raise TrivialCharacterError(f"{name} needs a non-trivial character")
+    for k in (*degrees, n):
+        ring.check_cap(ring.cardinality(PolySet.MONIC, k))
+    return (ring.ctx.q, ring.ctx.p, Dirichlet(ring),
+            char_traces(chi)[_rs_table(ring, n) if rs is None else rs])
 
-    |S|^2 = A_0 - A_1 from charsum.energy_abs_sq must be 0 or a power p^k,
-    so |S| is p^(k/2) or p^((k-1)/2) sqrt(p); otherwise ExactIdentityError
-    names where(row) of the first row that is not.
-    """
+
+def _exact(hist: np.ndarray, p: int, where) -> np.ndarray:
+    """|S| as [A, B] of every F_p value histogram (rows of hist); where(row)
+    names the first row whose |S|^2 is not 0 or a power of p."""
     r = np.arange(p)
-    abs_sq, flat = energy_abs_sq(hist, (r[:, None] + r) % p)
-    # |S| for |S|^2 = 0, 1, p, p^2, ...: each power multiplies |S| by
-    # sqrt(p), taking A + B sqrt(p) to B p + A sqrt(p).
-    top = abs_sq.max(initial=0)
-    squares, exact = [0, 1], [(0, 0), (1, 0)]
-    while squares[-1] < top:
-        squares.append(squares[-1] * p)
-        exact.append((exact[-1][1] * p, exact[-1][0]))
-    squares = np.array(squares, dtype=np.int64)
-    k = np.searchsorted(squares, abs_sq)
-    bad = np.flatnonzero(~flat | (squares.take(k, mode="clip") != abs_sq))
-    if len(bad):
-        row = int(bad[0])
-        fault = (f"|S|^2 = {abs_sq[row]} is not 0 or a power of {p}"
-                 if flat[row] else "A_d is not the same for every d != 0")
+    abs_sq, k, exact = decode_abs(hist, (r[:, None] + r) % p, p)
+    if (k < ZERO).any():
+        row = int(np.argmax(k < ZERO))
+        fault = ("A_d is not the same for every d != 0" if k[row] == UNEVEN
+                 else f"|S|^2 = {abs_sq[row]} is not 0 or a power of {p}")
         raise ExactIdentityError(f"{fault} at {where(row)}")
-    return np.array(exact, dtype=np.int64)[k]
-
-
-def _value(exact: list, p: int) -> float:
-    """The float of [A, B], A + B sqrt(p)."""
-    return exact[0] + exact[1] * math.sqrt(p)
-
-
-def _exceeds(x: list, y: list, p: int) -> bool:
-    """x[0] + x[1] sqrt(p) > y[0] + y[1] sqrt(p), decided in integers: with
-    a, b the differences, a + b sqrt(p) has the sign of a when a^2 > p b^2
-    and of b otherwise (p is not a square, so a^2 = p b^2 only at 0)."""
-    a, b = x[0] - y[0], x[1] - y[1]
-    return (a if a * a > p * b * b else b) > 0
+    return exact
 
 
 def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
@@ -359,22 +344,16 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
     R(g h) matrix, read off the per-process product tables; each row's
-    histogram of Tr(beta R(g h)) over F_p gives |S| exactly (_magnitudes),
-    so value and by_degree are floats of the exact pairs value_exact and
-    by_degree_exact, [A, B] meaning A + B sqrt(p).  The reference shape
-    q^((n + u + v + 2) / 2) is reported, not asserted.  rs, R of every
-    monic of degree n in counting order, is evaluated when not given.
+    histogram of Tr(beta R(g h)) over F_p gives |S| exactly, so value and
+    by_degree are the floats of the exact pairs value_exact and
+    by_degree_exact.  The reference shape q^((n + u + v + 2) / 2) is
+    reported, not asserted.  rs is R of every monic of degree n in
+    counting order, evaluated when not given.
     """
-    validate_cutoffs(n, u, v)
-    if chi.is_trivial():
-        raise TrivialCharacterError("sigma1 needs a non-trivial character")
-    q, p = ring.ctx.q, ring.ctx.p
     # The q^n monics h of the row g = 1 bound every other degree's sets.
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
-    kernel = Dirichlet(ring)
-    traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
+    q, p, kernel, traces = _sigma_setup("sigma1", ring, n, u, v, chi, rs, ())
     # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
-    # array, so that one _magnitudes call serves every degree.
+    # array, so that one _exact call serves every degree.
     starts = np.cumsum([0] + [q**dg for dg in range(u + v + 1)])
     hist = np.empty((starts[-1], p), dtype=np.int64)
     for dg in range(u + v + 1):
@@ -391,7 +370,7 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         g = ring.from_index(PolySet.MONIC, dg, row - starts[dg])
         return f"g = {ring.to_str(g)}"
 
-    exact = _magnitudes(hist, p, where)
+    exact = _exact(hist, p, where)
     by_degree_exact = np.add.reduceat(exact, starts[:-1]).tolist()
     total = exact.sum(axis=0).tolist()
     return {
@@ -399,10 +378,10 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         "n": n,
         "u": u,
         "v": v,
-        "value": _value(total, p),
+        "value": pair_value(total, p),
         "value_exact": total,
         "bound": float(q) ** ((n + u + v + 2) / 2),
-        "by_degree": [_value(pair, p) for pair in by_degree_exact],
+        "by_degree": [pair_value(pair, p) for pair in by_degree_exact],
         "by_degree_exact": by_degree_exact,
     }
 
@@ -417,27 +396,18 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     is reported, not asserted.
 
     Each pair sum's |S| comes exactly from the F_p histogram of
-    Tr(beta (R(h g1) - R(h g2))) (_magnitudes), two rows of the R(g h)
-    matrix read off the per-process product tables.  The pair (g2, g1) has
-    the mirrored histogram and the same |S|, so each unordered pair is
-    histogrammed once and its |S| added to both rows.  The histograms of a
-    block of g1 rows against every g2 from the block's first row on, about
-    BLOCK (pair, h) entries, come from one bincount.  value_exact [A, B]
-    means A + B sqrt(p), and the argmax is
-    the first (i, g1) in counting order that attains it, decided exactly.
+    Tr(beta (R(h g1) - R(h g2))), two rows of the R(g h) matrix read off
+    the per-process product tables.  The pair (g2, g1) has the mirrored
+    histogram and the same |S|, so each unordered pair is histogrammed
+    once and its |S| added to both rows.  The histograms of a block of g1
+    rows against every g2 from the block's first row on, about BLOCK
+    (pair, h) entries, come from one bincount.  The argmax is the first
+    (i, g1) in counting order that attains value_exact, decided exactly.
     rs is as in sigma1.
     """
-    validate_cutoffs(n, u, v)
-    if chi.is_trivial():
-        raise TrivialCharacterError("sigma2 needs a non-trivial character")
-    q, p = ring.ctx.q, ring.ctx.p
-    for i in range(v, n - u + 1):     # every degree, before R is evaluated
-        for k in (n - i, i):
-            ring.check_cap(ring.cardinality(PolySet.MONIC, k))
-    # R of all q^n monics and each degree's (g1, h) product table.
-    ring.check_cap(ring.cardinality(PolySet.MONIC, n))
-    kernel = Dirichlet(ring)
-    traces = char_traces(chi)[_rs_table(ring, n) if rs is None else rs]
+    # Every degree's sets, before R of all q^n monics is evaluated.
+    q, p, kernel, traces = _sigma_setup("sigma2", ring, n, u, v, chi, rs, (
+        k for i in range(v, n - u + 1) for k in (n - i, i)))
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
     best, best_i, best_k = None, None, None
     for i in range(v, n - u + 1):
@@ -466,7 +436,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
                 g1 = ring.from_index(PolySet.MONIC, n - i, lo + row // span)
                 return f"i = {i}, g1 = {ring.to_str(g1)}"
 
-            exact = _magnitudes(hist, p, where).reshape(hi - lo, span, 2)
+            exact = _exact(hist, p, where).reshape(hi - lo, span, 2)
             inner = np.triu(exact[:, :hi - lo].transpose(2, 0, 1))
             outer = exact[:, hi - lo:]
             sums[lo:hi] += inner.sum(axis=2).T + outer.sum(axis=1)
@@ -474,14 +444,14 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
             sums[hi:] += outer.sum(axis=0)
             lo = hi
         for k, pair in enumerate(sums.tolist()):
-            if best is None or _exceeds(pair, best, p):
+            if best is None or pair_exceeds(pair, best, p):
                 best, best_i, best_k = pair, i, k
     return {
         "q": q,
         "n": n,
         "u": u,
         "v": v,
-        "value": _value(best, p),
+        "value": pair_value(best, p),
         "value_exact": best,
         "bound": float(q) ** (15 * n / 14 - u) + float(q) ** (3 * n / 2 - v + 1),
         "argmax_i": best_i,

@@ -26,13 +26,15 @@ autocorrelation of a, by two routes that share no field arithmetic
 powers of w).  Each forms the products of two coefficients once on the
 subgrid of their values in a piece of the range, not once per
 polynomial, and holds about BLOCK entries at most besides its output.
-A product that is not palindromic
-raises AssertionError naming a; a coefficient t^(n-lag) that differs from
-the lag sum is a failure {"a", "lag"}, listed by a and then by lag.
+A product that is not palindromic fails the cell with an error naming a;
+a coefficient t^(n-lag) that differs from the lag sum is a failure
+{"a", "lag"}, listed by a and then by lag.
 verify_all cap-checks every scheduled star cell before any cell runs.
 The lin-red cell compares rudin.rs_values of the q^n monics f of degree n
 with their lag-1 sums minus f_(n-1), digit-wise mod p, in blocks of about
 BLOCK monics, and lists each failing f by ring.to_str in counting order.
+The vaughan cell lists a cutoff pair that breaks its identity, and a sigma
+aggregate whose |S|^2 is not 0 or a power of p, as failures.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ def _run_star(ring: PolyRing, cell: dict):
         if skew.any():
             k, lag = np.argwhere(skew.T)[0]
             a = ring.from_index(PolySet.DEGREE_AT_MOST, n, start + k)
-            raise AssertionError(f"reversal product of {ring.to_str(a)} is "
-                                 f"not palindromic at lag {lag}")
+            return False, {"error": f"reversal product of {ring.to_str(a)} "
+                                    f"is not palindromic at lag {lag}"}
         for k, lag in np.argwhere((corr != lag_sums(ring, n, start, stop)).T):
             a = ring.from_index(PolySet.DEGREE_AT_MOST, n, start + k)
             failures.append({"a": ring.to_str(a), "lag": int(lag)})
@@ -247,17 +249,21 @@ def _run_vaughan(ring: PolyRing, cell: dict):
                 total = rep.s1 - rep.s2 + rep.s3
                 unit_error = max(unit_error, abs(total - q**n))
             combos += 1
-    # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
-    passed = not failures and int(vc.lambdas.sum()) == q**n
     du, dv = default_cutoffs(n)
     char_rs_report = None
     if not isinstance(results[du, dv], ExactIdentityError):
         char_rs_report = results[du, dv][1].as_dict()   # the char-rs weight
         for name, fn in (("sigma1", sigma1), ("sigma2", sigma2)):
-            s = fn(ring, n, du, dv, chi, rs=rs)
+            try:
+                s = fn(ring, n, du, dv, chi, rs=rs)
+            except ExactIdentityError as err:
+                failures.append({"sigma": name, "error": str(err)})
+                continue
             char_rs_report |= {name: s["value"],
                                name + "_exact": s["value_exact"],
                                name + "_bound": s["bound"]}
+    # Sum of Lambda_n = q^n fixes the unit weight, the identity being exact.
+    passed = not failures and int(vc.lambdas.sum()) == q**n
     return passed, {
         "combos": combos,
         "worst_residual": worst_residual,

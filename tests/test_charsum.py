@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from itertools import product as iproduct
 
 import numpy as np
@@ -259,6 +260,37 @@ def test_gauss_scan_fails_on_a_wrong_count(monkeypatch, f3):
     monkeypatch.setattr(charsum, "gauss_counts", moved)
     reports = scan_gauss_bound(f3, 3)
     assert reports and not any(r["pass"] for r in reports)
+
+
+def test_decode_abs_flags_and_pairs():
+    """Over F_3, c = (1, 0, 0), (2, 1, 0), (3, 0, 0) give |S|^2 = 1, 3, 9,
+    so |S| = 1, sqrt(3), 3; (1, 1, 1) gives 0 and (2, 0, 0) gives 4, no
+    power of 3.  Over F_5, (1, 1, 0, 0, 0) has uneven A_d."""
+    r3, r5 = np.arange(3), np.arange(5)
+    abs_sq, k, exact = charsum.decode_abs(np.array([
+        [1, 0, 0], [2, 1, 0], [3, 0, 0], [1, 1, 1], [2, 0, 0]]),
+        (r3[:, None] + r3) % 3, 3)
+    assert abs_sq.tolist() == [1, 3, 9, 0, 4]
+    assert k.tolist() == [0, 1, 2, charsum.ZERO, charsum.NOT_POWER]
+    assert exact.tolist() == [[1, 0], [0, 1], [3, 0], [0, 0], [0, 0]]
+    k = charsum.decode_abs(np.array([[1, 1, 0, 0, 0], [2, 1, 1, 1, 1]]),
+                           (r5[:, None] + r5) % 5, 5)[1]
+    assert k.tolist() == [charsum.UNEVEN, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pair_exceeds_agrees_with_decimals(p):
+    """pair_exceeds(x, y, p) says x[0] + x[1] sqrt(p) > y[0] + y[1] sqrt(p)
+    for every pair of pairs with entries in [-12, 12], ties included, as
+    40-digit decimals do: a nonzero a + b sqrt(p) with |a|, |b| <= 24 is
+    |a^2 - p b^2| / |a - b sqrt(p)| > 1/100 in size."""
+    pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root = Decimal(p).sqrt()
+        values = [a + b * root for a, b in pairs]
+    got = [charsum.pair_exceeds(x, y, p) for x in pairs for y in pairs]
+    assert got == [vx > vy for vx in values for vy in values]
 
 
 def test_oracles_never_call_the_kernel(monkeypatch, f9):

@@ -3,9 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rsfq import DEFAULT_CAP, ConfigError, Dirichlet
+from rsfq import DEFAULT_CAP, ConfigError, Dirichlet, verify
 from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
@@ -386,6 +387,30 @@ def test_verify_vaughan_identity_fault_exits_1(monkeypatch, capsys):
     for cell in data["cells"]:
         assert cell["detail"]["failures"]
         assert cell["detail"]["char_rs_report"] is None
+
+
+def test_verify_vaughan_sigma_fault_exits_1(monkeypatch, capsys):
+    """With R replaced by (1, 1, 1, 1, 0, ...), sigma1 and sigma2 meet an
+    |S|^2 that is not a power of 3: the cell fails, listing both, and the
+    run prints its JSON report and exits 1."""
+    def corrupted(ring, n):
+        out = np.zeros(ring.ctx.q**n, dtype=np.int8)
+        out[:4] = 1
+        return out
+
+    monkeypatch.setattr(verify, "_rs_table", corrupted)
+    assert main(["--n-max", "4", "verify", "vaughan"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(out.out)
+    assert data["passed"] is False
+    (cell,) = data["cells"]
+    assert cell["pass"] is False and cell["detail"]["combos"] == 15
+    assert cell["detail"]["failures"] == [
+        {"sigma": "sigma1",
+         "error": "|S|^2 = 5637 is not 0 or a power of 3 at g = 1"},
+        {"sigma": "sigma2",
+         "error": "|S|^2 = 36 is not 0 or a power of 3 at i = 2, g1 = 0,0,1"}]
 
 
 def _closed_reader(args, lines):

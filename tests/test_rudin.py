@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -16,6 +17,7 @@ from rsfq import (
     rudin_shapiro,
 )
 from rsfq import field, rudin, verify
+from rsfq.cli import main
 from rsfq.rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from rsfq.vecenum import digits
 
@@ -358,16 +360,25 @@ def test_warm_grid_caches_see_a_corrupted_field(part):
     test_star_routes_share_no_field_arithmetic(part)
 
 
-def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, f9):
-    """The t^(n+lag) coefficient of one product is wrong: the cell raises
-    and names that polynomial, even under python -O."""
+def test_star_raises_on_a_product_that_is_not_palindromic(monkeypatch, capsys,
+                                                          f9):
+    """The t^(n+lag) coefficient of one product is wrong: the cell fails
+    with an error naming that polynomial, even under python -O, and the
+    CLI prints the report and exits 1."""
     n, k = 2, 500
     a = f9.poly(digits(k, 9, n + 1).tolist())
     monkeypatch.setattr(verify, "reversal_products", corrupt(
         reversal_products, {(k, 1)}, row_of=lambda lag, n: n + lag))
-    with pytest.raises(AssertionError, match=re.escape(
-            f"of {f9.to_str(a)} is not palindromic at lag 1")):
-        verify.run_cell(star_cell(3, 2, n))
+    error = f"reversal product of {f9.to_str(a)} is not palindromic at lag 1"
+    result = verify.run_cell(star_cell(3, 2, n))
+    assert (result["pass"], result["detail"]) == (False, {"error": error})
+    assert main(["--p", "3", "--e", "2", "--n-max", "2", "verify", "star"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    cells = json.loads(out.out)["cells"]
+    assert [(c["n"], c["pass"]) for c in cells] == [(0, True), (1, True),
+                                                    (2, False)]
+    assert cells[2]["detail"]["error"] == error
 
 
 def test_star_cell_keeps_the_enumeration_cap():

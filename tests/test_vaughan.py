@@ -300,7 +300,7 @@ def test_sigma2_rows_in_small_blocks_equal_pair_oracles(
     """With blocks of a few g1 rows, so that pairs (g1, g2) with g2 past
     the block add their |S| to row g2 too, every row's exact sum equals
     the sum of its rs_pair_char_sum oracles over all g2.  sigma2 hands
-    every row after the first to _exceeds, in (i, g1) order."""
+    every row after the first to pair_exceeds, in (i, g1) order."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
     want = []
@@ -313,14 +313,14 @@ def test_sigma2_rows_in_small_blocks_equal_pair_oracles(
                     rs_pair_char_sum(ring, i, g1, g2, chi), p))
             want.append(list(total))
     seen = []
-    real_exceeds = vaughan._exceeds
+    real_exceeds = vaughan.pair_exceeds
 
     def recorded(x, y, p):
         seen.append(x)
         return real_exceeds(x, y, p)
 
     monkeypatch.setattr(vaughan, "BLOCK", block)
-    monkeypatch.setattr(vaughan, "_exceeds", recorded)
+    monkeypatch.setattr(vaughan, "pair_exceeds", recorded)
     sigma2(ring, n, u, v, chi)
     assert seen == want[1:]
 
@@ -490,6 +490,7 @@ def test_independent_routes_never_read_a_product_table(f3, monkeypatch):
     g = f3.from_ints([1, 1])
     # Nor do the floating-point oracles take |S|^2 from the exact route.
     monkeypatch.setattr(charsum, "energy_abs_sq", refuse)
+    monkeypatch.setattr(charsum, "decode_abs", refuse)
     rs_char_sum_over_set(f3, PolySet.MONIC, 3, g, chi)
     rs_pair_char_sum(f3, 2, g, f3.from_ints([2, 1]), chi)
     mat = sym_matrix(f3.ctx, [[1, 0], [0, 2]])
@@ -563,6 +564,21 @@ def test_sigma_rejects_a_magnitude_that_is_not_a_power_of_p(f3, monkeypatch):
     with pytest.raises(ExactIdentityError, match="is not 0 or a power of 3"
                        " at i = 2, g1 = 0,0,1$"):
         sigma2(f3, 4, 1, 2, chi)
+
+
+def test_sigma_rejects_uneven_energies(f5, monkeypatch):
+    """Over F_5, R replaced by (1, 1, 1, 1, 0, ...) gives the row g = 1 the
+    histogram (121, 4, 0, 0, 0) at n = 3: A_1 = 484 but A_2 = 0, so no
+    single |S|^2 serves every non-trivial character."""
+    def corrupted(ring, n):
+        out = np.zeros(ring.ctx.q**n, dtype=np.int8)
+        out[:4] = 1
+        return out
+
+    monkeypatch.setattr(vaughan, "_rs_table", corrupted)
+    with pytest.raises(ExactIdentityError, match="^A_d is not the same for "
+                       "every d != 0 at g = 1$"):
+        sigma1(f5, 3, 1, 1, CharSpec(f5.ctx, 1))
 
 
 def test_sigma1_monotone_in_cutoff_window(f3):
