@@ -62,6 +62,10 @@ COMMANDS = [
     ["--format", "csv", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
     ["--p", "31", "--e", "2", "distribution", "-n", "2"],
     ["--p", "3", "--e", "4", "verify", "star"],
+    # Across sieve.BLOCK at its default: R over 3^12 monics in 3 blocks,
+    # and product marking and joins in several blocks and slabs.
+    ["sigma", "sigma1", "-n", "12", "-u", "2", "-v", "6"],
+    ["distribution", "-n", "12"],
 ]
 
 

@@ -12,8 +12,8 @@ parts L.  gauss_counts builds them for a block of forms at once with one
 staged transform over the add/mul index tables, trading one coordinate of
 x for one of L per stage: m q^(m+2) work and O(q^(m+1)) memory per form
 for every q, where pairing every x with every L costs q^(2m) of both.
-scan_gauss_bound histograms each degree's forms in batches of about
-sieve.BLOCK entries and decides each form in integers from those
+scan_gauss_bound histograms each degree's forms in the sieve.blocks of
+about sieve.BLOCK entries and decides each form in integers from those
 histograms.
 
 energy_abs_sq is the one exact |S|^2 route: for a value histogram c,
@@ -48,7 +48,7 @@ from .field import FieldCtx, field_tables
 from .poly import DEFAULT_CAP, PolyRing, PolySet
 from .quadform import SymMatrix, form_ranks, qa_forms, quad_eval
 from .rudin import autocorrelation, rudin_shapiro
-from .sieve import BLOCK
+from .sieve import blocks
 from .vecenum import int_dtype, sub_table
 
 
@@ -237,7 +237,7 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
 
     For every k < n/2 and every monic a of degree k, the form Q_a and its
     rank r come from one qa_forms block and form_ranks, and gauss_counts,
-    over batches of about BLOCK histogram entries of that block, gives
+    over the sieve.blocks of about BLOCK histogram entries, gives
     c[v, L] = #{h : Q_a(h) + L(h) = v} for every linear part L.  With
     A_d = sum_v c_v c_(v+d), |S_beta|^2 = sum_d A_d psi_beta(d) for every
     character psi_beta.  The form passes when, for every L, decode_abs over
@@ -258,13 +258,12 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
         ring.check_cap(q ** (m + 1))
         forms = qa_forms(ring, n, k)
         ranks = form_ranks(ctx, forms)[0].tolist()
-        per = max(1, BLOCK // q ** (m + 1))
-        for start in range(0, len(forms), per):
-            counts = gauss_counts(forms[start:start + per], ctx)
+        for start, stop in blocks(len(forms), q ** (m + 1)):
+            counts = gauss_counts(forms[start:stop], ctx)
             abs_sq, exps = decode_abs(counts.transpose(0, 2, 1), add, p)[:2]
-            power = ctx.e * (2 * m - np.array(ranks[start:start + per]))
+            power = ctx.e * (2 * m - np.array(ranks[start:stop]))
             passed = ((exps == ZERO) | (exps == power[:, None])).all(axis=1)
-            for b, rank in enumerate(ranks[start:start + per]):
+            for b, rank in enumerate(ranks[start:stop]):
                 max_abs_sq = int(abs_sq[b].max())
                 reports.append({
                     "q": q,

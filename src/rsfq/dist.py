@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,9 +73,6 @@ class DistTable:
             "pnt_upper": self.pnt_upper,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -127,26 +123,6 @@ def distribution(ring: PolyRing, n: int) -> DistTable:
         q=q, n=n, counts=counts, total=total, expected=expected,
         max_abs_dev=max_dev, pnt_lower=lower, pnt_upper=upper,
     )
-
-
-def table_from_json(text: str) -> dict:
-    data = json.loads(text)
-    data["counts"] = {k: int(v) for k, v in data["counts"].items()}
-    return data
-
-
-def table_from_csv(text: str) -> dict:
-    """Recover the per-value counts from an emitted CSV table."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["gamma", "count", "expected", "deviation"]:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    counts = {}
-    for row in reader:
-        if not row:
-            continue
-        counts[row[0]] = int(row[1])
-    return {"counts": counts, "total": sum(counts.values())}
 
 
 def deviation_trend(ring: PolyRing, n_max: int) -> list:

@@ -88,11 +88,6 @@ class PolyRing:
     def is_monic(self, f) -> bool:
         return bool(f) and f[-1] == 1
 
-    def leading(self, f):
-        if not f:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return f[-1]
-
     # -- ring operations ---------------------------------------------------
 
     def add(self, f, g):

@@ -33,7 +33,7 @@ from .errors import DegreeBoundError, NotMonicError
 from .field import FieldCtx
 from .poly import PolyRing, PolySet
 from .rudin import autocorrelation, lag_sums
-from .sieve import BLOCK
+from .sieve import blocks
 from .vecenum import digits, int_dtype, mul_matrices
 
 
@@ -307,8 +307,8 @@ def form_ranks(ctx: FieldCtx, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (vecenum.mul_matrices); x -> that matrix embeds F_q in the F_p
     matrices, so F_p row operations on the (m e) x (m e) blow-up are F_q
     row operations on the form, and F_p ranks are e times F_q ranks.  The
-    block is eliminated mod p (_eliminate) in batches of about sieve.BLOCK
-    matrix entries, the same path for every q.
+    block is eliminated mod p (_eliminate) in the sieve.blocks of about
+    sieve.BLOCK matrix entries, the same path for every q.
     """
     if not (forms == forms.swapaxes(1, 2)).all():
         raise ValueError("forms must be symmetric")
@@ -316,12 +316,10 @@ def form_ranks(ctx: FieldCtx, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     size, m = forms.shape[:2]
     rank = np.empty(size, dtype=np.int64)
     monic_rank = np.empty(size, dtype=np.int64)
-    per = max(1, BLOCK // (m * e) ** 2)
-    for start in range(0, size, per):
-        stop = min(start + per, size)
-        blocks = mul_matrices(ctx.basis, digits(forms[start:stop], p, e), p)
+    for start, stop in blocks(size, (m * e) ** 2):
+        blown = mul_matrices(ctx.basis, digits(forms[start:stop], p, e), p)
         # Axes (form, i, j, row, col) -> rows (i, row), columns (j, col).
-        mats = blocks.transpose(0, 1, 3, 2, 4).reshape(-1, m * e, m * e)
+        mats = blown.transpose(0, 1, 3, 2, 4).reshape(-1, m * e, m * e)
         rank[start:stop], monic_rank[start:stop] = _eliminate(mats, p, e)
     return rank, monic_rank
 

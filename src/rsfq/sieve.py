@@ -53,7 +53,9 @@ reads the irreducibles off it.
 arith.Dirichlet sums weights over the product_indices blocks, or over the
 product tables assembled from them, kept per process.  Memory is bounded here:
 a digit-add table holds at most TABLE_BYTES, one image or gather block
-about BLOCK entries and one compare slab about BLOCK bytes.  Digit-add
+about BLOCK entries and one compare slab about BLOCK bytes, each range cut
+by blocks(count, cost, align), which cuts every range walked in blocks of
+one fixed size, here and in verify, quadform, charsum and vaughan.  Digit-add
 tables are shared read-only through vecenum.digit_add_table, which keeps
 the 16 most recently used, so the tables kept between calls add up across
 (p, s) to at most 16 of them; the digit arrays of the 32 most recent
@@ -88,6 +90,21 @@ BLOCK = 2**18
 # about 1.0 at q = 5, d = 2 and q = 25, d = 1) and 1.4-3.7 times it at
 # q^d = 49, 81 and 125 (q = 9 at d = 2: 2.3 times).
 JOIN_MAX = 27
+
+
+def blocks(count: int, cost: int = 1, align: int = 1):
+    """The ranges [start, stop) that cut [0, count) into blocks of
+    max(1, BLOCK // cost) indices, cost being what one index holds in
+    entries, rounded down to a multiple of the largest power of align that
+    fits, so that a kernel cuts a block into few pieces.  Every range that
+    is walked in blocks of one fixed size is cut here."""
+    per = max(1, BLOCK // cost)
+    step = 1
+    while align > 1 and step * align <= per:
+        step *= align
+    per -= per % step
+    for start in range(0, count, per):
+        yield start, min(start + per, count)
 
 
 class DigitAdd:
@@ -193,22 +210,17 @@ def product_indices(factors: np.ndarray, d: int, m: int, p: int,
     split = _split(p, e, d, m)
     _, lo, hi, low, high, _, _, window = split
     dtype = np.int32 if p**width <= np.iinfo(np.int32).max else np.int64
-    per = max(1, BLOCK // ((len(low) + len(high)) * width))
-    for start in range(0, len(factors), per):
-        g = digits(factors[start:start + per], p, d * e)
-        c = len(g)
+    for start, stop in blocks(len(factors), (len(low) + len(high)) * width):
+        g = digits(factors[start:stop], p, d * e)
         # Only the named halves live across the yields below, no image.
         xa, pa, xb, pb = _images(g, d, m, p, basis, split, dtype)
         # Gather blocks of about BLOCK products: several whole candidates
         # when one candidate's PA x PB fits, else some rows of one.
         la, lb = xa.shape[1], xb.shape[1]
-        rows = min(la, max(1, BLOCK // lb))
-        cands = max(1, BLOCK // (la * lb)) if rows == la else 1
-        for c0 in range(0, c, cands):
-            cs = slice(c0, c0 + cands)
-            gs = slice(start + c0, start + min(c0 + cands, c))
-            for r0 in range(0, la, rows):
-                rs = slice(r0, r0 + rows)
+        for c0, c1 in blocks(len(g), la * lb):
+            cs, gs = slice(c0, c1), slice(start + c0, start + c1)
+            for r0, r1 in blocks(la, lb):
+                rs = slice(r0, r1)
                 # Carry-free only in the window; outside it at most one
                 # summand has a nonzero digit, so plain addition is exact.
                 idx = window(xa[cs, rs, None], xb[cs, None, :],
@@ -311,13 +323,14 @@ def _join(composite: np.ndarray, groups: list, n: int, p: int, e: int) -> None:
                       neg[:, n - a, 0])
     # Compare in row slabs of about BLOCK (candidate, f) entries.
     grid = composite.reshape(len(high), len(low))
-    rows = min(len(grid), max(1, BLOCK // (c * len(low))))
+    slabs = list(blocks(len(grid), c * len(low)))
+    rows = slabs[0][1]
     equal = np.empty((c, rows, len(low)), dtype=bool)
     hit = np.empty((rows, len(low)), dtype=bool)
-    for r0 in range(0, len(grid), rows):
-        slab = grid[r0:r0 + rows]
-        eq, any_eq = equal[:, :len(slab)], hit[:len(slab)]
-        np.equal(right[:, r0:r0 + rows, None], left[:, None, :], out=eq)
+    for r0, r1 in slabs:
+        slab = grid[r0:r1]
+        eq, any_eq = equal[:, :r1 - r0], hit[:r1 - r0]
+        np.equal(right[:, r0:r1, None], left[:, None, :], out=eq)
         np.logical_or.reduce(eq, axis=0, out=any_eq)
         np.logical_or(slab, any_eq, out=slab)
 

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
-from .sieve import BLOCK
+from .sieve import BLOCK, blocks
 from .vecenum import int_dtype
 
 
@@ -301,14 +301,13 @@ def random_weight_values(ring: PolyRing, n: int, seed: int) -> list:
 
 def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
     """R of every monic polynomial of degree n >= 2 in counting order,
-    evaluated on BLOCK entries at a time, which bounds rs_values'
-    temporaries.  R(g h) for monic g of degree d is then this table read
-    through the kernel's product table of degrees (d, n - d)."""
+    evaluated on the sieve.blocks of BLOCK entries, which bounds
+    rs_values' temporaries.  R(g h) for monic g of degree d is then this
+    table read through the kernel's product table of degrees (d, n - d)."""
     q = ring.ctx.q
     out = np.empty(q**n, dtype=int_dtype(q - 1))
-    for lo in range(0, len(out), BLOCK):
-        out[lo:lo + BLOCK] = rs_values(
-            ring, n, np.arange(lo, min(lo + BLOCK, len(out))))
+    for start, stop in blocks(len(out)):
+        out[start:stop] = rs_values(ring, n, np.arange(start, stop))
     return out
 
 
@@ -417,11 +416,13 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         sums = np.zeros((rows, 2), dtype=np.int64)
         lo = 0
         while lo < rows:
-            # Rows g1 in [lo, hi) against every g2 >= lo.  The histogram of
-            # (g2, g1) is that of (g1, g2) mirrored, with the same |S|, so
-            # each pair g1 <= g2 adds its |S| to row g1 and, off the
-            # diagonal, to row g2; the pairs g2 < g1 inside the block were
-            # already counted that way.
+            # Rows g1 in [lo, hi) against every g2 >= lo.  Each row pairs
+            # with fewer g2 as lo grows, so the rows are cut here, not by
+            # sieve.blocks, whose blocks have one fixed size.  The
+            # histogram of (g2, g1) is that of (g1, g2) mirrored, with the
+            # same |S|, so each pair g1 <= g2 adds its |S| to row g1 and,
+            # off the diagonal, to row g2; the pairs g2 < g1 inside the
+            # block were already counted that way.
             span = rows - lo
             hi = min(rows, lo + max(1, BLOCK // (span * cols)))
             right = np.arange(span)[:, None] * width + neg[lo:]

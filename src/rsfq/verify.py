@@ -18,21 +18,22 @@ is a violated desk-scale instance of a stated bound and turns into exit
 code 1 at the CLI; the rank-qa scan is known to contain such instances at
 boundary degrees (see the scan reports for the inventory).
 
-The star cell walks the q^(n+1) polynomials a of degree <= n as blocks,
-ranges of counting indices: rudin.reversal_products gives the
+The star cell walks the q^(n+1) polynomials a of degree <= n in the
+sieve.blocks of their counting indices: rudin.reversal_products gives the
 coefficients of reverse(a, n) * a and rudin.lag_sums every
 autocorrelation of a, by two routes that share no field arithmetic
 (Horner's rule through the modulus against digit sums contracted with the
 powers of w).  Each forms the products of two coefficients once on the
 subgrid of their values in a piece of the range, not once per
-polynomial, and holds about BLOCK entries at most besides its output.
+polynomial, and holds about sieve.BLOCK entries at most besides its output.
 A product that is not palindromic fails the cell with an error naming a;
 a coefficient t^(n-lag) that differs from the lag sum is a failure
 {"a", "lag"}, listed by a and then by lag.
 verify_all cap-checks every scheduled star cell before any cell runs.
 The lin-red cell compares rudin.rs_values of the q^n monics f of degree n
-with their lag-1 sums minus f_(n-1), digit-wise mod p, in blocks of about
-BLOCK monics, and lists each failing f by ring.to_str in counting order.
+with their lag-1 sums minus f_(n-1), digit-wise mod p, in the sieve.blocks
+of about sieve.BLOCK digits, and lists each failing f by ring.to_str in
+counting order.
 The vaughan cell lists a cutoff pair that breaks its identity, and a sigma
 aggregate whose |S|^2 is not 0 or a power of p, as failures.
 """
@@ -52,7 +53,7 @@ from .errors import ConfigError, ExactIdentityError
 from .field import FieldCtx, shared_ctx
 from .poly import DEFAULT_CAP, PolyRing, PolySet
 from .rudin import _lag1_sums, lag_sums, reversal_products, rs_values
-from .sieve import BLOCK
+from .sieve import blocks
 from .vaughan import (
     VaughanContext,
     _rs_table,
@@ -105,25 +106,12 @@ def _star_count(ring: PolyRing, cell: dict) -> int:
     return count
 
 
-def _blocks(q: int, count: int, per: int):
-    """The ranges [start, stop) that cut [0, count) into blocks of at most
-    max(per, 1) counting indices, each a multiple of the largest power of
-    q that fits, so the kernels cut a block into few pieces."""
-    per = max(per, 1)
-    step = 1
-    while step * q <= per:
-        step *= q
-    per -= per % step
-    for start in range(0, count, per):
-        yield start, min(start + per, count)
-
-
 def _run_star(ring: PolyRing, cell: dict):
     n = cell["n"]
     count = _star_count(ring, cell)
     failures = []
     # Each block holds about BLOCK coefficients and lag sums.
-    for start, stop in _blocks(ring.ctx.q, count, BLOCK // (3 * n + 2)):
+    for start, stop in blocks(count, 3 * n + 2, ring.ctx.q):
         prod = reversal_products(ring, n, start, stop)
         corr = prod[n::-1]                  # t^(n-lag), lag = 0..n
         skew = corr != prod[n:]             # against t^(n+lag)
@@ -146,7 +134,7 @@ def _run_lin_red(ring: PolyRing, cell: dict):
     failures = []
     # Blocks of about BLOCK digits of lag-1 sums.  In degree <= n
     # counting order the monics of degree n follow q^n.
-    for start, stop in _blocks(q, q**n, BLOCK // e):
+    for start, stop in blocks(q**n, e, q):
         low = np.arange(start, stop)
         lag1 = digits(_lag1_sums(ring, n, q**n + start, q**n + stop), p, e)
         second = digits(low // q ** (n - 1) % q, p, e)     # f_(n-1)

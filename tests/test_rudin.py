@@ -16,7 +16,7 @@ from rsfq import (
     reversal_product_correlations,
     rudin_shapiro,
 )
-from rsfq import field, rudin, verify
+from rsfq import field, rudin, sieve, verify
 from rsfq.cli import main
 from rsfq.rudin import _lag1_sums, lag_sums, reversal_products, rs_values
 from rsfq.vecenum import digits
@@ -322,7 +322,7 @@ def test_star_reports_each_corrupted_lag_in_order(monkeypatch, p, e, n, bad):
     """Corrupted lag sums surface as exactly the (a, lag) failures of the
     per-polynomial loop, by a and then by lag, also across block edges."""
     ring = PolyRing(FieldCtx(p, e))
-    monkeypatch.setattr(verify, "BLOCK", 7 * (n + 1) ** 2 * e)   # 3-10 per block
+    monkeypatch.setattr(sieve, "BLOCK", 7 * (n + 1) ** 2 * e)   # 3-10 per block
     monkeypatch.setattr(verify, "lag_sums", corrupt(lag_sums, bad))
     result = verify.run_cell(star_cell(p, e, n))
     assert not result["pass"]
@@ -442,7 +442,7 @@ def test_lin_red_reports_each_corrupted_monic_in_order(monkeypatch, p, e, n,
     ring.to_str, in counting order, also across block edges."""
     ring = PolyRing(FieldCtx(p, e))
     q = ring.ctx.q
-    monkeypatch.setattr(verify, "BLOCK", 5 * e)   # blocks of 3 (q=3), 5 (q=9)
+    monkeypatch.setattr(sieve, "BLOCK", 5 * e)   # blocks of 3 (q=3), 5 (q=9)
     row = corrupt(lambda *case: _lag1_sums(*case)[None],
                   {(q**n + k, 0) for k in bad})
     monkeypatch.setattr(verify, "_lag1_sums", lambda *case: row(*case)[0])

@@ -5,6 +5,7 @@ an explicit product, so agreement with the divisibility-formula count and
 the prime-polynomial bracket is checked over the full desk-scale range.
 """
 
+import json
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from rsfq.rudin import rs_values
 from rsfq.sieve import TABLE_BYTES, DigitAdd, composite_mask, product_indices
 from rsfq.vaughan import sigma2
 from rsfq.vecenum import digit_add_table, digits, index_tables, wide_places
+from rsfq.verify import RunConfig, verify_all
 
 LIMIT = 10**7
 
@@ -39,6 +41,72 @@ def fresh_factor_bases():
     cached.cache_clear()
     yield
     cached.cache_clear()
+
+
+@pytest.mark.parametrize("block, count, cost, align", [
+    (sieve.BLOCK, 3**12, 1, 1),      # R over the monics at q = 3, n = 12
+    (sieve.BLOCK, 3**13, 38, 3),     # the star cell at q = 3, n = 12
+    (100, 1000, 7, 1),
+    (100, 1000, 7, 3),               # 14 indices, cut to 9
+    (100, 999, 1, 9),                # 100 indices, cut to 81
+    (100, 50, 3, 5),                 # 33 indices, cut to 25; the last is short
+    (100, 7, 1, 200),                # no power of align above 1 fits
+    (100, 0, 1, 3),
+    (100, 17, 101, 3),               # cost > BLOCK
+    (100, 5, 100, 1),
+])
+def test_blocks_cut_the_range_in_order(monkeypatch, block, count, cost,
+                                       align):
+    """sieve.blocks covers [0, count) in order without gaps, each range
+    holding at most max(1, BLOCK // cost) indices, and with align = q
+    every full block is a multiple of the largest power of q that fits."""
+    monkeypatch.setattr(sieve, "BLOCK", block)
+    ranges = list(sieve.blocks(count, cost, align))
+    edges = [0] + [stop for _, stop in ranges]
+    assert ranges == list(zip(edges, edges[1:])) and edges[-1] == count
+    per = max(1, block // cost)
+    power = max(align**j for j in range(per.bit_length() + 1)
+                if align**j <= per) if align > 1 else 1
+    sizes = {stop - start for start, stop in ranges[:-1]}
+    assert len(sizes) <= 1
+    for size in sizes:
+        assert size % power == 0 and per - power < size <= per
+    assert all(0 < stop - start <= per for start, stop in ranges)
+
+
+def test_blocks_at_the_edges():
+    """Nothing for an empty range, blocks of 1 when one index costs more
+    than BLOCK, and three blocks for R over the 3^12 monics."""
+    assert list(sieve.blocks(0)) == []
+    assert list(sieve.blocks(3, sieve.BLOCK + 1, 3)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(sieve.blocks(3**12)) == [(0, 2**18), (2**18, 2**19),
+                                         (2**19, 3**12)]
+
+
+@pytest.mark.parametrize("p, e, n_max", [(3, 1, 5), (5, 1, 4), (3, 2, 3)])
+def test_verify_payload_is_the_same_in_small_blocks(monkeypatch,
+                                                    fresh_factor_bases, p, e,
+                                                    n_max):
+    """With sieve.BLOCK shrunk to 64 and to 7, every scan that sieve.blocks
+    cuts crosses block edges (form_ranks, the Gauss batches, R over the
+    monics, star and lin-red, and the sieve's gathers and compare slabs),
+    and the verify_all payload, meta dropped, is byte-identical to the
+    default's.  The product and divisor tables and the factor bases are
+    emptied before each run, so that every run walks the sieve's blocks."""
+    cfg = RunConfig(p=p, e=e, n_max=n_max)
+
+    def payload():
+        for cached in (arith._product_table, arith._divisor_table,
+                       sieve._factor_base):
+            cached.cache_clear()
+        report = verify_all(cfg)
+        del report["meta"]
+        return json.dumps(report)
+
+    want = payload()
+    for block in (64, 7):
+        monkeypatch.setattr(sieve, "BLOCK", block)
+        assert payload() == want, block
 
 
 def test_sieve_matches_enumeration_small(f3, f5, f9):
