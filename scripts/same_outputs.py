@@ -66,6 +66,9 @@ COMMANDS = [
     # and product marking and joins in several blocks and slabs.
     ["sigma", "sigma1", "-n", "12", "-u", "2", "-v", "6"],
     ["distribution", "-n", "12"],
+    # Above sieve.BLOCK the kernel streams: d_6 = 1_6 * 1_6 sums over
+    # product_indices blocks.
+    ["nf-count", "-n", "6"],
 ]
 
 

@@ -9,7 +9,7 @@ and builds that window's adder itself.  The table of g*h over all monic
 g, h of degrees d, m is a per-field constant: while it has at most
 sieve.BLOCK entries a process builds it once per field and unordered
 {d, m} (_product_table) and every kernel reads it, so each convolution of
-that size is one bincount over it; a larger one streams the blocks and
+that size is one bincount over it; a larger one sums over the blocks and
 keeps nothing.  convolve_rows gives many convolutions of one degree as
 the rows of one array, each term reading its table once; vaughan builds
 its blocks with it, per total degree.  mu, Lambda and tau need, per
@@ -44,8 +44,8 @@ class Dirichlet:
     kept per instance as they are solved, one degree at a time and each
     from its own identity.  The index tables it reads are per process
     (_product_table, _divisor_table), shared by every kernel of the same
-    field; tables=False reads neither, so every convolution streams
-    product_indices blocks.
+    field; tables=False reads neither, so every convolution sums over the
+    streamed product_indices blocks.
     """
 
     def __init__(self, ring: PolyRing, tables: bool = True):
@@ -82,12 +82,12 @@ class Dirichlet:
         x is a vector or a 2-D stack of vectors of degree d, y a vector of
         degree k - d.
 
-        Each row enumerates the nonzero entries of its sparser factor
-        (_sparser).  While q^k <= BLOCK a row is one bincount over its
-        kept product table, written straight into the output; a larger k,
-        or a kernel that keeps no table, streams product_indices blocks.
-        One bincount over all rows would need every key offset by its row:
-        a pass over the keys that costs more than the calls it saves.
+        Each row enumerates the nonzero entries gs of its sparser factor
+        (_sparser) and sums one bincount per block of their products with
+        h: the rows gs of the kept product table while q^k <= BLOCK, else
+        the product_indices blocks of gs.  One bincount over all rows would
+        need every key offset by its row: a pass over the keys that costs
+        more than the calls it saves.
         """
         size = self.ctx.q**k
         if size > SIEVE_CAP:
@@ -109,13 +109,20 @@ class Dirichlet:
                 raise OverflowError("convolution sums exceed exact float range")
             for row, x in zip(rows, xs):
                 x, da, gs, h, db = self._sparser(x, d, y, k - d)
+                x, h = x[gs], h.astype(float)
                 if size > self._keep:
-                    self._stream(x, da, gs, h, db, row)
+                    blocks = product_indices(gs, da, db, self.ctx.p,
+                                             self.ctx.basis)
                 else:
                     # Each nonzero x[g] against the whole of h: table row g.
-                    row[:] = np.bincount(
-                        self.products(da, db)[gs].ravel(),
-                        np.multiply.outer(x[gs], h.astype(float)).ravel(), size)
+                    blocks = [(slice(None), slice(None),
+                               self.products(da, db)[gs])]
+                parts = (np.bincount(idx.ravel(), np.multiply.outer(
+                    x[sel], h[hs]).ravel(), size) for sel, hs, idx in blocks)
+                z = next(parts, 0)      # the first sum, not a zeroed array
+                for part in parts:
+                    z += part
+                row[:] = z
         return out
 
     def _sparser(self, x: np.ndarray, da: int, y: np.ndarray,
@@ -127,17 +134,6 @@ class Dirichlet:
         if len(ys) * self.ctx.q**da < len(xs) * self.ctx.q**db:
             return y, db, ys, x, da
         return x, da, xs, y, db
-
-    def _stream(self, x: np.ndarray, da: int, xs: np.ndarray, y: np.ndarray,
-                db: int, out: np.ndarray) -> None:
-        """Write x * y into out, summed over the product_indices blocks of
-        xs, the entries of x it enumerates."""
-        ctx = self.ctx
-        z = np.zeros(len(out))
-        for gs, rows, idx in product_indices(xs, da, db, ctx.p, ctx.basis):
-            w = x[xs[gs], None, None] * y.reshape(idx.shape[2], -1).T[rows]
-            z += np.bincount(idx.ravel(), weights=w.ravel(), minlength=len(z))
-        out[:] = z
 
     def _divisor_sum(self, f: list | None, k: int) -> np.ndarray:
         """Sum over 1 <= j < k of f[j] * 1_(k-j), f[j] = 1_j if f is None.
@@ -199,15 +195,13 @@ class Dirichlet:
 
 def _products(p: int, basis: np.ndarray, d: int, m: int) -> np.ndarray:
     """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
-    degrees d, m >= 1, assembled from the product_indices blocks."""
+    degrees d, m >= 1, filled block by block from product_indices."""
     q = p ** basis.shape[0]
     table = None
-    for gs, rows, idx in product_indices(np.arange(q**d), d, m, p, basis):
+    for gs, hs, idx in product_indices(np.arange(q**d), d, m, p, basis):
         if table is None:
             table = np.empty((q**d, q**m), dtype=idx.dtype)
-        # idx[i, r, j] is g times the h of counting index r + j*la.
-        table.reshape(q**d, idx.shape[2], -1)[gs, :, rows] = (
-            idx.transpose(0, 2, 1))
+        table[gs, hs] = idx
     table.flags.writeable = False
     return table
 

@@ -44,14 +44,15 @@ window in plain integer addition, which is exact there.  The window digits
 are held at the place values of base 2p - 1, where a digit sum never
 carries, so the window sum is the plain sum reduced by one lookup per chunk
 of s digits in a (2p - 1)^s digit-add table (one chunk when the window is
-narrow).  product_indices yields those indices block by block.
+narrow).  product_indices yields those indices block by block, some g
+against a contiguous range of h in counting order.
 
 composite_mask(ring, n) joins or marks in a boolean array over the monic
 degree-n counting indices, for q^n up to the module constant SIEVE_CAP;
 count_irreducibles_sieve counts its unmarked entries and dist.distribution
 reads the irreducibles off it.
 arith.Dirichlet sums weights over the product_indices blocks, or over the
-product tables assembled from them, kept per process.  Memory is bounded here:
+product tables filled from them, kept per process.  Memory is bounded here:
 a digit-add table holds at most TABLE_BYTES, one image or gather block
 about BLOCK entries and one compare slab about BLOCK bytes, each range cut
 by blocks(count, cost, align), which cuts every range walked in blocks of
@@ -202,9 +203,9 @@ def _images(g: np.ndarray, d: int, m: int, p: int, basis: np.ndarray,
 
 def product_indices(factors: np.ndarray, d: int, m: int, p: int,
                     basis: np.ndarray):
-    """Yield (gs, rows, idx) blocks of the indices of every g*h, h monic of
-    degree m >= 1: idx[i, r, j] is that of g = factors[gs][i] times the h of
-    counting index rows.start + r + j*la, where la * idx.shape[2] = q^m."""
+    """Yield (gs, hs, idx) blocks of the indices of every g*h, h monic of
+    degree m >= 1: idx[i, j] is that of g = factors[gs][i] times the h of
+    counting index hs.start + j."""
     e = basis.shape[0]
     width = (d + m) * e
     split = _split(p, e, d, m)
@@ -215,22 +216,23 @@ def product_indices(factors: np.ndarray, d: int, m: int, p: int,
         # Only the named halves live across the yields below, no image.
         xa, pa, xb, pb = _images(g, d, m, p, basis, split, dtype)
         # Gather blocks of about BLOCK products: several whole candidates
-        # when one candidate's PA x PB fits, else some rows of one.
+        # when one candidate's PA x PB fits, else some high halves of one
+        # against every low half, the h in [r0*la, r1*la) as h = low + high*la.
         la, lb = xa.shape[1], xb.shape[1]
         for c0, c1 in blocks(len(g), la * lb):
             cs, gs = slice(c0, c1), slice(start + c0, start + c1)
-            for r0, r1 in blocks(la, lb):
+            for r0, r1 in blocks(lb, la):
                 rs = slice(r0, r1)
                 # Carry-free only in the window; outside it at most one
                 # summand has a nonzero digit, so plain addition is exact.
-                idx = window(xa[cs, rs, None], xb[cs, None, :],
+                idx = window(xb[cs, rs, None], xa[cs, None, :],
                              hi - lo).astype(dtype, copy=False)
                 if lo:
                     idx *= p**lo
-                    idx += pa[cs, rs, None]
+                    idx += pa[cs, None, :]
                 if hi < width:
-                    idx += pb[cs, None, :]
-                yield gs, rs, idx
+                    idx += pb[cs, rs, None]
+                yield gs, slice(r0 * la, r1 * la), idx.reshape(c1 - c0, -1)
 
 
 @lru_cache(maxsize=32)

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
-from .sieve import BLOCK, blocks
+from .sieve import blocks
 from .vecenum import int_dtype
 
 
@@ -399,7 +399,7 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     the per-process product tables.  The pair (g2, g1) has the mirrored
     histogram and the same |S|, so each unordered pair is histogrammed
     once and its |S| added to both rows.  The histograms of a block of g1
-    rows against every g2 from the block's first row on, about BLOCK
+    rows against every g2 from the block's first row on, about sieve.BLOCK
     (pair, h) entries, come from one bincount.  The argmax is the first
     (i, g1) in counting order that attains value_exact, decided exactly.
     rs is as in sigma1.
@@ -414,17 +414,14 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
         rows, cols = t.shape
         neg = (-t) % p
         sums = np.zeros((rows, 2), dtype=np.int64)
-        lo = 0
-        while lo < rows:
-            # Rows g1 in [lo, hi) against every g2 >= lo.  Each row pairs
-            # with fewer g2 as lo grows, so the rows are cut here, not by
-            # sieve.blocks, whose blocks have one fixed size.  The
-            # histogram of (g2, g1) is that of (g1, g2) mirrored, with the
-            # same |S|, so each pair g1 <= g2 adds its |S| to row g1 and,
-            # off the diagonal, to row g2; the pairs g2 < g1 inside the
-            # block were already counted that way.
+        for lo, hi in blocks(rows, rows * cols):
+            # Rows g1 in [lo, hi) against every g2 >= lo, at most rows*cols
+            # (pair, h) entries a row.  The histogram of (g2, g1) is that
+            # of (g1, g2) mirrored, with the same |S|, so each pair
+            # g1 <= g2 adds its |S| to row g1 and, off the diagonal, to row
+            # g2; the pairs g2 < g1 inside the block were already counted
+            # that way.
             span = rows - lo
-            hi = min(rows, lo + max(1, BLOCK // (span * cols)))
             right = np.arange(span)[:, None] * width + neg[lo:]
             left = t[lo:hi] + np.arange(hi - lo)[:, None] * (span * width)
             raw = np.bincount((left[:, None, :] + right).ravel(),
@@ -443,7 +440,6 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
             sums[lo:hi] += inner.sum(axis=2).T + outer.sum(axis=1)
             sums[lo:hi] += inner.sum(axis=1).T - inner.diagonal(axis1=1, axis2=2).T
             sums[hi:] += outer.sum(axis=0)
-            lo = hi
         for k, pair in enumerate(sums.tolist()):
             if best is None or pair_exceeds(pair, best, p):
                 best, best_i, best_k = pair, i, k

@@ -20,7 +20,7 @@ from rsfq import (
     tau,
     von_mangoldt,
 )
-from rsfq import arith
+from rsfq import arith, sieve
 from rsfq.arith import FactorTable as _FT
 from rsfq.sieve import product_indices
 from rsfq.vaughan import VaughanContext
@@ -370,6 +370,39 @@ def test_streaming_kernel_matches_the_kept_tables(f3, monkeypatch):
         assert (a == b).all()
 
 
+@pytest.mark.parametrize("p, e, n", [(3, 1, 5), (3, 2, 3)])
+def test_streamed_blocks_across_h_match_the_kept_kernel(monkeypatch, p, e, n):
+    """With sieve.BLOCK at 7 and at 64, product_indices cuts the h of a
+    convolution into several blocks, and a kernel without tables still
+    gives the kept kernel's mu, Lambda, tau and a two-row stack."""
+    ring = PolyRing(FieldCtx(p, e))
+
+    def values(kernel):
+        mu, lam = kernel.mobius(n), kernel.von_mangoldt(n)
+        stack = kernel.convolve_rows(
+            [(np.stack([mu[2], lam[2]]), 2, kernel.ones(n - 2))], n)
+        return mu + lam + [kernel.tau(k) for k in range(n + 1)] + [stack]
+
+    want = values(Dirichlet(ring))
+    real = arith.product_indices
+    starts = []
+
+    def recorded(*args):
+        for gs, hs, idx in real(*args):
+            starts.append(hs.start)
+            yield gs, hs, idx
+
+    monkeypatch.setattr(arith, "product_indices", recorded)
+    for block in (7, 64):
+        monkeypatch.setattr(sieve, "BLOCK", block)
+        starts.clear()
+        got = values(Dirichlet(ring, tables=False))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a == b).all()
+        assert max(starts) > 0      # some block starts past the first h
+
+
 def forbid_the_tables(monkeypatch):
     """Make every read of either per-process table cache fail."""
     def refuse(*args):
@@ -435,12 +468,10 @@ def direct_table(ctx, d, m) -> np.ndarray:
     of product_indices over ctx.basis."""
     q = ctx.q
     out = np.full((q**d, q**m), -1, dtype=np.int64)
-    for gs, rows, idx in product_indices(np.arange(q**d), d, m, ctx.p,
-                                         ctx.basis):
-        la = q**m // idx.shape[2]
-        g = np.arange(q**d)[gs]
-        h = np.arange(la)[rows][:, None] + la * np.arange(idx.shape[2])
-        out[g[:, None, None], h[None]] = idx
+    for gs, hs, idx in product_indices(np.arange(q**d), d, m, ctx.p,
+                                       ctx.basis):
+        g, h = np.arange(q**d)[gs], np.arange(q**m)[hs]
+        out[g[:, None], h[None]] = idx
     assert (out >= 0).all()
     return out
 

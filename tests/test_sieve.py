@@ -261,20 +261,20 @@ def test_product_indices_match_polynomial_products(p, e, n, d, sample):
     dtype = np.int32 if p ** (n * e) < 2**31 else np.int64
     seen = np.zeros((len(factors), q**m), dtype=np.int64)
     blocks = product_indices(factors, d, m, p, ring.ctx.basis)
-    for _, (gs, rows, idx) in zip(range(sample or len(seen) * q**m), blocks):
+    for _, (gs, hs, idx) in zip(range(sample or len(seen) * q**m), blocks):
         assert idx.dtype == dtype
-        la = q**m // idx.shape[2]
+        assert idx.shape == (gs.stop - gs.start, hs.stop - hs.start)
         cells = np.argwhere(np.ones(idx.shape, dtype=bool))
         if sample:
             cells = cells[rng.choice(len(cells), 300)]
-        for i, r, j in cells.tolist():
+        for i, j in cells.tolist():
             k = gs.start + i
-            h_idx = rows.start + r + j * la
+            h_idx = hs.start + j
             seen[k, h_idx] += 1
             g = next(ring.monic_range(d, int(factors[k]), int(factors[k]) + 1))
             h = next(ring.monic_range(m, h_idx, h_idx + 1))
             want = ring.index_of(ring.mul(g, h)[:-1])    # drop the leading 1
-            assert idx[i, r, j] == want, (k, h_idx)
+            assert idx[i, j] == want, (k, h_idx)
     if sample is None:
         assert (seen == 1).all()
 

@@ -32,7 +32,7 @@ from rsfq import (
     unit_weight,
     vaughan_decompose,
 )
-from rsfq import arith, charsum, vaughan, verify
+from rsfq import arith, charsum, sieve, vaughan, verify
 from rsfq.arith import FactorTable
 from rsfq.vaughan import _rs_table
 
@@ -319,7 +319,7 @@ def test_sigma2_rows_in_small_blocks_equal_pair_oracles(
         seen.append(x)
         return real_exceeds(x, y, p)
 
-    monkeypatch.setattr(vaughan, "BLOCK", block)
+    monkeypatch.setattr(sieve, "BLOCK", block)
     monkeypatch.setattr(vaughan, "pair_exceeds", recorded)
     sigma2(ring, n, u, v, chi)
     assert seen == want[1:]
