@@ -31,6 +31,11 @@ COMMANDS = [
     ["--p", "3", "--e", "2", "--jobs", "2", "verify", "all"],
     ["--p", "5", "--e", "2", "--n-max", "3", "verify", "all"],
     ["--p", "3", "--e", "3", "--n-max", "3", "verify", "all"],
+    # A per-field table keyed without the basis would hand this run the
+    # default modulus's lags.
+    ["--p", "3", "--e", "2", "--modulus", "2,1,1", "verify", "all"],
+    # The cap refuses the 27 monic multipliers of degree 3 (exit 2).
+    ["--cap", "20", "verify", "rank-qa"],
     ["verify", "vaughan", "--seed", "7", "--weights", "5"],
     ["verify", "tau"],
     ["verify", "tau-moment"],
@@ -61,6 +66,8 @@ COMMANDS = [
     ["--format", "csv", "verify", "all"],
     ["--format", "csv", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
     ["--p", "31", "--e", "2", "distribution", "-n", "2"],
+    # Above field.TABLE_Q, R over F_(p^e) comes from digits, not tables.
+    ["--p", "3", "--e", "6", "distribution", "-n", "2"],
     ["--p", "3", "--e", "4", "verify", "star"],
     # Across sieve.BLOCK at its default: R over 3^12 monics in 3 blocks,
     # and product marking and joins in several blocks and slabs.

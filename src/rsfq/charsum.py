@@ -46,7 +46,8 @@ from .errors import (
 )
 from .field import FieldCtx, field_tables
 from .poly import DEFAULT_CAP, PolyRing, PolySet
-from .quadform import SymMatrix, form_ranks, qa_forms, quad_eval
+from .quadform import (SymMatrix, form_ranks, multipliers, qa_forms,
+                       quad_eval)
 from .rudin import autocorrelation, rudin_shapiro
 from .sieve import blocks
 from .vecenum import int_dtype, sub_table
@@ -254,7 +255,7 @@ def scan_gauss_bound(ring: PolyRing, n: int) -> list:
     reports = []
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
-        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
+        names = multipliers(ring, k)[1]
         ring.check_cap(q ** (m + 1))
         forms = qa_forms(ring, n, k)
         ranks = form_ranks(ctx, forms)[0].tolist()

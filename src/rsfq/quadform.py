@@ -12,20 +12,25 @@ restriction to monic h (top coefficient fixed to 1) is affine; its
 quadratic part is the principal submatrix with the top index deleted, and
 monic_slice_rank reports that rank.
 
-The scans rank a whole degree of forms at once.  qa_forms reads every
-multiplier form of one degree off rudin.lag_sums: it is the symmetric
-Toeplitz matrix with entries (S(|d-1|) + S(d+1)) / 2 on the d-th
-diagonals, and a difference form is the difference of two of them.
+The scans rank a whole degree of forms at once.  The autocorrelations
+S(0..k) of the monic a of degree k and their names are constants of the
+field and of k: _multiplier_table keeps them once per process, read off
+rudin.lag_sums and PolyRing.to_str, for every n of the rank-qa, rank-bab
+and gauss scans, which read them cap-checked through multipliers.
+qa_forms reads every multiplier form of one degree off them: it is the
+symmetric Toeplitz matrix with entries (S(|d-1|) + S(d+1)) / 2 on the
+d-th diagonals, and a difference form is the difference of two of them.
 form_ranks blows every entry up to its e x e F_p multiplication matrix
 and eliminates mod p over the whole block, the same path for every q with
 no q x q table.  matrix_rank, monic_slice_rank and the per-form builders
 qa_matrix, qa_matrix_entrywise and bab_matrix are their oracles and never
-call them.
+call them or read the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -324,19 +329,48 @@ def form_ranks(ctx: FieldCtx, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rank, monic_rank
 
 
+@lru_cache(maxsize=32)
+def _multiplier_table(ctx: FieldCtx, k: int) -> tuple[np.ndarray, tuple]:
+    """The monic a of degree k over ctx, in counting order: their read-only
+    (q^k, k + 1) autocorrelations S(0..k) as element indices, and their
+    names by PolyRing.to_str.
+
+    Both are constants of the field and of k, so every n of a scan reads
+    them.  The key is the FieldCtx, which compares by (p, e, modulus):
+    the lags read the basis, which the modulus fixes, and the names p and
+    e, so a ctx with another modulus gets a table of its own.  The 32 most
+    recently used are kept, each (k + 1) q^k indices and q^k names.  The
+    scans charge q^k to their ring's cap (multipliers) before they read
+    it.
+    """
+    ring = PolyRing(ctx)
+    count = ctx.q**k
+    # In degree <= k counting order the monics of degree k follow q^k.
+    lags = np.ascontiguousarray(lag_sums(ring, k, count, 2 * count).T)
+    lags.setflags(write=False)
+    return lags, tuple(map(ring.to_str, ring.monic_range(k, 0, count)))
+
+
+def multipliers(ring: PolyRing, k: int) -> tuple[np.ndarray, tuple]:
+    """_multiplier_table of ring's field and k, with its q^k monics charged
+    to ring.check_cap first, as ring.enumerate(PolySet.MONIC, k) does."""
+    ring.check_cap(ring.cardinality(PolySet.MONIC, k))
+    return _multiplier_table(ring.ctx, k)
+
+
 def _diagonals(ring: PolyRing, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag sums and diagonals of h -> S(a h) for every monic a of degree k.
 
     Returns the (q^k, k + 1) autocorrelations S(0..k) of each a, as element
-    indices in counting order, and the (q^k, m, e) base-p digits of
-    w_d = (S(|d - 1|) + S(d + 1)) / 2, d < m = n - k + 1, S zero above lag
-    k: entry (i, j) of the form is w_|i-j| (qa_matrix_entrywise).  1/2 is
-    the F_p scalar (p + 1) / 2, so every step is digit-wise mod p.
+    indices in counting order (_multiplier_table), and the (q^k, m, e)
+    base-p digits of w_d = (S(|d - 1|) + S(d + 1)) / 2, d < m = n - k + 1,
+    S zero above lag k: entry (i, j) of the form is w_|i-j|
+    (qa_matrix_entrywise).  1/2 is the F_p scalar (p + 1) / 2, so every
+    step is digit-wise mod p.
     """
     ctx = ring.ctx
-    p, q, m = ctx.p, ctx.q, n - k + 1
-    # In degree <= k counting order the monics of degree k follow q^k.
-    lags = lag_sums(ring, k, q**k, 2 * q**k).T
+    p, m = ctx.p, n - k + 1
+    lags = _multiplier_table(ctx, k)[0]
     s = digits(lags, p, ctx.e)
     s = np.concatenate([s, np.zeros((len(s), m - k, ctx.e), s.dtype)], axis=1)
     d = np.arange(m)
@@ -429,7 +463,7 @@ def scan_qa_ranks(ring: PolyRing, n: int) -> list:
     for k in range((n - 1) // 2 + 1):
         m = n - k + 1
         bound = n - k - 1
-        names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
+        names = multipliers(ring, k)[1]
         ranks, monic_ranks = form_ranks(ring.ctx, qa_forms(ring, n, k))
         for name, rank, mrank in zip(names, ranks.tolist(),
                                      monic_ranks.tolist()):
@@ -455,7 +489,7 @@ def scan_bab_ranks(ring: PolyRing, n: int, k: int) -> dict:
     ring.check_cap(ring.cardinality(PolySet.MONIC, k) ** 2)
     m = n - k + 1
     bound = n - 2 * k - 1
-    names = [ring.to_str(a) for a in ring.enumerate(PolySet.MONIC, k)]
+    names = multipliers(ring, k)[1]
     same, forms = bab_forms(ring, n, k)
     ranks, monic_ranks = form_ranks(ring.ctx, forms)
     reports = [

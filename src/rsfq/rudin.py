@@ -21,8 +21,8 @@ needs.  A whole grid is formed once per route and field in a process and
 kept read-only, for the 8 most recently used (route, field) pairs.  The
 star and lin-red cells compare them; autocorrelation and
 reversal_product_correlations are their oracles, and neither route reads
-the field's tables.  quadform reads every multiplier form of one degree
-off lag_sums.
+the field's tables.  quadform keeps the lag_sums of the monics of each
+degree per field and reads every multiplier form off them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
-from .field import basis_key, field_tables
+from .field import TABLE_Q, basis_key, field_tables
 from .poly import PolyRing
-from .sieve import BLOCK
+from .sieve import BLOCK, blocks
 from .vecenum import digits, int_dtype
 
 
@@ -76,10 +76,14 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
     The counting index of f holds f_0, ..., f_(n-1) as base-q digits.  Over
     F_p the products are summed as integers and reduced once, with no q x q
     table (q = 4093 is in range); over F_(p^e) they go through the tables
-    of field.field_tables.
+    of field.field_tables up to field.TABLE_Q, above it through
+    _sum_products on the base-p digits of idx, in sieve.blocks, so no
+    array grows with q^2.
     """
     ctx = ring.ctx
     q = ctx.q
+    if q > TABLE_Q and ctx.e > 1:
+        return _rs_digits(basis_key(ctx.p, ctx.basis), n, idx)
     add, mul = field_tables(ctx.key()) if ctx.e > 1 else (None, None)
     values = np.zeros_like(idx)
     low = idx % q
@@ -106,6 +110,23 @@ def _sum_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         diagonals[l:l + e] += x[l] * y
     powers = np.concatenate([basis[0], basis[-1, 1:]])
     return np.einsum("mc,m...->c...", powers, diagonals) % p
+
+
+def _rs_digits(field: tuple, n: int, idx: np.ndarray) -> np.ndarray:
+    """rs_values over F_(p^e), field = (p, e, basis bytes), from digits:
+    coefficient i of f is base-p digits i e .. i e + e - 1 of its counting
+    index, and R sums the digits of f_i f_(i-1) from _sum_products."""
+    p, e, _ = field
+    flat = np.asarray(idx).ravel()
+    values = np.empty(flat.shape, dtype=int_dtype(p**e - 1))
+    places = p ** np.arange(e)
+    for start, stop in blocks(len(flat), 3 * n * e):
+        # Axes (digit, f, coefficient).
+        coeffs = digits(flat[start:stop], p, n * e).reshape(-1, n, e)
+        coeffs = coeffs.transpose(2, 0, 1)
+        sums = _sum_products(field, coeffs[:, :, 1:], coeffs[:, :, :-1])
+        values[start:stop] = places @ (sums.sum(axis=2) % p)
+    return values.reshape(np.shape(idx))
 
 
 def _field_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsfq import arith, rudin, sieve, vecenum
+from rsfq import arith, quadform, rudin, sieve, vecenum
 from rsfq.field import FieldCtx, basis_key, field_tables, shared_ctx
-from rsfq.verify import RunConfig, verify_all
+from rsfq.verify import RunConfig, build_cells, verify_all
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsfq"
 
@@ -95,6 +95,7 @@ CACHED = {
     "sieve._halves": lambda: sieve._halves(3, 2, 4),
     "sieve._factor_base": lambda: (sieve._factor_base(*F9_BASIS, 1),
                                    sieve._factor_base(*F9_BASIS, 2)),
+    "quadform._multiplier_table": lambda: quadform._multiplier_table(F9, 2),
 }
 
 
@@ -148,15 +149,32 @@ def test_cold_and_warm_caches_give_the_same_output(p, e):
     empty: the payloads agree apart from elapsed_seconds."""
     for cached in (field_tables, shared_ctx, rudin._grid,
                    arith._product_table, arith._divisor_table,
-                   sieve._factor_base):
+                   sieve._factor_base, quadform._multiplier_table):
         cached.cache_clear()
     cold, warm = (verify_all(RunConfig(p=p, e=e)) for _ in range(2))
     assert rudin._grid.cache_info().hits > 0
     assert arith._divisor_table.cache_info().hits > 0
     assert sieve._factor_base.cache_info().hits > 0
+    assert quadform._multiplier_table.cache_info().hits > 0
     for payload in (cold, warm):
         del payload["meta"]["elapsed_seconds"]
     assert json.dumps(cold) == json.dumps(warm)
+
+
+def test_one_multiplier_table_per_degree_in_a_cold_verify_all():
+    """The rank-qa, rank-bab and gauss cells of every n read the degree-k
+    table of their field: one cold verify all at q = 3 builds it once per
+    distinct k those cells scan, and reads it again at every other n."""
+    cfg = RunConfig(p=3)
+    degrees = {k for cell in build_cells(cfg, ("all",))
+               if cell["check"] in ("rank-qa", "rank-bab", "gauss")
+               for k in range((cell["n"] - 1) // 2 + 1)}
+    assert degrees == {0, 1, 2, 3}
+    quadform._multiplier_table.cache_clear()
+    verify_all(cfg)
+    info = quadform._multiplier_table.cache_info()
+    assert info.misses == len(degrees)
+    assert info.hits > info.misses
 
 
 def test_import_starts_no_process_machinery():

@@ -5,6 +5,7 @@ import pytest
 
 from rsfq import (
     DegreeBoundError,
+    EnumerationCapError,
     FieldCtx,
     NotMonicError,
     PolyRing,
@@ -21,7 +22,9 @@ from rsfq import (
     scan_qa_ranks,
     sym_matrix,
 )
-from rsfq.quadform import bab_forms, form_ranks, qa_forms
+from rsfq import charsum, quadform
+from rsfq.cli import main
+from rsfq.quadform import bab_forms, form_ranks, multipliers, qa_forms
 from rsfq.verify import BAB_LEVEL_BUDGET
 
 
@@ -207,6 +210,76 @@ def test_q5_scan_has_boundary_counterexamples():
     ring = PolyRing(FieldCtx(5))
     fails = [r for r in scan_qa_ranks(ring, 6) if not r.passed]
     assert {r.a for r in fails} == {"2,0,1", "3,0,1"}
+
+
+# ---------------------------------------------------------------------------
+# the per-field multiplier table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2)])
+def test_multiplier_table_matches_the_oracles(p, e):
+    """Every row of the table is the autocorrelations of its monic, and
+    every name its PolyRing.to_str, in counting order; both read-only."""
+    ring = PolyRing(FieldCtx(p, e))
+    for k in range(4):
+        lags, names = multipliers(ring, k)
+        monics = list(ring.enumerate(PolySet.MONIC, k))
+        assert lags.shape == (len(monics), k + 1)
+        assert not lags.flags.writeable
+        assert lags.tolist() == [[autocorrelation(ring, a, lag, k)
+                                  for lag in range(k + 1)] for a in monics]
+        assert names == tuple(ring.to_str(a) for a in monics)
+
+
+def test_multiplier_table_is_keyed_by_the_modulus():
+    """F_9 under the modulus 2,1,1 gets lags of its own, each table
+    matching its own field's autocorrelations."""
+    rings = [PolyRing(FieldCtx(3, 2)), PolyRing(FieldCtx(3, 2, (2, 1, 1)))]
+    tables = [multipliers(ring, 2)[0] for ring in rings]
+    assert (tables[0] != tables[1]).any()
+    for ring, lags in zip(rings, tables):
+        monics = ring.enumerate(PolySet.MONIC, 2)
+        assert lags.tolist() == [[autocorrelation(ring, a, lag, 2)
+                                  for lag in range(3)] for a in monics]
+
+
+def test_scans_charge_each_degree_to_the_cap_before_its_table():
+    """A degree whose q^k monics exceed the ring's cap raises before its
+    table is built, as ring.enumerate did."""
+    ring = PolyRing(FieldCtx(3), cap=26)
+    quadform._multiplier_table.cache_clear()
+    with pytest.raises(EnumerationCapError,
+                       match="enumeration of 27 elements exceeds the cap 26"):
+        scan_qa_ranks(ring, 7)
+    assert quadform._multiplier_table.cache_info().currsize == 3   # k <= 2
+
+
+@pytest.mark.parametrize("check, count", [("rank-qa", 27), ("gauss", 81),
+                                          ("rank-bab", 81)])
+def test_capped_scans_keep_their_usage_errors(capsys, check, count):
+    """Below q^k the rank-qa, gauss and rank-bab cells still exit 2 with
+    the message of the first set they would enumerate."""
+    assert main(["--cap", "20", "verify", check]) == 2
+    assert capsys.readouterr().err == (
+        f"rsfq: enumeration of {count} elements exceeds the cap 20\n")
+
+
+def test_oracles_never_read_the_multiplier_table(monkeypatch, f9):
+    """qa_matrix, qa_matrix_entrywise, bab_matrix, matrix_rank and
+    autocorrelation still answer with the table raising."""
+    def forbidden(ctx, k):
+        raise AssertionError("the multiplier table was read")
+
+    monkeypatch.setattr(quadform, "_multiplier_table", forbidden)
+    a, b = f9.from_ints([1, 1]), f9.from_ints([2, 1])
+    assert matrix_rank(qa_matrix(f9, a, 4)) >= 2
+    assert qa_matrix_entrywise(f9, a, 4) == qa_matrix(f9, a, 4)
+    assert matrix_rank(bab_matrix(f9, a, b, 4)) >= 1
+    assert autocorrelation(f9, a, 1, 1) == 1
+    with pytest.raises(AssertionError, match="multiplier table was read"):
+        qa_forms(f9, 4, 1)
+    with pytest.raises(AssertionError, match="multiplier table was read"):
+        charsum.scan_gauss_bound(f9, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,54 @@ def test_rs_values_large_prime_field_sample():
     assert rs_values(ring, 2, idx).tolist() == want
 
 
+def test_rs_values_above_table_q_reads_digits_not_tables(monkeypatch):
+    """At q = 3^6 > TABLE_Q, R comes from the digits of the counting
+    indices: a seeded sample matches rudin_shapiro with field_tables
+    raising, and the index shape is kept."""
+    def forbidden(key):
+        raise AssertionError("field_tables was called")
+
+    monkeypatch.setattr(rudin, "field_tables", forbidden)
+    ring = PolyRing(FieldCtx(3, 6))
+    q = ring.ctx.q
+    rng = np.random.default_rng(36)
+    for n in (2, 3):
+        idx = rng.integers(0, q**n, size=(40, 5))
+        want = [rudin_shapiro(ring, next(ring.monic_range(n, k, k + 1)))
+                for k in idx.ravel().tolist()]
+        got = rs_values(ring, n, idx)
+        assert got.shape == idx.shape
+        assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("p, e, n", [(3, 2, 2), (3, 2, 4), (5, 2, 3),
+                                     (3, 3, 3)])
+def test_digit_route_matches_the_tables_on_every_monic(p, e, n):
+    """Below TABLE_Q both routes run: the digit route (_rs_digits, across
+    several sieve.blocks at the larger n) agrees with the tables on every
+    monic of degree n, in the tables' dtype."""
+    ring = PolyRing(FieldCtx(p, e))
+    idx = np.arange(ring.ctx.q**n)
+    want = rs_values(ring, n, idx)
+    got = rudin._rs_digits(field.basis_key(p, ring.ctx.basis), n, idx)
+    assert got.dtype == want.dtype
+    assert (got == want).all()
+
+
+def test_rs_values_above_table_q_memory_is_bounded():
+    """At q = 5^5 two q x q int64 tables would take 156 MB; R of 10^5
+    monics stays under a fixed traced peak."""
+    ring = PolyRing(FieldCtx(5, 5))
+    idx = np.arange(0, ring.ctx.q**2, ring.ctx.q**2 // 10**5)
+    tracemalloc.start()
+    try:
+        rs_values(ring, 2, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_rs_values_keeps_the_index_shape(f9):
     idx = np.arange(81).reshape(3, 9, 3)
     got = rs_values(f9, 2, idx)
