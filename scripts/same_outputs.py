@@ -73,6 +73,11 @@ COMMANDS = [
     # and product marking and joins in several blocks and slabs.
     ["sigma", "sigma1", "-n", "12", "-u", "2", "-v", "6"],
     ["distribution", "-n", "12"],
+    # Above sieve.BLOCK sigma streams the product_indices blocks: sigma2's
+    # trace matrices, and sigma1 over an extension field.
+    ["sigma", "sigma2", "-n", "12", "-u", "3", "-v", "6"],
+    ["--p", "3", "--e", "2", "sigma", "sigma1", "-n", "6", "-u", "1", "-v",
+     "3"],
     # Above sieve.BLOCK the kernel streams: d_6 = 1_6 * 1_6 sums over
     # product_indices blocks.
     ["nf-count", "-n", "6"],

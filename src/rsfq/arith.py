@@ -3,24 +3,22 @@
 Dirichlet.convolve sums x[a]*y[b] exactly at the index of a*b; degree by
 degree it gives mu from mu*1 = delta, Lambda from Lambda*1 = deg and
 tau = 1*1 (Rosen, Number Theory in Function Fields, ch. 2).  The indices
-come from sieve.product_indices, which adds the images of the two halves
-of h carry-free only in the window of digits where both can be nonzero
-and builds that window's adder itself.  The table of g*h over all monic
-g, h of degrees d, m is a per-field constant: while it has at most
-sieve.BLOCK entries a process builds it once per field and unordered
-{d, m} (_product_table) and every kernel reads it, so each convolution of
-that size is one bincount over it; a larger one sums over the blocks and
-keeps nothing.  convolve_rows gives many convolutions of one degree as
-the rows of one array, each term reading its table once; vaughan builds
-its blocks with it, per total degree.  mu, Lambda and tau need, per
-degree k, only the divisor sum of f_j * 1_(k-j) over j < k: while the
-concatenation of the degree-k tables (_divisor_table) has at most BLOCK
-entries, that is one bincount over it, else one convolution per j.  Only
-index tables are kept, never mu, Lambda, tau or any other result.
-vaughan's sigma1 and sigma2 read R(g h) off the same tables.
-FactorTable (trial division) and divisors_monic are the independent
-routes it is tested against, and count_reversal_solutions, the scan's
-per-f oracle, uses FactorTable.
+of g*h come from sieve.product_indices; over all monic g, h of total
+degree k they are a per-field constant: while q^k <= sieve.BLOCK a
+process keeps them once per field and degree in one table
+(_degree_table), block j of it g*h over g of degree j, and every kernel
+reads it; a larger degree is streamed and keeps nothing.
+Dirichlet.product_blocks is the one reader of g*h for every bulk sum:
+the kept table's rows, else the product_indices blocks.  convolve_rows
+gives many convolutions of one degree as the rows of one array; vaughan
+builds its blocks with it, per total degree, and its sigma1 and sigma2
+read R(g h) through product_blocks.  mu, Lambda and tau need, per degree
+k, only the divisor sum of f_j * 1_(k-j) over j < k: one bincount over
+the kept degree-k table, else one convolution per j.  Only index tables
+are kept, never mu, Lambda, tau or any other result.  FactorTable (trial
+division) and divisors_monic are the independent routes it is tested
+against, and count_reversal_solutions, the scan's per-f oracle, uses
+FactorTable.
 """
 
 from __future__ import annotations
@@ -43,9 +41,9 @@ class Dirichlet:
     degree d in counting order, at most SIEVE_CAP long.  mu and Lambda are
     kept per instance as they are solved, one degree at a time and each
     from its own identity.  The index tables it reads are per process
-    (_product_table, _divisor_table), shared by every kernel of the same
-    field; tables=False reads neither, so every convolution sums over the
-    streamed product_indices blocks.
+    (_degree_table), shared by every kernel of the same field, and kept
+    while q^k <= BLOCK; tables=False keeps no degree, so every sum reads
+    the streamed product_indices blocks.
     """
 
     def __init__(self, ring: PolyRing, tables: bool = True):
@@ -59,17 +57,31 @@ class Dirichlet:
 
     def products(self, d: int, m: int) -> np.ndarray:
         """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
-        degrees d, m >= 1 in counting order.
+        degrees d, m >= 1 in counting order, q^(d+m) <= BLOCK: block d of
+        the kept degree-(d+m) table, a view."""
+        q, k = self.ctx.q, d + m
+        table = _degree_table(*basis_key(self.ctx.p, self.ctx.basis), k)
+        return table[(d - 1) * q**k:d * q**k].reshape(q**d, q**m)
 
-        (m, d) is the transpose of (d, m), d <= m.  While q^(d+m) <= BLOCK
-        the table comes from the per-process _product_table; a larger one
-        is built per call and kept by nobody.
-        """
-        if d > m:
-            return self.products(m, d).T
-        if self.ctx.q ** (d + m) <= self._keep:
-            return _product_table(*basis_key(self.ctx.p, self.ctx.basis), d, m)
-        return _products(self.ctx.p, self.ctx.basis, d, m)
+    def product_blocks(self, d: int, m: int, gs: np.ndarray | None = None):
+        """(sel, hs, idx) blocks of the counting indices of g*h over the g
+        of degree d at the indices gs (every g when None) and every h of
+        degree m: idx[i, j] is that of g = gs[sel][i] times the h of
+        counting index hs.start + j, sel and hs slices.  While degree
+        d + m is kept, one block: the table's rows.  Else the streamed
+        product_indices blocks, about BLOCK products each; over every g of
+        a degree d > m they are formed over the fewer factors h, and each
+        block is read transposed."""
+        ctx = self.ctx
+        if ctx.q ** (d + m) <= self._keep:
+            rows = self.products(d, m)
+            return [(slice(None), slice(None),
+                     rows if gs is None else rows[gs])]
+        if gs is None and d > m:
+            return ((g, h, idx.T) for h, g, idx in product_indices(
+                np.arange(ctx.q**m), m, d, ctx.p, ctx.basis))
+        return product_indices(np.arange(ctx.q**d) if gs is None else gs,
+                               d, m, ctx.p, ctx.basis)
 
     def convolve(self, x: np.ndarray, da: int, y: np.ndarray,
                  db: int) -> np.ndarray:
@@ -83,11 +95,10 @@ class Dirichlet:
         degree k - d.
 
         Each row enumerates the nonzero entries gs of its sparser factor
-        (_sparser) and sums one bincount per block of their products with
-        h: the rows gs of the kept product table while q^k <= BLOCK, else
-        the product_indices blocks of gs.  One bincount over all rows would
-        need every key offset by its row: a pass over the keys that costs
-        more than the calls it saves.
+        (_sparser) and sums one bincount per product_blocks block of their
+        products with h.  One bincount over all rows would need every key
+        offset by its row: a pass over the keys that costs more than the
+        calls it saves.
         """
         size = self.ctx.q**k
         if size > SIEVE_CAP:
@@ -110,15 +121,9 @@ class Dirichlet:
             for row, x in zip(rows, xs):
                 x, da, gs, h, db = self._sparser(x, d, y, k - d)
                 x, h = x[gs], h.astype(float)
-                if size > self._keep:
-                    blocks = product_indices(gs, da, db, self.ctx.p,
-                                             self.ctx.basis)
-                else:
-                    # Each nonzero x[g] against the whole of h: table row g.
-                    blocks = [(slice(None), slice(None),
-                               self.products(da, db)[gs])]
                 parts = (np.bincount(idx.ravel(), np.multiply.outer(
-                    x[sel], h[hs]).ravel(), size) for sel, hs, idx in blocks)
+                    x[sel], h[hs]).ravel(), size)
+                    for sel, hs, idx in self.product_blocks(da, db, gs))
                 z = next(parts, 0)      # the first sum, not a zeroed array
                 for part in parts:
                     z += part
@@ -138,17 +143,17 @@ class Dirichlet:
     def _divisor_sum(self, f: list | None, k: int) -> np.ndarray:
         """Sum over 1 <= j < k of f[j] * 1_(k-j), f[j] = 1_j if f is None.
 
-        One bincount over the divisor table of degree k while it has at
-        most BLOCK entries, else one convolution per j.
+        One bincount over the degree-k table while it is kept, else one
+        convolution per j.
         """
         q = self.ctx.q
         size = q**k
-        if k < 2 or (k - 1) * size > self._keep:
+        if k < 2 or size > self._keep:
             return sum((self.convolve(self.ones(j) if f is None else f[j], j,
                                       self.ones(k - j), k - j)
                         for j in range(1, k)),
                        np.zeros(size, dtype=np.int64))
-        table = _divisor_table(*basis_key(self.ctx.p, self.ctx.basis), k)
+        table = _degree_table(*basis_key(self.ctx.p, self.ctx.basis), k)
         if f is None:
             return np.bincount(table, minlength=size)
         # Block j of the table lists g*h row by row over g of degree j, so
@@ -166,10 +171,10 @@ class Dirichlet:
         solves its own identity (f*1)_k = slope * k, k >= 1, slope 0 for
         mu*1 = delta and 1 for Lambda*1 = deg.
 
-        Both advance together so that they read each degree's tables back
+        Both advance together so that they read each degree's table back
         to back: solved one after the other, the second pass would find
-        the bounded caches refilled with the first pass's later degrees
-        whenever n exceeds what they hold.
+        the bounded cache refilled with the first pass's later degrees
+        whenever n exceeds what it holds.
         """
         for k in range(len(self._mu), n + 1):
             for f, slope in ((self._mu, 0), (self._lam, 1)):
@@ -193,44 +198,26 @@ class Dirichlet:
         return self._divisor_sum(None, n) + 2
 
 
-def _products(p: int, basis: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Read-only (q^d, q^m) counting indices of g*h, g and h monic of
-    degrees d, m >= 1, filled block by block from product_indices."""
-    q = p ** basis.shape[0]
-    table = None
-    for gs, hs, idx in product_indices(np.arange(q**d), d, m, p, basis):
-        if table is None:
-            table = np.empty((q**d, q**m), dtype=idx.dtype)
-        table[gs, hs] = idx
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=30)
-def _product_table(p: int, e: int, basis: bytes, d: int, m: int) -> np.ndarray:
-    """_products of the field with this int64 basis, d <= m and
-    q^(d+m) <= BLOCK, built once per key; the 30 most recently used are
-    kept, at most BLOCK int32 entries (1 MiB) each.  30 is every kept
-    table of F_3, the smallest field: one unordered {d, m} per d + m <= 11.
-    The key is exactly what product_indices reads, so a ctx whose basis
-    differs gets tables of its own."""
-    return _products(p, np.frombuffer(basis, dtype=np.int64).reshape(e, e, e),
-                     d, m)
-
-
-@lru_cache(maxsize=8)
-def _divisor_table(p: int, e: int, basis: bytes, k: int) -> np.ndarray:
-    """The read-only divisor table of degree k: the concatenation over
-    j = 1 .. k-1 of the raveled _product_table(j, k - j), at most BLOCK
-    entries, so that one bincount sums over every g*h with g of degree
-    1 .. k-1.  It is stored in intp, the index type bincount reads, which
-    spares a cast of the whole table on every sum.  The 8 most recently
-    used are kept, at most 2 MiB each; 8 is every kept table of F_3,
-    k = 2 .. 9."""
-    table = np.concatenate([
-        (_product_table(p, e, basis, j, k - j) if 2 * j <= k
-         else _product_table(p, e, basis, k - j, j).T).ravel()
-        for j in range(1, k)]).astype(np.intp)
+@lru_cache(maxsize=10)
+def _degree_table(p: int, e: int, basis: bytes, k: int) -> np.ndarray:
+    """The read-only degree-k table of the field with this int64 basis,
+    q^k <= BLOCK: (k-1) q^k counting indices in intp, the type bincount
+    reads, block j = 1 .. k-1 the raveled (q^j, q^(k-j)) indices of g*h
+    over monic g of degree j.  Blocks j > k - j are the transposes of
+    blocks k - j, so each unordered {j, k - j} is formed once.  The 10
+    most recently used are kept: every kept table of F_3, k = 2 .. 11.
+    The key is exactly what product_indices reads."""
+    q = p**e
+    basis = np.frombuffer(basis, dtype=np.int64).reshape(e, e, e)
+    table = np.empty((k - 1) * q**k, dtype=np.intp)
+    blocks = table.reshape(k - 1, q**k)
+    for j in range(1, k // 2 + 1):
+        block = blocks[j - 1].reshape(q**j, q ** (k - j))
+        for gs, hs, idx in product_indices(np.arange(q**j), j, k - j, p,
+                                           basis):
+            block[gs, hs] = idx
+        if 2 * j < k:
+            blocks[k - j - 1].reshape(q ** (k - j), q**j)[:] = block.T
     table.setflags(write=False)
     return table
 
@@ -452,8 +439,9 @@ def scan_reversal_counts(ring: PolyRing, n: int) -> dict:
     off N(f) for each such f of degree exactly 2n; every other f has N = 0.
     count_reversal_solutions is the per-f oracle for spot checks.  The
     stated N(f) <= 2^n decides pass, as the stated bound does for rank-qa;
-    it fails from q = 5 on, and every f above it is listed with N(f) and
-    the provable 2 d_n(f), d_n = (1_n * 1_n)[monic f], which is checked.
+    it fails from q = 5 on, and at n = 0 for every q (f = 1 = (+-1)^2),
+    and every f above it is listed with N(f) and the provable 2 d_n(f),
+    d_n = (1_n * 1_n)[monic f], which is checked.
     """
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n))
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, 2 * n))

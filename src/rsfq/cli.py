@@ -94,16 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path!r}: {err.strerror}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise RsfqError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise RsfqError(f"bad config line {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -52,7 +52,7 @@ degree-n counting indices, for q^n up to the module constant SIEVE_CAP;
 count_irreducibles_sieve counts its unmarked entries and dist.distribution
 reads the irreducibles off it.
 arith.Dirichlet sums weights over the product_indices blocks, or over the
-product tables filled from them, kept per process.  Memory is bounded here:
+degree tables filled from them, kept per process.  Memory is bounded here:
 a digit-add table holds at most TABLE_BYTES, one image or gather block
 about BLOCK entries and one compare slab about BLOCK bytes, each range cut
 by blocks(count, cost, align), which cuts every range walked in blocks of

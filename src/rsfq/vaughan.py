@@ -20,13 +20,14 @@ weight by the same route.  S2 is grouped as (mu*Lambda)*1; s2_triple's
 mu*(Lambda*1), on a kernel that reads no table, cross-checks it.
 
 sigma1 and sigma2 are the type-I and type-II character-sum aggregates.  Both
-read R(g h) off a Dirichlet kernel's product tables through rudin.rs_values
-(per-process tables, which the verify cell's context has already read)
-and report their asymptotic-shape reference values (never asserted:
-the implied constants carry no numeric value).  Every inner sum S is a
-quadratic Gauss sum: both aggregates decode |S| from the F_p histograms of
-Tr(beta R(g h)) through charsum.decode_abs, which also states the exact
-pairs [A, B] that they sum and compare (see charsum).
+evaluate R once over the monics of degree n with rudin.rs_values and read
+R(g h) block by block through Dirichlet.product_blocks, as convolve_rows
+does, so that neither forms an index array of q^n entries.  Both report
+their asymptotic-shape reference values (never asserted: the implied
+constants carry no numeric value).  Every inner sum S is a quadratic Gauss
+sum: both aggregates decode |S| from the F_p histograms of Tr(beta R(g h))
+through charsum.decode_abs, which also states the exact pairs [A, B] that
+they sum and compare (see charsum).
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class VaughanContext:
     over da <= a, column s - a of the blocks summed down to row a, so that
     c1, c2 and c3 at any (u, v) take a few vector operations (_sums).
     That is n^2 / 2 + n vectors, as many as the blocks.  The kernel's
-    product tables, kept per process, are shared with sigma1 and sigma2.
+    degree tables, kept per process, are shared with sigma1 and sigma2.
     """
 
     def __init__(self, ring: PolyRing, n: int):
@@ -227,7 +228,7 @@ class VaughanContext:
 
     def triple_coefficients(self, u: int, v: int) -> np.ndarray:
         """c2 evaluated as mu*(Lambda*1), independently of the blocks and,
-        by a kernel that reads no table, of the product tables."""
+        by a kernel that reads no table, of the degree tables."""
         n, stream = self.n, Dirichlet(self.ring, tables=False)
         mu, lam = self.kernel.mobius(u), self.kernel.von_mangoldt(v)
         return sum(stream.convolve(mu[da], da, sum(
@@ -303,7 +304,7 @@ def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
     """R of every monic polynomial of degree n >= 2 in counting order,
     evaluated on the sieve.blocks of BLOCK entries, which bounds
     rs_values' temporaries.  R(g h) for monic g of degree d is then this
-    table read through the kernel's product table of degrees (d, n - d)."""
+    table read at the kernel's product_blocks(d, n - d)."""
     q = ring.ctx.q
     out = np.empty(q**n, dtype=int_dtype(q - 1))
     for start, stop in blocks(len(out)):
@@ -342,27 +343,29 @@ def sigma1(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     """Sum over monic g with deg g <= u + v of |sum_h psi(R(g h))|.
 
     The inner sum ranges over monic h of degree n - deg g, one row of the
-    R(g h) matrix, read off the per-process product tables; each row's
-    histogram of Tr(beta R(g h)) over F_p gives |S| exactly, so value and
-    by_degree are the floats of the exact pairs value_exact and
-    by_degree_exact.  The reference shape q^((n + u + v + 2) / 2) is
-    reported, not asserted.  rs is R of every monic of degree n in
-    counting order, evaluated when not given.
+    R(g h) matrix.  Each row's histogram of Tr(beta R(g h)) over F_p is
+    summed block by block over the kernel's product_blocks and gives |S|
+    exactly, so value and by_degree are the floats of the exact pairs
+    value_exact and by_degree_exact.  The reference shape
+    q^((n + u + v + 2) / 2) is reported, not asserted.  rs is R of every
+    monic of degree n in counting order, evaluated when not given.
     """
     # The q^n monics h of the row g = 1 bound every other degree's sets.
     q, p, kernel, traces = _sigma_setup("sigma1", ring, n, u, v, chi, rs, ())
     # The q^dg rows g of degree dg are rows starts[dg]: of one histogram
     # array, so that one _exact call serves every degree.
     starts = np.cumsum([0] + [q**dg for dg in range(u + v + 1)])
-    hist = np.empty((starts[-1], p), dtype=np.int64)
-    for dg in range(u + v + 1):
-        # Key g p + Tr(beta R(g h)) for row g (g = 1, the one row of degree
-        # 0, pairs with every h).  The gathered traces and keys are bound to
-        # no name, so each is freed as soon as it is read.
-        hist[starts[dg]:starts[dg + 1]] = np.bincount((
-            np.arange(q**dg)[:, None] * p
-            + (traces[kernel.products(dg, n - dg)] if dg else traces)).ravel(),
-            minlength=q**dg * p).reshape(-1, p)
+    hist = np.zeros((starts[-1], p), dtype=np.int64)
+    # g = 1 pairs with every h; bincount would cast all q^n traces at once.
+    hist[0] = sum(np.bincount(traces[start:stop], minlength=p)
+                  for start, stop in blocks(len(traces)))
+    for dg in range(1, u + v + 1):
+        rows = hist[starts[dg]:starts[dg + 1]]
+        for sel, _, idx in kernel.product_blocks(dg, n - dg):
+            # Key i p + Tr(beta R(g h)) for the i-th row g of the block.
+            rows[sel] += np.bincount((np.arange(len(idx))[:, None] * p
+                                      + traces[idx]).ravel(),
+                                     minlength=len(idx) * p).reshape(-1, p)
 
     def where(row):
         dg = int(np.searchsorted(starts, row, side="right")) - 1
@@ -395,8 +398,9 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     is reported, not asserted.
 
     Each pair sum's |S| comes exactly from the F_p histogram of
-    Tr(beta (R(h g1) - R(h g2))), two rows of the R(g h) matrix read off
-    the per-process product tables.  The pair (g2, g1) has the mirrored
+    Tr(beta (R(h g1) - R(h g2))), two rows of the (q^(n-i), q^i) matrix
+    of Tr(beta R(g h)), one byte an entry, filled block by block from the
+    kernel's product_blocks.  The pair (g2, g1) has the mirrored
     histogram and the same |S|, so each unordered pair is histogrammed
     once and its |S| added to both rows.  The histograms of a block of g1
     rows against every g2 from the block's first row on, about sieve.BLOCK
@@ -410,8 +414,10 @@ def sigma2(ring: PolyRing, n: int, u: int, v: int, chi: CharSpec,
     width = 2 * p - 1     # Tr(beta R1) + (-Tr(beta R2) mod p) lies in [0, 2p-2]
     best, best_i, best_k = None, None, None
     for i in range(v, n - u + 1):
-        t = traces[kernel.products(n - i, i)]
-        rows, cols = t.shape
+        rows, cols = q ** (n - i), q**i
+        t = np.empty((rows, cols), dtype=traces.dtype)
+        for sel, hs, idx in kernel.product_blocks(n - i, i):
+            t[sel, hs] = traces[idx]
         neg = (-t) % p
         sums = np.zeros((rows, 2), dtype=np.int64)
         for lo, hi in blocks(rows, rows * cols):

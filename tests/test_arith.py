@@ -308,8 +308,7 @@ def test_kernel_refuses_vectors_above_the_cap(f3):
 
 
 def cache_state():
-    return (arith._product_table.cache_info(),
-            arith._divisor_table.cache_info())
+    return arith._degree_table.cache_info()
 
 
 def test_fresh_kernel_keeps_no_tables(f3, monkeypatch):
@@ -323,22 +322,23 @@ def test_fresh_kernel_keeps_no_tables(f3, monkeypatch):
 @pytest.mark.parametrize("p, e, d, m", [(3, 1, 2, 1), (3, 1, 1, 3),
                                         (5, 1, 2, 2), (3, 2, 1, 2)])
 def test_product_table_is_the_counting_index_of_each_product(p, e, d, m):
-    """products(d, m)[g, h] is the index of g*h; one table per unordered
-    {d, m} is kept per process, (m, d) reads its transpose, every kernel of
-    the field reads the same table, and a kept table cannot be written."""
+    """products(d, m)[g, h] is the index of g*h; one table per degree
+    d + m is kept per process, (m, d) is the transpose and another block
+    of that table, every kernel of the field reads the same table, and a
+    kept table cannot be written."""
     ring = PolyRing(FieldCtx(p, e))
     kernel = Dirichlet(ring)
-    arith._product_table.cache_clear()
+    arith._degree_table.cache_clear()
     table = kernel.products(d, m)
     want = [[ring.index_of(ring.mul(g, h)[:-1])
              for h in ring.enumerate(PolySet.MONIC, m)]
             for g in ring.enumerate(PolySet.MONIC, d)]
     assert table.tolist() == want
-    assert arith._product_table.cache_info().currsize == 1
+    assert arith._degree_table.cache_info().currsize == 1
     swapped = kernel.products(m, d)
-    assert (swapped == table.T).all() and np.shares_memory(swapped, table)
+    assert (swapped == table.T).all() and swapped.base is table.base
     assert np.shares_memory(Dirichlet(ring).products(d, m), table)
-    assert arith._product_table.cache_info().currsize == 1
+    assert arith._degree_table.cache_info().currsize == 1
     assert not table.flags.writeable
 
 
@@ -348,20 +348,20 @@ def test_convolution_above_block_keeps_no_table(f3):
     kernel = Dirichlet(f3)
     rng = np.random.default_rng(11)
     x, y = rng.integers(-4, 5, 3), rng.integers(-4, 5, 3**11)
-    sizes = [info.currsize for info in cache_state()]
+    size = cache_state().currsize
     z = kernel.convolve(x, 1, y, 11)
     assert (z == kernel.convolve(y, 11, x, 1)).all()
-    assert [info.currsize for info in cache_state()] == sizes
+    assert cache_state().currsize == size
     assert int(z.sum()) == int(x.sum()) * int(y.sum())
 
 
 def test_streaming_kernel_matches_the_kept_tables(f3, monkeypatch):
     """A kernel without tables streams every convolution and gives the same
     mu, Lambda and tau, without ever reading a product table."""
-    arith._product_table.cache_clear()
+    arith._degree_table.cache_clear()
     kept = Dirichlet(f3)
     kept_values = kept.mobius(5) + kept.von_mangoldt(5) + [kept.tau(5)]
-    assert arith._product_table.cache_info().currsize
+    assert arith._degree_table.cache_info().currsize
     forbid_the_tables(monkeypatch)
     stream = Dirichlet(f3, tables=False)
     stream.products = None      # any call to the accessor fails
@@ -404,17 +404,16 @@ def test_streamed_blocks_across_h_match_the_kept_kernel(monkeypatch, p, e, n):
 
 
 def forbid_the_tables(monkeypatch):
-    """Make every read of either per-process table cache fail."""
+    """Make every read of the per-process table cache fail."""
     def refuse(*args):
         raise AssertionError("a per-process index table was read")
 
-    monkeypatch.setattr(arith, "_product_table", refuse)
-    monkeypatch.setattr(arith, "_divisor_table", refuse)
+    monkeypatch.setattr(arith, "_degree_table", refuse)
 
 
 @pytest.mark.parametrize("p, e, n", [(3, 1, 5), (3, 2, 3)])
 def test_independent_routes_never_read_the_table_caches(monkeypatch, p, e, n):
-    """With both caches refusing, the streaming kernel still gives the
+    """With the cache refusing, the streaming kernel still gives the
     kept kernel's mu, Lambda and tau, and s2_triple's coefficients still
     equal the grouped c2, at q in {3, 9}."""
     ring = PolyRing(FieldCtx(p, e))
@@ -477,7 +476,7 @@ def direct_table(ctx, d, m) -> np.ndarray:
 
 
 def test_warm_table_caches_see_a_corrupted_basis():
-    """After a clean F_9 kernel has filled both caches, a fresh ctx whose
+    """After a clean F_9 kernel has filled the cache, a fresh ctx whose
     basis says w^2 = 1 gets tables of its own: its products and its mu,
     Lambda and tau to degree 3 are those of product_indices over that
     basis, not the clean ones."""
@@ -485,7 +484,7 @@ def test_warm_table_caches_see_a_corrupted_basis():
     clean_values = (clean.mobius(3) + clean.von_mangoldt(3)
                     + [clean.tau(k) for k in range(4)])
     clean_tables = [clean.products(1, 1), clean.products(1, 2)]
-    assert arith._divisor_table.cache_info().currsize
+    assert arith._degree_table.cache_info().currsize
     ctx = FieldCtx(3, 2)
     ctx.basis = ctx.basis.copy()
     ctx.basis[1, 1] = [1, 0]                  # digits of w^2

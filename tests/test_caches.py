@@ -83,8 +83,7 @@ def test_the_scan_finds_each_unbounded_cache():
 F9 = FieldCtx(3, 2)
 F9_BASIS = basis_key(F9.p, F9.basis)
 CACHED = {
-    "arith._product_table": lambda: arith._product_table(*F9_BASIS, 1, 2),
-    "arith._divisor_table": lambda: arith._divisor_table(*F9_BASIS, 3),
+    "arith._degree_table": lambda: arith._degree_table(*F9_BASIS, 3),
     "field.field_tables": lambda: field_tables(F9.key()),
     "field.shared_ctx": lambda: shared_ctx(3, 2, None),
     "rudin._grid": lambda: (
@@ -148,12 +147,12 @@ def test_cold_and_warm_caches_give_the_same_output(p, e):
     """verify all twice in one process, first with every per-field cache
     empty: the payloads agree apart from elapsed_seconds."""
     for cached in (field_tables, shared_ctx, rudin._grid,
-                   arith._product_table, arith._divisor_table,
-                   sieve._factor_base, quadform._multiplier_table):
+                   arith._degree_table, sieve._factor_base,
+                   quadform._multiplier_table):
         cached.cache_clear()
     cold, warm = (verify_all(RunConfig(p=p, e=e)) for _ in range(2))
     assert rudin._grid.cache_info().hits > 0
-    assert arith._divisor_table.cache_info().hits > 0
+    assert arith._degree_table.cache_info().hits > 0
     assert sieve._factor_base.cache_info().hits > 0
     assert quadform._multiplier_table.cache_info().hits > 0
     for payload in (cold, warm):

@@ -167,6 +167,18 @@ def test_nf_count_scan_reports_stated_bound_counterexamples():
         detail["counterexamples"]
 
 
+def test_nf_count_degree_zero_breaks_the_stated_bound():
+    """At N = 0 the stated N(f) <= 2^N fails at every q: a is a constant c
+    and a* . a = c^2, so f = 1 has the two solutions +-1 against
+    2^0 = 1 (exit 1), within the provable 2 d_0(1) = 2."""
+    result = run_cli("nf-count", "-n", "0")
+    assert result.returncode == 1
+    data = json.loads(result.stdout)
+    assert data["observed"] == 2 and data["bound"] == 1 and not data["pass"]
+    assert data["detail"]["counterexamples"] == [
+        {"f": "1", "count": 2, "divisor_bound": 2}]
+
+
 def test_trend_csv():
     result = run_cli("trend", "--n-max", "4", "--format", "csv")
     assert result.returncode == 0
@@ -330,6 +342,19 @@ def test_config_format_checked_against_the_flag_choices(tmp_path, capsys):
     assert "config format must be one of json, csv, got 'xml'" in captured.err
     cfg.write_text("format=csv\n")
     assert _resolve("--config", str(cfg)).fmt == "csv"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, kind):
+    """A --config path that cannot be read, a missing file or a directory,
+    exits 2 with a message naming it, not with a traceback and status 1,
+    which is kept for a failed check."""
+    path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
+    assert main(["--config", str(path), "verify", "star"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"rsfq: cannot read config file {str(path)!r}: ")
 
 
 @pytest.mark.parametrize("argv, line, message", [

@@ -91,13 +91,12 @@ def test_verify_payload_is_the_same_in_small_blocks(monkeypatch,
     cuts crosses block edges (form_ranks, the Gauss batches, R over the
     monics, star and lin-red, and the sieve's gathers and compare slabs),
     and the verify_all payload, meta dropped, is byte-identical to the
-    default's.  The product and divisor tables and the factor bases are
+    default's.  The degree tables and the factor bases are
     emptied before each run, so that every run walks the sieve's blocks."""
     cfg = RunConfig(p=p, e=e, n_max=n_max)
 
     def payload():
-        for cached in (arith._product_table, arith._divisor_table,
-                       sieve._factor_base):
+        for cached in (arith._degree_table, sieve._factor_base):
             cached.cache_clear()
         report = verify_all(cfg)
         del report["meta"]
@@ -421,7 +420,7 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
     rng = np.random.default_rng(4)
     x, y = rng.integers(-3, 4, 9), rng.integers(-3, 4, 81)
     digit_add_table.cache_clear()
-    arith._product_table.cache_clear()      # so (1, 2) builds its table
+    arith._degree_table.cache_clear()       # so (1, 2) builds its table
     fresh_mask = composite_mask(f9, 4)
     fresh_conv = Dirichlet(f9).convolve(x, 1, y, 2)
     table = digit_add_table(3, 4)

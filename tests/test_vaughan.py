@@ -265,14 +265,46 @@ def as_decimal(x: tuple, p: int) -> Decimal:
         return x[0] + x[1] * Decimal(p).sqrt()
 
 
-@pytest.mark.parametrize("p, e, n, u, v", [
+SIGMA_GRID = [
     (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
     (5, 1, 4, 1, 2), (5, 1, 4, 2, 1), (3, 2, 3, 1, 1),
-])
-def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
+]
+# Each case of the grid on the kept table and on the streamed route.
+SIGMA_ROUTES = [
+    pytest.param(*case, streamed, id="-".join(map(str, case))
+                 + ("-streamed" if streamed else ""))
+    for streamed in (False, True) for case in SIGMA_GRID]
+
+
+def stream_sigma(monkeypatch, q, n):
+    """Keep no degree-n table (arith.BLOCK below q^n), cut the h of one g
+    into several product_indices blocks (sieve.BLOCK at 7) and make
+    Dirichlet.products raise; return the list of the blocks' first h."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a streamed sum read a product table")
+
+    starts = []
+    real = arith.product_indices
+
+    def recorded(*args):
+        for gs, hs, idx in real(*args):
+            starts.append(hs.start)
+            yield gs, hs, idx
+
+    monkeypatch.setattr(arith, "BLOCK", q**n - 1)
+    monkeypatch.setattr(sieve, "BLOCK", 7)
+    monkeypatch.setattr(Dirichlet, "products", refuse)
+    monkeypatch.setattr(arith, "product_indices", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("p, e, n, u, v, streamed", SIGMA_ROUTES)
+def test_sigma2_equals_sum_of_pair_oracles(monkeypatch, p, e, n, u, v,
+                                           streamed):
     """Every rs_pair_char_sum oracle has |S|^2 equal to 0 or a power of p,
     and their exact row sums [A, B] and first exact maximum in (i, g1)
-    counting order are sigma2's value_exact and argmax."""
+    counting order are sigma2's value_exact and argmax, on the kept
+    table and on the streamed blocks."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
     best, best_i, best_g1 = None, None, None
@@ -285,7 +317,11 @@ def test_sigma2_equals_sum_of_pair_oracles(p, e, n, u, v):
                     rs_pair_char_sum(ring, i, g1, g2, chi), p))
             if best is None or as_decimal(total, p) > as_decimal(best, p):
                 best, best_i, best_g1 = total, i, ring.to_str(g1)
+    if streamed:
+        starts = stream_sigma(monkeypatch, ring.ctx.q, n)
     report = sigma2(ring, n, u, v, chi)
+    if streamed:
+        assert max(starts) > 0      # some block starts past the first h
     assert (report["value_exact"], report["argmax_i"], report["argmax_g1"]) == (
         list(best), best_i, best_g1)
     assert report["value"] == best[0] + best[1] * math.sqrt(p)
@@ -325,18 +361,13 @@ def test_sigma2_rows_in_small_blocks_equal_pair_oracles(
     assert seen == want[1:]
 
 
-# The grid of test_sigma2_equals_sum_of_pair_oracles.
-SIGMA_GRID = [
-    (3, 1, 5, 1, 1), (3, 1, 5, 1, 2), (3, 1, 5, 2, 2), (3, 1, 5, 3, 1),
-    (5, 1, 4, 1, 2), (5, 1, 4, 2, 1), (3, 2, 3, 1, 1),
-]
-
-
-@pytest.mark.parametrize("p, e, n, u, v", SIGMA_GRID)
-def test_sigma1_equals_sum_of_set_oracles(p, e, n, u, v):
+@pytest.mark.parametrize("p, e, n, u, v, streamed", SIGMA_ROUTES)
+def test_sigma1_equals_sum_of_set_oracles(monkeypatch, p, e, n, u, v,
+                                          streamed):
     """Every rs_char_sum_over_set oracle, one per multiplier g, has |S|^2
     equal to 0 or a power of p, and their exact sums per degree and in
-    total are sigma1's by_degree_exact and value_exact."""
+    total are sigma1's by_degree_exact and value_exact, on the kept table
+    and on the streamed blocks."""
     ring = PolyRing(FieldCtx(p, e))
     chi = CharSpec(ring.ctx, 1)
     total, by_degree = (0, 0), []
@@ -347,7 +378,11 @@ def test_sigma1_equals_sum_of_set_oracles(p, e, n, u, v):
                 ring, PolySet.MONIC, n - dg, g, chi, "R"), p))
         by_degree.append(list(deg_total))
         total = add_exact(total, deg_total)
+    if streamed:
+        starts = stream_sigma(monkeypatch, ring.ctx.q, n)
     report = sigma1(ring, n, u, v, chi)
+    if streamed:
+        assert max(starts) > 0      # some block starts past the first h
     assert (report["value_exact"], report["by_degree_exact"]) == (
         list(total), by_degree)
     assert report["value"] == total[0] + total[1] * math.sqrt(p)
@@ -399,8 +434,9 @@ def test_rs_products_checks_both_degrees_against_the_cap(f3):
 
 
 def test_context_builds_each_product_table_once(f3, monkeypatch):
-    """From empty caches, mu, Lambda, c1 and every block of one context
-    read one kept table per unordered pair of degrees {d, m}, d + m <= n."""
+    """From an empty cache, mu, Lambda, c1 and every block of one context
+    form the products of each unordered pair of degrees {d, m},
+    d + m <= n, once: the kept degree tables."""
     calls = []
     real = arith.product_indices
 
@@ -409,8 +445,7 @@ def test_context_builds_each_product_table_once(f3, monkeypatch):
         return real(factors, d, m, *rest)
 
     monkeypatch.setattr(arith, "product_indices", counted)
-    arith._product_table.cache_clear()
-    arith._divisor_table.cache_clear()
+    arith._degree_table.cache_clear()
     VaughanContext(f3, 5)
     pairs = sorted(tuple(sorted(c)) for c in calls)
     assert pairs == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
@@ -776,19 +811,16 @@ def test_a_failure_off_the_default_cutoffs_keeps_the_report(monkeypatch):
 
 
 def test_a_second_context_builds_no_table(f3):
-    """The per-process caches hold every table a context at q = 3, n = 10
-    reads, so a second one, and a second mu and Lambda solve, miss none."""
-    arith._product_table.cache_clear()
-    arith._divisor_table.cache_clear()
+    """The per-process cache holds every table a context at q = 3, n = 10
+    reads, one per degree 2 .. 10, so a second one, and a second mu and
+    Lambda solve, miss none."""
+    arith._degree_table.cache_clear()
     VaughanContext(f3, 10)
-    infos = (arith._product_table.cache_info(),
-             arith._divisor_table.cache_info())
-    assert [info.misses for info in infos] == [25, 8]
+    info = arith._degree_table.cache_info()
+    assert info.misses == 9
     VaughanContext(f3, 10)
     Dirichlet(f3).mobius(9)
-    assert [info.misses for info in (arith._product_table.cache_info(),
-                                     arith._divisor_table.cache_info())] == [
-        info.misses for info in infos]
+    assert arith._degree_table.cache_info().misses == info.misses
 
 
 @pytest.mark.parametrize("p, e, n", [(3, 1, 5), (5, 1, 4), (3, 2, 4)])
