@@ -66,8 +66,14 @@ COMMANDS = [
     ["--format", "csv", "verify", "all"],
     ["--format", "csv", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
     ["--p", "31", "--e", "2", "distribution", "-n", "2"],
-    # Above field.TABLE_Q, R over F_(p^e) comes from digits, not tables.
+    # R over F_(p^e) reads no field table: at q = 729 (q^2 > sieve.BLOCK)
+    # its Horner products are formed per piece, at q = 289 (above
+    # field.TABLE_Q) read off the whole q x q grid, and at q = 27 and 25
+    # across many sieve.blocks.
     ["--p", "3", "--e", "6", "distribution", "-n", "2"],
+    ["--p", "17", "--e", "2", "distribution", "-n", "2"],
+    ["--p", "3", "--e", "3", "distribution", "-n", "5"],
+    ["--p", "5", "--e", "2", "distribution", "-n", "5"],
     ["--p", "3", "--e", "4", "verify", "star"],
     # Across sieve.BLOCK at its default: R over 3^12 monics in 3 blocks,
     # and product marking and joins in several blocks and slabs.

@@ -81,8 +81,8 @@ def field_tables(key: tuple) -> tuple[np.ndarray, np.ndarray]:
     """vecenum.index_tables of the field whose FieldCtx.key() is key.
 
     Built once per key and read-only; the 4 most recently used fields are
-    kept.  FieldCtx reads its tables off it up to TABLE_Q, and the bulk
-    paths over F_(p^e) call it instead of building their own.
+    kept.  FieldCtx reads its tables off it up to TABLE_Q, and charsum's
+    Gauss counts call it instead of building their own.
     """
     p, e, modulus = key
     tables = index_tables(p, basis_products(_w_powers(p, e, modulus)))

@@ -19,10 +19,10 @@ at most BLOCK digits of sums, and over F_(p^e) the products are formed on
 the whole q x q grid only when q^2 fits in BLOCK, else on the rows a piece
 needs.  A whole grid is formed once per route and field in a process and
 kept read-only, for the 8 most recently used (route, field) pairs.  The
-star and lin-red cells compare them; autocorrelation and
-reversal_product_correlations are their oracles, and neither route reads
-the field's tables.  quadform keeps the lag_sums of the monics of each
-degree per field and reads every multiplier form off them.
+star cell compares them, and the lin-red cell lag_sums with rs_values,
+which sums the Horner products too; no bulk route reads the field's
+tables.  quadform keeps the lag_sums of the monics of each degree per
+field and reads every multiplier form off them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeBoundError, NotMonicError
-from .field import TABLE_Q, basis_key, field_tables
+from .field import basis_key
 from .poly import PolyRing
 from .sieve import BLOCK, blocks
 from .vecenum import digits, int_dtype
@@ -75,24 +75,30 @@ def rs_values(ring: PolyRing, n: int, idx: np.ndarray) -> np.ndarray:
 
     The counting index of f holds f_0, ..., f_(n-1) as base-q digits.  Over
     F_p the products are summed as integers and reduced once, with no q x q
-    table (q = 4093 is in range); over F_(p^e) they go through the tables
-    of field.field_tables up to field.TABLE_Q, above it through
-    _sum_products on the base-p digits of idx, in sieve.blocks, so no
-    array grows with q^2.
+    table (q = 4093 is in range).  Over F_(p^e) each f_k f_(k-1) comes from
+    _subgrids of _field_products, the Horner route of reversal_products, in
+    sieve.blocks of idx, and the digit sums are reduced mod p once.
     """
     ctx = ring.ctx
-    q = ctx.q
-    if q > TABLE_Q and ctx.e > 1:
-        return _rs_digits(basis_key(ctx.p, ctx.basis), n, idx)
-    add, mul = field_tables(ctx.key()) if ctx.e > 1 else (None, None)
-    values = np.zeros_like(idx)
-    low = idx % q
-    for k in range(1, n):
-        high = idx // q**k % q
-        values = (values + high * low if add is None
-                  else add[values, mul[high, low]])
-        low = high
-    return values % q
+    p, e, q = ctx.p, ctx.e, ctx.q
+    if e == 1:
+        values = np.zeros_like(idx)
+        low = idx % q
+        for k in range(1, n):
+            high = idx // q**k % q
+            values = values + high * low
+            low = high
+        return values % q
+    flat = np.asarray(idx).ravel()
+    values = np.empty(flat.shape, dtype=int_dtype(q - 1))
+    product = _subgrids(_field_products, (p, e, ctx.modulus),
+                        np.min_scalar_type((n - 1) * (p - 1)))
+    # A block holds n coefficients and a few digits of products per index.
+    for start, stop in blocks(len(flat), n + 6 * e):
+        f = digits(flat[start:stop], q, n).T.copy()    # contiguous rows f_k
+        sums = sum(product(f[k], f[k - 1]) for k in range(1, n))
+        values[start:stop] = p ** np.arange(e) @ (sums % p)
+    return values.reshape(np.shape(idx))
 
 
 def _sum_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,23 +116,6 @@ def _sum_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         diagonals[l:l + e] += x[l] * y
     powers = np.concatenate([basis[0], basis[-1, 1:]])
     return np.einsum("mc,m...->c...", powers, diagonals) % p
-
-
-def _rs_digits(field: tuple, n: int, idx: np.ndarray) -> np.ndarray:
-    """rs_values over F_(p^e), field = (p, e, basis bytes), from digits:
-    coefficient i of f is base-p digits i e .. i e + e - 1 of its counting
-    index, and R sums the digits of f_i f_(i-1) from _sum_products."""
-    p, e, _ = field
-    flat = np.asarray(idx).ravel()
-    values = np.empty(flat.shape, dtype=int_dtype(p**e - 1))
-    places = p ** np.arange(e)
-    for start, stop in blocks(len(flat), 3 * n * e):
-        # Axes (digit, f, coefficient).
-        coeffs = digits(flat[start:stop], p, n * e).reshape(-1, n, e)
-        coeffs = coeffs.transpose(2, 0, 1)
-        sums = _sum_products(field, coeffs[:, :, 1:], coeffs[:, :, :-1])
-        values[start:stop] = places @ (sums.sum(axis=2) % p)
-    return values.reshape(np.shape(idx))
 
 
 def _field_products(field: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,8 +213,11 @@ def _subgrids(route, field: tuple, digit):
     # cells of the verify-ext benchmark workload 6.9-7.5 ms against
     # 8.5 ms; _grid now forms it once per field and route.
     if p ** (2 * e) <= BLOCK:
-        grid = _grid(route, field)
-        return lambda x, y: grid[:, x, y].astype(digit, copy=False)
+        # One take of the flat pair index x q + y gathers faster than
+        # indexing the (e, q, q) grid by x and y.
+        grid = _grid(route, field).reshape(e, -1)
+        return lambda x, y: grid.take(x.astype(np.intp) * p**e + y,
+                                      axis=1).astype(digit, copy=False)
     return lambda x, y: route(
         field, _spread(x, p, e), _spread(y, p, e)).astype(digit)
 

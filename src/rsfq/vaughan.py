@@ -43,13 +43,14 @@ from .arith import Dirichlet
 from .charsum import (UNEVEN, ZERO, CharSpec, char_eval, char_traces,
                       decode_abs, pair_exceeds, pair_value)
 from .errors import (
+    EnumerationCapError,
     ExactIdentityError,
     InvalidCutoffsError,
     TrivialCharacterError,
 )
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
-from .sieve import blocks
+from .sieve import SIEVE_CAP, blocks
 from .vecenum import int_dtype
 
 
@@ -315,12 +316,16 @@ def _rs_table(ring: PolyRing, n: int) -> np.ndarray:
 def _sigma_setup(name: str, ring: PolyRing, n: int, u: int, v: int,
                  chi: CharSpec, rs, degrees) -> tuple:
     """(q, p, kernel, Tr(beta R) over the monics of degree n), R from rs when
-    given, after checking the cutoffs, chi and the caps of degrees, then n."""
+    given, after checking the cutoffs, chi and the caps of degrees, then n,
+    then q^n against SIEVE_CAP, which every bulk scan of degree n keeps."""
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError(f"{name} needs a non-trivial character")
     for k in (*degrees, n):
         ring.check_cap(ring.cardinality(PolySet.MONIC, k))
+    if ring.ctx.q**n > SIEVE_CAP:
+        raise EnumerationCapError(
+            f"q^n = {ring.ctx.q**n} exceeds the sieve cap {SIEVE_CAP}")
     return (ring.ctx.q, ring.ctx.p, Dirichlet(ring),
             char_traces(chi)[_rs_table(ring, n) if rs is None else rs])
 

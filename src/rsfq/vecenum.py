@@ -7,7 +7,7 @@ F_p-linear map whose matrix comes from the powers w^0, ..., w^(2e-2) of
 the root w of the modulus (Lidl & Niederreiter, Finite Fields, ch. 10 on
 tables).  index_tables builds the add/mul tables of the whole field from
 those two facts in numpy; field.field_tables keeps one read-only pair per
-field for FieldCtx and every bulk path.  mul_matrices also blows up
+field for FieldCtx and charsum's Gauss counts.  mul_matrices also blows up
 quadform's forms for their F_p rank kernel.
 """
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rsfq import DEFAULT_CAP, ConfigError, Dirichlet, verify
+from rsfq import DEFAULT_CAP, ConfigError, Dirichlet, vaughan, verify
 from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
@@ -108,6 +108,22 @@ def test_sigma_cap_exceeded_is_usage_error(capsys):
     assert capsys.readouterr().err == (
         "rsfq: enumeration of 205891132094649 elements exceeds the cap "
         "100000000\n")
+
+
+@pytest.mark.parametrize("which", ["sigma1", "sigma2"])
+def test_sigma_above_sieve_cap_is_usage_error(monkeypatch, capsys, which):
+    """Both aggregates refuse q^n above the sieve cap, as distribution
+    does, after the ring's cap checks: with the cap lowered to 3^6 - 1,
+    n = 6 exits 2 naming it, --cap 100 still names --cap first, and
+    n = 5 runs."""
+    monkeypatch.setattr(vaughan, "SIEVE_CAP", 3**6 - 1)
+    args = ["sigma", which, "-u", "1", "-v", "2"]
+    assert main([*args, "-n", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "rsfq: q^n = 729 exceeds the sieve cap 728\n")
+    assert main([*args, "-n", "6", "--cap", "100"]) == 2
+    assert "exceeds the cap 100" in capsys.readouterr().err
+    assert main([*args, "-n", "5"]) == 0
 
 
 def test_bad_selector_rejected():

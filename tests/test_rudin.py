@@ -114,13 +114,13 @@ def test_rs_values_large_prime_field_sample():
 
 
 def test_rs_values_above_table_q_reads_digits_not_tables(monkeypatch):
-    """At q = 3^6 > TABLE_Q, R comes from the digits of the counting
-    indices: a seeded sample matches rudin_shapiro with field_tables
-    raising, and the index shape is kept."""
+    """At q = 3^6 > TABLE_Q, R comes from the Horner products of the
+    coefficients' digits: a seeded sample matches rudin_shapiro with
+    field_tables raising, and the index shape is kept."""
     def forbidden(key):
         raise AssertionError("field_tables was called")
 
-    monkeypatch.setattr(rudin, "field_tables", forbidden)
+    monkeypatch.setattr(field, "field_tables", forbidden)
     ring = PolyRing(FieldCtx(3, 6))
     q = ring.ctx.q
     rng = np.random.default_rng(36)
@@ -135,16 +135,28 @@ def test_rs_values_above_table_q_reads_digits_not_tables(monkeypatch):
 
 @pytest.mark.parametrize("p, e, n", [(3, 2, 2), (3, 2, 4), (5, 2, 3),
                                      (3, 3, 3)])
-def test_digit_route_matches_the_tables_on_every_monic(p, e, n):
-    """Below TABLE_Q both routes run: the digit route (_rs_digits, across
-    several sieve.blocks at the larger n) agrees with the tables on every
-    monic of degree n, in the tables' dtype."""
+def test_per_piece_products_match_the_grid_on_every_monic(monkeypatch, p, e,
+                                                          n):
+    """With BLOCK below q^2, _subgrids forms each f_k f_(k-1) on its piece
+    instead of reading the whole grid (_grid raises), in many sieve.blocks:
+    rs_values agrees with rudin_shapiro and with the grid side on every
+    monic of degree n, in the grid side's dtype."""
     ring = PolyRing(FieldCtx(p, e))
-    idx = np.arange(ring.ctx.q**n)
+    q = ring.ctx.q
+    idx = np.arange(q**n)
     want = rs_values(ring, n, idx)
-    got = rudin._rs_digits(field.basis_key(p, ring.ctx.basis), n, idx)
+
+    def forbidden(route, field):
+        raise AssertionError("the whole grid was read")
+
+    for module in (rudin, sieve):
+        monkeypatch.setattr(module, "BLOCK", q**2 - 1)
+    monkeypatch.setattr(rudin, "_grid", forbidden)
+    got = rs_values(ring, n, idx)
     assert got.dtype == want.dtype
     assert (got == want).all()
+    assert got.tolist() == [rudin_shapiro(ring, f)
+                            for f in ring.enumerate(PolySet.MONIC, n)]
 
 
 def test_rs_values_above_table_q_memory_is_bounded():
@@ -303,15 +315,17 @@ def test_bulk_correlations_on_pieces_inside_one_coefficient(
 
 
 def test_bulk_kernels_never_read_the_field_tables(monkeypatch):
-    """lag_sums and reversal_products run on the digits of the elements
-    alone: with field_tables and every FieldCtx table raising, they still
-    match the oracles over F_9 and F_27, while rs_values over F_(p^e)
-    reads the tables and raises."""
+    """lag_sums, reversal_products and rs_values run on the digits of the
+    elements alone: with field_tables and every FieldCtx table raising,
+    they still match the oracles over F_9 and F_27."""
     rings = [PolyRing(FieldCtx(3, 2)), PolyRing(FieldCtx(3, 3))]
     cases = [(ring, n, start, stop) for ring in rings
              for n, start, stop in ((1, 0, ring.ctx.q ** 2), (2, 40, 700),
                                     (3, 100, 5000))]
     want = [(lag_sums(*case), reversal_products(*case)) for case in cases]
+    rs_cases = [(ring, n) for ring in rings for n in (2, 3)]
+    want_rs = [[rudin_shapiro(ring, f) for f in ring.enumerate(PolySet.MONIC, n)]
+               for ring, n in rs_cases]
 
     class Forbidden:
         def __getitem__(self, key):
@@ -320,7 +334,6 @@ def test_bulk_kernels_never_read_the_field_tables(monkeypatch):
     def forbidden(key):
         raise AssertionError("field_tables was called")
 
-    monkeypatch.setattr(rudin, "field_tables", forbidden)
     monkeypatch.setattr(field, "field_tables", forbidden)
     for ring in rings:
         for name in ("add_table", "mul_table", "neg_table", "inv_table"):
@@ -328,8 +341,8 @@ def test_bulk_kernels_never_read_the_field_tables(monkeypatch):
     for case, (lags, prod) in zip(cases, want):
         assert (lag_sums(*case) == lags).all()
         assert (reversal_products(*case) == prod).all()
-    with pytest.raises(AssertionError, match="field_tables was called"):
-        rs_values(rings[0], 2, np.arange(9))
+    for (ring, n), values in zip(rs_cases, want_rs):
+        assert rs_values(ring, n, np.arange(ring.ctx.q**n)).tolist() == values
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +513,27 @@ def test_lin_red_reports_each_corrupted_monic_in_order(monkeypatch, p, e, n,
     assert result["detail"]["failures"] == [
         ring.to_str(f) for k, f in enumerate(ring.enumerate(PolySet.MONIC, n))
         if k in bad]
+
+
+@pytest.mark.parametrize("p", [3, 17])
+def test_lin_red_cell_sees_a_wrong_digit_product(monkeypatch, p):
+    """With _sum_products, the lag sums' product, wrong on w * w alone, the
+    lin-red cell over F_(p^2), n = 2 (q = 9 and q = 289 > TABLE_Q) fails
+    exactly at f = t^2 + w t + w: R never reads that product."""
+    real = rudin._sum_products
+
+    def wrong(field, x, y):
+        out = real(field, x, y)
+        w_w = (x[0] == 0) & (x[1] == 1) & (y[0] == 0) & (y[1] == 1)
+        out[0] = (out[0] + w_w) % field[0]
+        return out
+
+    monkeypatch.setattr(rudin, "_sum_products", wrong)
+    ring = PolyRing(FieldCtx(p, 2))
+    result = verify.run_cell(lin_red_cell(p, 2, 2))
+    assert not result["pass"]
+    assert result["detail"] == {"checked": p**4,
+                                "failures": [ring.to_str([p, p, 1])]}
 
 
 def test_lin_red_cell_memory_is_bounded():

@@ -439,8 +439,9 @@ def test_digit_add_table_is_built_once_and_read_only(f9):
 
 def test_index_tables_are_built_once_per_field(monkeypatch, f9):
     """field_tables builds one read-only pair per field key: contexts of one
-    field, rs_values, gauss_counts and sigma2 all share it.  Building F_9
-    may also build its prime field F_3, once, if no earlier test kept it."""
+    field and gauss_counts share it, and rs_values and sigma2 read no field
+    table, so they build none.  Building F_9 may also build its prime field
+    F_3, once, if no earlier test kept it."""
     calls = []
 
     def counted(p, basis):
