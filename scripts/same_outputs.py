@@ -63,6 +63,9 @@ COMMANDS = [
     ["nf-count", "-n", "3", "--poly", "1,0,2,0,0,0,1"],
     ["--p", "5", "nf-count", "-n", "2"],
     ["--format", "csv", "trend"],
+    # The key-value CSV forms of both reversal reports.
+    ["--format", "csv", "nf-count", "-n", "3"],
+    ["--format", "csv", "nf-count", "-n", "2", "--poly", "1,0,1"],
     ["--format", "csv", "verify", "all"],
     ["--format", "csv", "sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2"],
     ["--p", "31", "--e", "2", "distribution", "-n", "2"],

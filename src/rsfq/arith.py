@@ -24,26 +24,28 @@ FactorTable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeBoundError, EnumerationCapError, ZeroPolynomialError
+from .errors import DegreeBoundError, ZeroPolynomialError
 from .field import basis_key
 from .poly import PolyRing, PolySet
-from .sieve import BLOCK, SIEVE_CAP, product_indices
+from .sieve import BLOCK, check_sieve_cap, product_indices
 
 
 class Dirichlet:
     """Exact Dirichlet convolution over the monic polynomials of F_q[t].
 
     A degree-d vector is an int64 array over the q^d monic polynomials of
-    degree d in counting order, at most SIEVE_CAP long.  mu and Lambda are
-    kept per instance as they are solved, one degree at a time and each
-    from its own identity.  The index tables it reads are per process
-    (_degree_table), shared by every kernel of the same field, and kept
-    while q^k <= BLOCK; tables=False keeps no degree, so every sum reads
-    the streamed product_indices blocks.
+    degree d in counting order, q^d gated by sieve.check_sieve_cap in
+    convolve_rows.  mu and Lambda are kept per instance as they are
+    solved, one degree at a time and each from its own identity.  The
+    index tables it reads are per process (_degree_table), shared by
+    every kernel of the same field, and kept while q^k <= BLOCK;
+    tables=False keeps no degree, so every sum reads the streamed
+    product_indices blocks.
     """
 
     def __init__(self, ring: PolyRing, tables: bool = True):
@@ -92,7 +94,7 @@ class Dirichlet:
         """The convolutions x * y of degree k as the rows of one int64
         array, one row per vector of x over the terms (x, d, y) in order:
         x is a vector or a 2-D stack of vectors of degree d, y a vector of
-        degree k - d.
+        degree k - d, q^k within sieve.check_sieve_cap.
 
         Each row enumerates the nonzero entries gs of its sparser factor
         (_sparser) and sums one bincount per product_blocks block of their
@@ -100,10 +102,7 @@ class Dirichlet:
         offset by its row: a pass over the keys that costs more than the
         calls it saves.
         """
-        size = self.ctx.q**k
-        if size > SIEVE_CAP:
-            raise EnumerationCapError(
-                f"q^{k} = {size} exceeds the convolution cap {SIEVE_CAP}")
+        size = check_sieve_cap(self.ctx.q, k)
         stacks = [(x if x.ndim == 2 else x[None], d, y) for x, d, y in terms]
         out = np.empty((sum(len(xs) for xs, _, _ in stacks), size),
                        dtype=np.int64)
@@ -337,6 +336,14 @@ def tau(ring: PolyRing, f, table: FactorTable | None = None) -> int:
 TAU_EPSILON = 0.5
 
 
+def _statistic(name: str, q: int, n: int, observed: int, bound: int,
+               passed: bool, **detail) -> dict:
+    """The report of one scanned statistic over F_q at degree n: what was
+    observed against its bound, whether it passed, and the detail."""
+    return {"statistic": name, "q": q, "n": n, "observed": observed,
+            "bound": bound, "pass": passed, "detail": detail}
+
+
 def check_tau_bound(ring: PolyRing, n: int) -> dict:
     """Scan M(n) for the hard divisor bound tau(f) <= 2^deg f.
 
@@ -351,18 +358,11 @@ def check_tau_bound(ring: PolyRing, n: int) -> dict:
     taus = Dirichlet(ring).tau(n)
     arg = int(np.argmax(taus))
     worst = int(taus[arg])
-    bound = 2**n
     soft = q ** (n * (2 + TAU_EPSILON) / math.log(n)) if n >= 2 else None
-    return {
-        "statistic": "tau-max",
-        "q": q,
-        "n": n,
-        "observed": worst,
-        "bound": bound,
-        "pass": worst <= bound,
-        "detail": {"argmax": ring.to_str(ring.from_index(PolySet.MONIC, n, arg)),
-                   "soft_branch": soft, "epsilon": TAU_EPSILON},
-    }
+    return _statistic(
+        "tau-max", q, n, worst, 2**n, worst <= 2**n,
+        argmax=ring.to_str(ring.from_index(PolySet.MONIC, n, arg)),
+        soft_branch=soft, epsilon=TAU_EPSILON)
 
 
 def check_tau_second_moment(ring: PolyRing, n: int) -> dict:
@@ -374,15 +374,7 @@ def check_tau_second_moment(ring: PolyRing, n: int) -> dict:
     taus = Dirichlet(ring).tau(n)
     total = int(np.dot(taus, taus))
     bound = 4 * n**3 * q**n
-    return {
-        "statistic": "tau-second-moment",
-        "q": q,
-        "n": n,
-        "observed": total,
-        "bound": bound,
-        "pass": total <= bound,
-        "detail": {},
-    }
+    return _statistic("tau-second-moment", q, n, total, bound, total <= bound)
 
 
 def count_reversal_solutions(
@@ -415,27 +407,16 @@ def count_reversal_solutions(
     if solutions:
         tau_bound = 2 * table.tau(solutions[0])
         ok = ok and count <= tau_bound
-    return {
-        "statistic": "reversal-count",
-        "q": ring.ctx.q,
-        "n": n,
-        "observed": count,
-        "bound": 2**n,
-        "pass": ok,
-        "detail": {
-            "f": ring.to_str(f),
-            "classes": len(classes),
-            "solutions": [ring.to_str(a) for a in solutions],
-            "tau_bound": tau_bound,
-            "divisor_bound": divisor_bound,
-        },
-    }
+    return _statistic(
+        "reversal-count", ring.ctx.q, n, count, 2**n, ok, f=ring.to_str(f),
+        classes=len(classes), solutions=[ring.to_str(a) for a in solutions],
+        tau_bound=tau_bound, divisor_bound=divisor_bound)
 
 
 def scan_reversal_counts(ring: PolyRing, n: int) -> dict:
     """Exhaustive reversal-equation counts over every f of degree 2n.
 
-    Groups the products reverse(a, n) * a over all a of degree n and reads
+    Counts the products reverse(a, n) * a over all a of degree n and reads
     off N(f) for each such f of degree exactly 2n; every other f has N = 0.
     count_reversal_solutions is the per-f oracle for spot checks.  The
     stated N(f) <= 2^n decides pass, as the stated bound does for rank-qa;
@@ -445,37 +426,26 @@ def scan_reversal_counts(ring: PolyRing, n: int) -> dict:
     """
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, n))
     ring.check_cap(ring.cardinality(PolySet.DEGREE_EXACT, 2 * n))
-    products: dict = {}
-    for a in ring.enumerate(PolySet.DEGREE_EXACT, n):
-        prod = ring.mul(ring.reverse(a, n), a)
-        products.setdefault(prod, []).append(a)
+    counts = Counter(ring.mul(ring.reverse(a, n), a)
+                     for a in ring.enumerate(PolySet.DEGREE_EXACT, n))
     kernel = Dirichlet(ring)
     d_n = kernel.convolve(kernel.ones(n), n, kernel.ones(n), n)
     # (f, N(f), 2 d_n(f)) for every f of degree 2n with N(f) > 0, in order.
-    found = [(f, len(products[f]), 2 * int(d_n[ring.index_of(ring.monic(f)[:-1])]))
-             for f in sorted(products, key=ring.index_of) if len(f) == 2 * n + 1]
-    hist = {0: ring.cardinality(PolySet.DEGREE_EXACT, 2 * n) - len(found)}
-    max_count, max_f = 0, None
-    for f, cnt, _ in found:
-        hist[cnt] = hist.get(cnt, 0) + 1
-        if cnt > max_count:
-            max_count, max_f = cnt, f
+    found = [(f, counts[f], 2 * int(d_n[ring.index_of(ring.monic(f)[:-1])]))
+             for f in sorted(counts, key=ring.index_of) if len(f) == 2 * n + 1]
+    hist = Counter(cnt for _, cnt, _ in found)
+    hist[0] = ring.cardinality(PolySet.DEGREE_EXACT, 2 * n) - len(found)
+    # max keeps the first maximum, in counting order.
+    max_f, max_count, _ = max(found, key=lambda row: row[1],
+                              default=(None, 0, None))
     divisor_ok = all(cnt <= bound for _, cnt, bound in found)
-    return {
-        "statistic": "reversal-count-scan",
-        "q": ring.ctx.q,
-        "n": n,
-        "observed": max_count,
-        "bound": 2**n,
-        "pass": max_count <= 2**n and divisor_ok,
-        "detail": {
-            "argmax": ring.to_str(max_f) if max_f else None,
-            "histogram": {str(k): v for k, v in sorted(hist.items())},
-            "represented": len(found),
-            "divisor_bound_holds": divisor_ok,
-            "divisor_bound_attained": any(cnt == b for _, cnt, b in found),
-            "counterexamples": [
-                {"f": ring.to_str(f), "count": cnt, "divisor_bound": bound}
-                for f, cnt, bound in found if cnt > 2**n],
-        },
-    }
+    return _statistic(
+        "reversal-count-scan", ring.ctx.q, n, max_count, 2**n,
+        max_count <= 2**n and divisor_ok,
+        argmax=ring.to_str(max_f) if max_f else None,
+        histogram={str(k): v for k, v in sorted(hist.items())},
+        represented=len(found), divisor_bound_holds=divisor_ok,
+        divisor_bound_attained=any(cnt == b for _, cnt, b in found),
+        counterexamples=[
+            {"f": ring.to_str(f), "count": cnt, "divisor_bound": bound}
+            for f, cnt, bound in found if cnt > 2**n])

@@ -29,7 +29,7 @@ call them or read the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -423,19 +423,9 @@ class RankReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "form": self.form,
-            "a": self.a,
-            "b": self.b,
-            "rank": self.rank,
-            "kernel_dim": self.kernel_dim,
-            "bound": self.bound,
-            "monic_rank": self.monic_rank,
-            "pass": self.passed,
-        }
+        """Every field in order, passed under the key "pass"."""
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def scan_qa_ranks(ring: PolyRing, n: int) -> list:

@@ -253,18 +253,18 @@ def _correlate(field: tuple, n: int, start: int, stop: int, route,
         coeffs.append(np.arange(lo, hi, dtype=index).reshape((-1,) + (1,) * j))
         coeffs += [np.full((1,) * (j + 1), c, dtype=index)
                    for c in digits(top, q, n - j).tolist()]
-        terms = {}
         sums = np.empty((len(rows), e) + shape, dtype=digit)
         for r, pairs in enumerate(rows):
-            for x, y in pairs:
-                if (x, y) not in terms:
-                    terms[x, y] = product(coeffs[x], coeffs[y])
-            # Lowest coefficients last, so the partial sums stay small.
-            total = terms[pairs[0]]
-            for pair in pairs[1:-1]:
-                total = total + terms[pair]
+            # Each pair's product is formed on its own, in order: no pair
+            # repeats within a piece, and (y, x) never reuses (x, y)'s,
+            # which keeps the star's palindrome check a check.  Lowest
+            # coefficients last, so the partial sums stay small.
+            terms = (product(coeffs[x], coeffs[y]) for x, y in pairs)
+            total = next(terms)
+            for _ in pairs[1:-1]:
+                total = total + next(terms)
             if len(pairs) > 1:
-                np.add(total, terms[pairs[-1]], out=sums[r])
+                np.add(total, next(terms), out=sums[r])
             else:
                 sums[r] = total
         np.remainder(sums, p, out=sums)

@@ -48,9 +48,12 @@ narrow).  product_indices yields those indices block by block, some g
 against a contiguous range of h in counting order.
 
 composite_mask(ring, n) joins or marks in a boolean array over the monic
-degree-n counting indices, for q^n up to the module constant SIEVE_CAP;
-count_irreducibles_sieve counts its unmarked entries and dist.distribution
-reads the irreducibles off it.
+degree-n counting indices; count_irreducibles_sieve counts its unmarked
+entries and dist.distribution reads the irreducibles off it.
+check_sieve_cap(q, n) is the one gate of every bulk scan over the q^n
+monics of one degree: it refuses q^n above the module constant SIEVE_CAP,
+for composite_mask, arith.Dirichlet.convolve_rows and vaughan's sigma1 and
+sigma2 alike, and no other module reads SIEVE_CAP.
 arith.Dirichlet sums weights over the product_indices blocks, or over the
 degree tables filled from them, kept per process.  Memory is bounded here:
 a digit-add table holds at most TABLE_BYTES, one image or gather block
@@ -355,12 +358,22 @@ def _composite(n: int, p: int, basis: np.ndarray) -> np.ndarray:
     return composite
 
 
-def composite_mask(ring: PolyRing, n: int) -> np.ndarray:
-    """Boolean mask over monic degree-n counting indices, True where reducible."""
-    ctx = ring.ctx
-    if ctx.q**n > SIEVE_CAP:
+def check_sieve_cap(q: int, n: int) -> int:
+    """q^n, the size of a bulk scan over the monics of degree n, or
+    EnumerationCapError when it exceeds SIEVE_CAP: the one gate of every
+    such scan."""
+    size = q**n
+    if size > SIEVE_CAP:
         raise EnumerationCapError(
-            f"q^n = {ctx.q**n} exceeds the sieve cap {SIEVE_CAP}")
+            f"q^n = {size} exceeds the sieve cap {SIEVE_CAP}")
+    return size
+
+
+def composite_mask(ring: PolyRing, n: int) -> np.ndarray:
+    """Boolean mask over monic degree-n counting indices, True where
+    reducible, for q^n within check_sieve_cap."""
+    ctx = ring.ctx
+    check_sieve_cap(ctx.q, n)
     return _composite(n, ctx.p, ctx.basis)
 
 

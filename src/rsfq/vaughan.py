@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,14 +43,13 @@ from .arith import Dirichlet
 from .charsum import (UNEVEN, ZERO, CharSpec, char_eval, char_traces,
                       decode_abs, pair_exceeds, pair_value)
 from .errors import (
-    EnumerationCapError,
     ExactIdentityError,
     InvalidCutoffsError,
     TrivialCharacterError,
 )
 from .poly import PolyRing, PolySet
 from .rudin import rs_values, rudin_shapiro
-from .sieve import SIEVE_CAP, blocks
+from .sieve import blocks, check_sieve_cap
 from .vecenum import int_dtype
 
 
@@ -93,17 +92,13 @@ class VaughanReport:
     residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "u": self.u,
-            "v": self.v,
-            "lhs": {"re": self.lhs.real, "im": self.lhs.imag},
-            "s1": {"re": self.s1.real, "im": self.s1.imag},
-            "s2": {"re": self.s2.real, "im": self.s2.imag},
-            "s3": {"re": self.s3.real, "im": self.s3.imag},
-            "residual": self.residual,
-        }
+        """Every field in order, a complex value as {"re", "im"}."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = ({"re": value.real, "im": value.imag}
+                           if isinstance(value, complex) else value)
+        return out
 
 
 class VaughanContext:
@@ -317,15 +312,14 @@ def _sigma_setup(name: str, ring: PolyRing, n: int, u: int, v: int,
                  chi: CharSpec, rs, degrees) -> tuple:
     """(q, p, kernel, Tr(beta R) over the monics of degree n), R from rs when
     given, after checking the cutoffs, chi and the caps of degrees, then n,
-    then q^n against SIEVE_CAP, which every bulk scan of degree n keeps."""
+    then q^n at sieve.check_sieve_cap, the one gate of every bulk scan of
+    degree n."""
     validate_cutoffs(n, u, v)
     if chi.is_trivial():
         raise TrivialCharacterError(f"{name} needs a non-trivial character")
     for k in (*degrees, n):
         ring.check_cap(ring.cardinality(PolySet.MONIC, k))
-    if ring.ctx.q**n > SIEVE_CAP:
-        raise EnumerationCapError(
-            f"q^n = {ring.ctx.q**n} exceeds the sieve cap {SIEVE_CAP}")
+    check_sieve_cap(ring.ctx.q, n)
     return (ring.ctx.q, ring.ctx.p, Dirichlet(ring),
             char_traces(chi)[_rs_table(ring, n) if rs is None else rs])
 

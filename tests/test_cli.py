@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rsfq import DEFAULT_CAP, ConfigError, Dirichlet, vaughan, verify
+from rsfq import DEFAULT_CAP, ConfigError, Dirichlet, sieve, verify
 from rsfq.cli import MAX_WEIGHTS, build_parser, main, resolve_config
 
 
@@ -95,6 +95,14 @@ def test_distribution_above_sieve_cap_is_usage_error():
     assert "sieve cap" in result.stderr
 
 
+def test_nf_count_above_sieve_cap_is_usage_error(capsys):
+    """The scan's d_n = 1_n * 1_n has degree 2n: at n = 8 the kernel
+    refuses 3^16 > 2 * 10^7 at the sieve cap, in its words."""
+    assert main(["nf-count", "-n", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "rsfq: q^n = 43046721 exceeds the sieve cap 20000000\n")
+
+
 def test_sigma_cap_exceeded_is_usage_error(capsys):
     """Both aggregates refuse a degree whose monic set exceeds --cap."""
     assert main(["sigma", "sigma1", "-n", "5", "-u", "1", "-v", "2",
@@ -116,7 +124,7 @@ def test_sigma_above_sieve_cap_is_usage_error(monkeypatch, capsys, which):
     does, after the ring's cap checks: with the cap lowered to 3^6 - 1,
     n = 6 exits 2 naming it, --cap 100 still names --cap first, and
     n = 5 runs."""
-    monkeypatch.setattr(vaughan, "SIEVE_CAP", 3**6 - 1)
+    monkeypatch.setattr(sieve, "SIEVE_CAP", 3**6 - 1)
     args = ["sigma", which, "-u", "1", "-v", "2"]
     assert main([*args, "-n", "6"]) == 2
     assert capsys.readouterr().err == (
